@@ -44,7 +44,6 @@ from .ontology import CLASSES, default_quad_map, load_quad_map, quad_map_digest
 from .softlabel import code_corpus, load_actor_words, load_dictionary
 from .tensor_nn.gradcheck import finite_difference_check
 from .train_eval import evaluate, write_history
-from ._parallel import ordered_map
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -123,7 +122,10 @@ def _cmd_transfer(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    fractions = tuple(float(x) for x in args.fractions.split(","))
+    try:
+        fractions = tuple(float(x) for x in args.fractions.split(","))
+    except ValueError:
+        fractions = ()
     if len(fractions) != 3:
         raise InputError(f"--fractions needs three comma-separated numbers, got {args.fractions!r}")
     records = read_jsonl(args.infile)
@@ -156,10 +158,10 @@ def _cmd_train(args) -> int:
         settings.apply({"word.embeddings": args.embeddings}, source="--embeddings")
     train_records = read_jsonl(args.train)
     dev_records = read_jsonl(args.dev)
+    quad_map = _resolve_quad_map(args.quadmap)
     result = experiments.fit(train_records, dev_records, settings)
     for h in result.history:
         print(f"epoch {h.epoch:>3}  train loss {h.train_loss:.4f}  dev accuracy {h.dev_accuracy:.4f}")
-    quad_map = _resolve_quad_map(args.quadmap)
     best = max(h.dev_accuracy for h in result.history)
     save_checkpoint(
         result.model, args.out_checkpoint,
@@ -215,9 +217,9 @@ def _cmd_predict(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
     encoder = _require_encoder(loaded)
     records = read_jsonl(args.infile)
-    results = ordered_map(lambda r: predict(loaded.model, encoder.encode(r.text)), records)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for record, (class_index, probs) in zip(records, results):
+        for record in records:
+            class_index, probs = predict(loaded.model, encoder.encode(record.text))
             obj = record_to_obj(record)
             obj["predicted"] = CLASSES[class_index].value
             obj["probs"] = [float(p) for p in probs]

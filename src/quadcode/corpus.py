@@ -12,10 +12,10 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from . import rng
-from .errors import InputError
+from .errors import InputError, read_text
 from .ontology import CLASSES, CameoCode, OntologyError, QuadClass, QuadClassMap, parse_cameo_code, quad_of
 
 
@@ -126,6 +126,8 @@ def record_from_obj(obj: dict, line_no: int, quad_map: QuadClassMap | None = Non
             raise MalformedRecordError(line_no, f"unknown label {obj['label']!r}") from None
     cameo = None
     if obj.get("cameo") is not None:
+        if not isinstance(obj["cameo"], str):
+            raise MalformedRecordError(line_no, "cameo must be a string")
         try:
             cameo = parse_cameo_code(obj["cameo"])
         except OntologyError as exc:
@@ -158,6 +160,26 @@ def dumps_record(record: SentenceRecord) -> str:
     return json.dumps(record_to_obj(record), ensure_ascii=False, separators=(",", ":"))
 
 
+def _json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each non-blank line of a JSONL file."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            for line_no, line in enumerate(handle, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from None
+                except RecursionError:
+                    raise MalformedRecordError(line_no, "invalid JSON: nested too deeply") from None
+                yield line_no, obj
+    except UnicodeDecodeError:
+        # Decoding runs ahead of the line count; read_text names the bad line.
+        read_text(path)
+        raise
+
+
 def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[SentenceRecord]:
     """Read and validate a sentence JSONL file.
 
@@ -166,19 +188,12 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
     """
     records: list[SentenceRecord] = []
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from None
-            record = record_from_obj(obj, line_no, quad_map)
-            if record.id in seen:
-                raise DuplicateIdError(record.id)
-            seen.add(record.id)
-            records.append(record)
+    for line_no, obj in _json_lines(path):
+        record = record_from_obj(obj, line_no, quad_map)
+        if record.id in seen:
+            raise DuplicateIdError(record.id)
+        seen.add(record.id)
+        records.append(record)
     return records
 
 
@@ -191,17 +206,10 @@ def write_jsonl(records: Iterable[SentenceRecord], path: str | Path) -> None:
 def read_alignments(path: str | Path) -> list[AlignmentPair]:
     """Read an alignment JSONL file ({"src_id": ..., "tgt_id": ...} per line)."""
     pairs: list[AlignmentPair] = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from None
-            if not isinstance(obj, dict) or not isinstance(obj.get("src_id"), str) or not isinstance(obj.get("tgt_id"), str):
-                raise MalformedRecordError(line_no, "alignment needs string keys 'src_id' and 'tgt_id'")
-            pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"]))
+    for line_no, obj in _json_lines(path):
+        if not isinstance(obj, dict) or not isinstance(obj.get("src_id"), str) or not isinstance(obj.get("tgt_id"), str):
+            raise MalformedRecordError(line_no, "alignment needs string keys 'src_id' and 'tgt_id'")
+        pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"]))
     return pairs
 
 
@@ -301,7 +309,7 @@ def stratified_split(
     Deterministic for a fixed seed; per-class counts in every split are
     within one record of exact proportionality.
     """
-    if len(fractions) != 3 or any(f < 0 for f in fractions):
+    if len(fractions) != 3 or not all(f >= 0 for f in fractions):
         raise CorpusError(f"need three non-negative fractions, got {fractions!r}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise CorpusError(f"fractions must sum to 1, got {sum(fractions)!r}")

@@ -82,12 +82,9 @@ def fit(
     enc_dev = encode_labelled(dev_records, encoder)
     if settings.model == "word":
         config = settings.word_config(vocab_size=encoder.vocab.size)
-        pretrained = None
+        model: Model = build_word_cnn(config, seed=settings.seed)
         if settings.word_embeddings:
-            table = load_embeddings(settings.word_embeddings, encoder.vocab,
-                                    settings.word_embed_dim, settings.seed)
-            pretrained = table.matrix
-        model: Model = build_word_cnn(config, seed=settings.seed, embeddings=pretrained)
+            load_embeddings(settings.word_embeddings, encoder.vocab, model.embedding.param.value)
     else:
         config = settings.char_config(alphabet_size=encoder.alphabet.size)
         model = build_char_cnn(config, seed=settings.seed)

@@ -70,8 +70,8 @@ class ProbeMismatchError(CheckpointError):
 
 
 def _positive(name: str, value: int) -> None:
-    if value < 1:
-        raise InvalidConfigError(f"{name} must be >= 1, got {value}")
+    if not isinstance(value, int) or value < 1:
+        raise InvalidConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ class WordCnnConfig:
             raise InvalidConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("vocab_size", "embed_dim", "length", "frames", "pool", "hidden"):
             _positive(name, getattr(self, name))
+        for kernel in self.kernels:
+            _positive("kernel", kernel)
         if self.vocab_size < 2:
             raise InvalidConfigError("vocab_size must cover PAD and UNK (>= 2)")
 
@@ -190,7 +192,30 @@ def char_stack_lengths(config: CharCnnConfig) -> list[int]:
     return lengths
 
 
+def implied_param_count(config: WordCnnConfig | CharCnnConfig) -> int:
+    """Parameter count of the model a config builds, computed without building it."""
+    if isinstance(config, WordCnnConfig):
+        c = config
+        convs = sum(c.frames * (c.embed_dim * k + 1) for k in c.kernels)
+        return c.vocab_size * c.embed_dim + convs + (3 * c.frames + 1) * c.hidden + (c.hidden + 1) * c.classes
+    count = config.alphabet_size * config.embed_dim
+    channels = config.embed_dim
+    for spec in config.convs:
+        count += spec.frames * (channels * spec.kernel + 1)
+        channels = spec.frames
+    width = channels * char_stack_lengths(config)[-1]
+    for units in (*config.hidden, config.classes):
+        count += (width + 1) * units
+        width = units
+    return count
+
+
 # --- models -------------------------------------------------------------------
+
+
+def _init_embedding(seed: int, rows: int, dim: int) -> np.ndarray:
+    """The embedding init: uniform(-0.25, 0.25) from the embedding stream."""
+    return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
 
 
 def _run(layers, x, ctx, caches, trace):
@@ -211,19 +236,10 @@ def _unwind(layers, caches, grad):
 class WordCnn:
     kind = "word"
 
-    def __init__(self, config: WordCnnConfig, seed: int, embeddings: np.ndarray | None = None):
+    def __init__(self, config: WordCnnConfig, seed: int):
         self.config = config
         init = rng.stream(seed, rng.INIT)
-        if embeddings is None:
-            table = rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(config.vocab_size, config.embed_dim))
-        else:
-            table = np.asarray(embeddings, dtype=np.float64)
-            if table.shape != (config.vocab_size, config.embed_dim):
-                raise InvalidConfigError(
-                    f"embedding table is {table.shape}, config wants {(config.vocab_size, config.embed_dim)}"
-                )
-        table = table.copy()
-        table[0, :] = 0.0
+        table = _init_embedding(seed, config.vocab_size, config.embed_dim)
         self.embedding = Embedding(table, trainable=config.embeddings_trainable)
         self.branches: list[list[tuple[str, object]]] = []
         for kernel in config.kernels:
@@ -291,14 +307,9 @@ class CharCnn:
         init = rng.stream(seed, rng.INIT)
         if config.one_hot:
             table = np.eye(config.alphabet_size, dtype=np.float64)
-            trainable = False
         else:
-            table = rng.stream(seed, rng.EMBED).uniform(
-                -0.25, 0.25, size=(config.alphabet_size, config.embed_dim)
-            )
-            trainable = True
-        table[0, :] = 0.0
-        self.embedding = Embedding(table, trainable=trainable)
+            table = _init_embedding(seed, config.alphabet_size, config.embed_dim)
+        self.embedding = Embedding(table, trainable=not config.one_hot)
         seq: list[tuple[str, object]] = []
         channels = config.embed_dim
         for i, spec in enumerate(config.convs, start=1):
@@ -342,8 +353,8 @@ class CharCnn:
 Model = WordCnn | CharCnn
 
 
-def build_word_cnn(config: WordCnnConfig, seed: int = 0, embeddings: np.ndarray | None = None) -> WordCnn:
-    return WordCnn(config, seed, embeddings)
+def build_word_cnn(config: WordCnnConfig, seed: int = 0) -> WordCnn:
+    return WordCnn(config, seed)
 
 
 def build_char_cnn(config: CharCnnConfig, seed: int = 0) -> CharCnn:
@@ -483,7 +494,7 @@ def _config_from_obj(kind: str, obj: dict):
                 hidden=tuple(obj["hidden"]), classes=obj["classes"], dropout=obj["dropout"],
                 one_hot=obj["one_hot"],
             )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
         raise CheckpointError(f"bad {kind} config in checkpoint header: {exc}") from None
     raise CheckpointError(f"unknown model kind {kind!r}")
 
@@ -561,36 +572,39 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(data[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
     offset += header_len
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header is not a JSON object")
 
     kind = header.get("kind")
     if expected_kind is not None and kind != expected_kind:
         raise InvalidConfigError(f"checkpoint holds a {kind!r} model, expected {expected_kind!r}")
-    config = _config_from_obj(kind, header.get("config", {}))
+    config = _config_from_obj(kind, header.get("config"))
+    probe = header.get("probe")
+    count = probe.get("count") if isinstance(probe, dict) else None
+    if not isinstance(count, int) or count < 1:
+        raise CheckpointError(f"{path}: bad probe block description {probe!r}")
+    in_bytes = count * config.length * 8
+    logit_bytes = count * config.classes * 8
+    # Sizes come from the header, so check them against the file before allocating.
+    if offset + implied_param_count(config) * 8 + in_bytes + logit_bytes != len(data) - 32:
+        raise CheckpointError(f"{path}: file size does not match the model its header describes")
     model = WordCnn(config, seed=0) if kind == "word" else CharCnn(config, seed=0)
 
     params = model.parameters()
-    declared = header.get("params", [])
-    if len(declared) != len(params):
-        raise CheckpointError(f"{path}: header lists {len(declared)} parameters, model has {len(params)}")
+    declared = header.get("params")
+    if not isinstance(declared, list) or len(declared) != len(params):
+        raise CheckpointError(f"{path}: header parameter list does not match the {len(params)} model parameters")
     for p, meta in zip(params, declared):
-        if meta.get("name") != p.name or tuple(meta.get("shape", ())) != p.value.shape:
+        if not isinstance(meta, dict) or meta.get("name") != p.name or meta.get("shape") != list(p.value.shape):
             raise CheckpointError(f"{path}: parameter mismatch at {p.name!r} vs header {meta!r}")
         nbytes = p.value.size * 8
-        if offset + nbytes > len(data) - 32:
-            raise CheckpointError(f"{path}: truncated parameter blob at {p.name!r}")
         p.value[...] = np.frombuffer(data[offset : offset + nbytes], dtype="<f8").reshape(p.value.shape)
         offset += nbytes
 
-    probe = header.get("probe", {})
-    count = int(probe.get("count", 0))
     length = model.config.length
-    in_bytes = count * length * 8
-    logit_bytes = count * model.config.classes * 8
-    if offset + in_bytes + logit_bytes != len(data) - 32:
-        raise CheckpointError(f"{path}: probe block has wrong size")
     probe_in = np.frombuffer(data[offset : offset + in_bytes], dtype="<i8").reshape(count, length)
     offset += in_bytes
     want = np.frombuffer(data[offset : offset + logit_bytes], dtype="<f8").reshape(count, model.config.classes)

@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .errors import InputError
+from .errors import InputError, read_text
 
 
 class OntologyError(InputError):
@@ -214,7 +214,7 @@ def dumps_quad_map(quad_map: QuadClassMap) -> str:
 
 
 def load_quad_map(path: str | Path) -> QuadClassMap:
-    return parse_quad_map(Path(path).read_text(encoding="utf-8"))
+    return parse_quad_map(read_text(path))
 
 
 def write_quad_map(quad_map: QuadClassMap, path: str | Path) -> None:

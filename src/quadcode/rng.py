@@ -2,8 +2,8 @@
 
 All randomness in the toolkit flows through counter-based Philox streams
 addressed by (seed, *path). Streams with distinct paths are statistically
-independent and reproducible regardless of evaluation order or thread
-scheduling, which is what makes training runs bit-repeatable.
+independent and reproducible regardless of evaluation order, which is what
+makes training runs bit-repeatable.
 """
 
 from __future__ import annotations

@@ -14,9 +14,8 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from . import _parallel
 from .corpus import LabelHistogram, SentenceRecord, read_jsonl, write_jsonl
-from .errors import InputError
+from .errors import InputError, read_text
 from .ontology import CameoCode, OntologyError, QuadClass, QuadClassMap, parse_cameo_code, quad_of
 
 
@@ -180,13 +179,10 @@ def code_corpus(
     Returns the per-class histogram; histogram total equals the input record
     count (labelled + no-label). Output preserves input order.
     """
-    records = read_jsonl(in_path)
-    results = _parallel.ordered_map(
-        lambda r: label_sentence(dictionary, quad_map, r.text, actor_words), records
-    )
     hist = LabelHistogram()
     labelled: list[SentenceRecord] = []
-    for record, result in zip(records, results):
+    for record in read_jsonl(in_path):
+        result = label_sentence(dictionary, quad_map, record.text, actor_words)
         if result is None:
             hist.add(None)
             continue
@@ -224,13 +220,13 @@ def parse_dictionary(text: str) -> list[VerbPattern]:
 
 
 def load_dictionary(path: str | Path) -> PatternDictionary:
-    return compile_dictionary(parse_dictionary(Path(path).read_text(encoding="utf-8")))
+    return compile_dictionary(parse_dictionary(read_text(path)))
 
 
 def load_actor_words(path: str | Path) -> frozenset[str]:
     """One actor word per line, '#' comments; tokens lowercased."""
     words = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    for raw in read_text(path).splitlines():
         line = raw.split("#", 1)[0].strip()
         if line:
             words.add(line.lower())

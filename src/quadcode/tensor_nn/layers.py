@@ -2,8 +2,8 @@
 
 forward(x, ctx) returns (output, cache); backward(cache, grad) accumulates
 into Parameter.grad and returns the gradient w.r.t. the layer input. Caches
-live with the caller, so evaluation-mode forwards are pure and can run on
-many threads while training (the only grad writer) stays single-threaded.
+live with the caller, so evaluation-mode forwards are pure: they read the
+parameters and write nothing.
 
 Layers reach ops through the module attribute (`ops.conv1d` etc.), which is
 what lets the gradcheck negative-control test swap a backward out from under
@@ -67,14 +67,15 @@ def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...], fan_in: int
 class Embedding:
     """Index lookup into a (V, d) table, emitting (d, L) feature maps.
 
-    The PAD row (index pad_index) takes no gradient, so it stays exactly
-    zero through any number of updates.
+    The PAD row (index pad_index) is zeroed here and takes no gradient, so
+    it stays exactly zero through any number of updates.
     """
 
     def __init__(self, table: np.ndarray, trainable: bool = True, pad_index: int = 0, name: str = "embedding"):
         pinned = np.zeros(np.asarray(table).shape, dtype=bool)
         pinned[pad_index, :] = True
         self.param = Parameter(name, table, frozen=not trainable, pinned=pinned)
+        self.param.value[pad_index, :] = 0.0
         self.pad_index = pad_index
 
     @property

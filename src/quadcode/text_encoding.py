@@ -10,17 +10,15 @@ Index 0 is PAD and index 1 is UNK everywhere; PAD embedding rows stay zero.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import rng
 from .corpus import SentenceRecord
-from .errors import InputError
+from .errors import InputError, read_text
 from .softlabel import tokenize
 
 PAD = 0
@@ -47,9 +45,9 @@ class EmbeddingParseError(TextEncodingError):
 
 
 class VocabParseError(TextEncodingError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"vocabulary line {line_no}: {reason}")
-        self.line_no = line_no
+    def __init__(self, entry_no: int, reason: str):
+        super().__init__(f"vocabulary entry {entry_no}: {reason}")
+        self.entry_no = entry_no
 
 
 @dataclass(frozen=True)
@@ -180,45 +178,15 @@ class EncodedExample:
             raise TextEncodingError(f"label index out of range: {self.label}")
 
 
-# --- embedding tables --------------------------------------------------------
+def load_embeddings(path: str | Path, vocab: Vocabulary, table: np.ndarray) -> None:
+    """Overwrite the rows of table covered by the text vectors `token v1 ... vd`.
 
-
-@dataclass
-class EmbeddingTable:
-    """(vocab size × d) float64 matrix; row 0 is PAD and must stay zero."""
-
-    matrix: np.ndarray
-    trainable: bool = True
-
-    def __post_init__(self):
-        if self.matrix.ndim != 2:
-            raise TextEncodingError("embedding matrix must be 2-d")
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        self.matrix[PAD, :] = 0.0
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[1]
-
-
-def random_table(size: int, d: int, seed: int) -> EmbeddingTable:
-    """uniform(-0.25, 0.25) per coordinate from the embedding rng stream."""
-    gen = rng.stream(seed, rng.EMBED)
-    return EmbeddingTable(gen.uniform(-0.25, 0.25, size=(size, d)))
-
-
-def one_hot_table(size: int) -> EmbeddingTable:
-    """Frozen identity rows (d == alphabet size); recovers one-hot inputs."""
-    return EmbeddingTable(np.eye(size, dtype=np.float64), trainable=False)
-
-
-def load_embeddings(path: str | Path, vocab: Vocabulary, d: int, seed: int) -> EmbeddingTable:
-    """Text vectors `token v1 ... vd`; uncovered tokens drawn uniform(-0.25, 0.25).
-
-    PAD stays zero and UNK counts as uncovered. Unknown file tokens are ignored.
+    Rows the file does not cover keep their values, so the model's own
+    random init stays for them. PAD and UNK are never covered; file tokens
+    outside the vocabulary are ignored.
     """
-    table = random_table(vocab.size, d, seed)
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    d = table.shape[1]
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -234,62 +202,29 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, d: int, seed: int) -> E
             row = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
             raise EmbeddingParseError(line_no, str(exc)) from None
-        table.matrix[vocab.index_of(token)] = row
-    table.matrix[PAD, :] = 0.0
-    return table
+        table[vocab.index_of(token)] = row
 
 
 # --- serialization -----------------------------------------------------------
 #
-# JSONL, one entry per line with fixed key order (token, index, count),
-# entries in index order. The same bytes embed into checkpoint headers.
+# Entries travel inside checkpoint headers as {"token", "index", "count"}
+# objects in index order.
 
 
 def _entry_obj(entry: VocabEntry) -> dict:
     return {"token": entry.token, "index": entry.index, "count": entry.count}
 
 
-def _entry_from_obj(obj: object, line_no: int) -> VocabEntry:
+def _entry_from_obj(obj: object, entry_no: int) -> VocabEntry:
     if not isinstance(obj, dict):
-        raise VocabParseError(line_no, "expected a JSON object")
+        raise VocabParseError(entry_no, "expected a JSON object")
     try:
         token, index, count = obj["token"], obj["index"], obj["count"]
     except KeyError as exc:
-        raise VocabParseError(line_no, f"missing key {exc.args[0]!r}") from None
+        raise VocabParseError(entry_no, f"missing key {exc.args[0]!r}") from None
     if not isinstance(token, str) or not isinstance(index, int) or not isinstance(count, int):
-        raise VocabParseError(line_no, "bad field types")
+        raise VocabParseError(entry_no, "bad field types")
     return VocabEntry(token, index, count)
-
-
-def dumps_entries(entries: Iterable[VocabEntry]) -> str:
-    return "".join(
-        json.dumps(_entry_obj(e), ensure_ascii=False, separators=(",", ":")) + "\n" for e in entries
-    )
-
-
-def _parse_entries(text: str) -> list[VocabEntry]:
-    entries = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise VocabParseError(line_no, f"bad JSON: {exc.msg}") from None
-        entries.append(_entry_from_obj(obj, line_no))
-    return entries
-
-
-def write_vocab(vocab: Vocabulary | CharAlphabet, path: str | Path) -> None:
-    Path(path).write_text(dumps_entries(vocab.entries), encoding="utf-8")
-
-
-def read_vocab(path: str | Path) -> Vocabulary:
-    return Vocabulary(_parse_entries(Path(path).read_text(encoding="utf-8")))
-
-
-def read_char_alphabet(path: str | Path) -> CharAlphabet:
-    return CharAlphabet(_parse_entries(Path(path).read_text(encoding="utf-8")))
 
 
 # --- encoder bundles ---------------------------------------------------------
@@ -330,7 +265,9 @@ class CharEncoder:
         }
 
 
-def encoder_from_json_obj(obj: dict) -> WordEncoder | CharEncoder:
+def encoder_from_json_obj(obj: object) -> WordEncoder | CharEncoder:
+    if not isinstance(obj, dict):
+        raise TextEncodingError("encoder is not a JSON object")
     try:
         kind, length, raw_entries = obj["kind"], obj["length"], obj["entries"]
     except KeyError as exc:

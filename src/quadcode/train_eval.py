@@ -3,8 +3,7 @@
 Everything downstream of (seed, data, config) is deterministic: epoch
 shuffles and per-example dropout masks come from counter-based streams
 keyed by (epoch) and (step, example position), gradient accumulation runs
-in example order, and evaluation consumes no randomness at all. Thread
-count changes nothing but wall time.
+in example order, and evaluation consumes no randomness at all.
 """
 
 from __future__ import annotations
@@ -17,8 +16,8 @@ from typing import Sequence
 
 import numpy as np
 
-from . import _parallel, rng
-from .errors import InputError, QuadcodeError
+from . import rng
+from .errors import InputError, QuadcodeError, read_text
 from .models import Model, batch_loss, predict
 from .tensor_nn.optim import make_optimizer
 from .text_encoding import EncodedExample
@@ -133,10 +132,9 @@ def evaluate(model: Model, test_set: Sequence[EncodedExample]) -> Metrics:
     """Dropout-off predictions over the whole set; exact counts."""
     if not test_set:
         raise EmptyDatasetError("test")
-    preds = _parallel.ordered_map(lambda ex: predict(model, ex.indices)[0], list(test_set))
     confusion = np.zeros((4, 4), dtype=np.int64)
-    for example, pred in zip(test_set, preds):
-        confusion[example.label, pred] += 1
+    for example in test_set:
+        confusion[example.label, predict(model, example.indices)[0]] += 1
     return Metrics(confusion)
 
 
@@ -210,7 +208,7 @@ def write_history(history: Sequence[EpochStats], path: str | Path) -> None:
 
 def read_history(path: str | Path) -> list[EpochStats]:
     out = []
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         if not raw.strip():
             continue
         try:

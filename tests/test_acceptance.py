@@ -9,6 +9,8 @@ import dataclasses
 import functools
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -274,13 +276,13 @@ def test_c5_label_transfer_semantics():
         assert {r.id for r in out} == aligned_targets
 
 
-@criterion(6, "same seed gives bit-identical checkpoints and histories; thread count is irrelevant")
+@criterion(6, "same seed gives bit-identical checkpoints and histories, with 1 or 2 BLAS threads")
 def test_c6_determinism():
     overrides = [
         "--set", "word.embed_dim=8", "--set", "word.length=10", "--set", "word.frames=4",
         "--set", "word.hidden=8", "--set", "epochs=2", "--set", "batch_size=16",
     ]
-    saved_threads = os.environ.get("QUADCODE_THREADS")
+    src_root = str(Path(cli.__file__).resolve().parents[1])
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         records = make_separable_corpus(48, seed=21)
@@ -288,32 +290,30 @@ def test_c6_determinism():
         write_jsonl(records[:40], train_path)
         write_jsonl(records[40:], dev_path)
 
-        def run(tag, threads=None):
-            if threads is None:
-                os.environ.pop("QUADCODE_THREADS", None)
-            else:
-                os.environ["QUADCODE_THREADS"] = str(threads)
+        def run(tag, blas_threads=None):
             ckpt = tmp / f"{tag}.ckpt"
-            code = cli.main([
+            argv = [
                 "train", "--model", "word", "--train", str(train_path), "--dev", str(dev_path),
                 "--seed", "5", "--out-checkpoint", str(ckpt), *overrides,
-            ])
-            assert code == 0
+            ]
+            if blas_threads is None:
+                assert cli.main(argv) == 0
+            else:
+                # BLAS reads its thread count at import, hence a fresh interpreter
+                path = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
+                env = {**os.environ, "OPENBLAS_NUM_THREADS": str(blas_threads), "PYTHONPATH": path}
+                done = subprocess.run([sys.executable, "-m", "quadcode.cli", *argv], env=env, capture_output=True)
+                assert done.returncode == 0, done.stderr.decode()
             return ckpt.read_bytes(), (tmp / f"{tag}.ckpt.history.jsonl").read_bytes()
 
-        try:
-            first = run("a")
-            second = run("b")
-            threaded = run("c", threads=7)
-        finally:
-            if saved_threads is None:
-                os.environ.pop("QUADCODE_THREADS", None)
-            else:
-                os.environ["QUADCODE_THREADS"] = saved_threads
+        first = run("a")
+        second = run("b")
+        one_thread = run("c", blas_threads=1)
+        two_threads = run("d", blas_threads=2)
     assert first[0] == second[0], "checkpoints differ between identical runs"
     assert first[1] == second[1], "histories differ between identical runs"
-    assert first[0] == threaded[0], "checkpoint changed under QUADCODE_THREADS"
-    assert first[1] == threaded[1], "history changed under QUADCODE_THREADS"
+    assert one_thread == two_threads, "outputs differ between 1 and 2 BLAS threads"
+    assert first == one_thread, "a fresh process gives different outputs"
 
 
 @criterion(7, "quad map total over 01-20, files round-trip byte-identically, parse errors fire")

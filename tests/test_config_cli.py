@@ -17,9 +17,10 @@ from quadcode.config import (
     parse_overrides,
     resolve_settings,
 )
-from quadcode.corpus import read_jsonl, write_jsonl
+from quadcode.corpus import read_jsonl, write_alignments, write_jsonl
 from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture, make_transfer_fixture
 from quadcode.models import ConvSpec
+from quadcode.ontology import default_quad_map, write_quad_map
 
 
 class TestSettings:
@@ -165,10 +166,12 @@ class TestSoftlabelCommand:
 
     def test_malformed_record_exits_2(self, tmp_path, sample_dict, capsys):
         infile = tmp_path / "raw.jsonl"
-        infile.write_text('{"id":"a"}\n')
-        code = main(["softlabel", "--dict", str(sample_dict), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
-        assert code == 2
-        assert "line 1" in capsys.readouterr().err
+        bad_cameo = '{"id":"a","lang":"en","text":"hi","cameo":%s}\n'
+        for text in ('{"id":"a"}\n', bad_cameo % "5", bad_cameo % '["01"]'):
+            infile.write_text(text)
+            code = main(["softlabel", "--dict", str(sample_dict), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
+            assert code == 2
+            assert "line 1" in capsys.readouterr().err
 
 
 class TestTransferCommand:
@@ -177,8 +180,6 @@ class TestTransferCommand:
         src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
         write_jsonl(fx.source, src)
         write_jsonl(fx.target, tgt)
-        from quadcode.corpus import write_alignments
-
         write_alignments(fx.pairs, align)
         code = main(["transfer", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(out)])
         assert code == 0
@@ -208,7 +209,9 @@ class TestSplitCommand:
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
         infile = tmp_path / "all.jsonl"
         write_jsonl(make_separable_corpus(8, seed=0), infile)
-        assert main(["split", "--in", str(infile), "--fractions", "0.5,0.5", "--outdir", str(tmp_path / "s")]) == 2
+        for fractions in ("0.5,0.5", "a,b,c", "nan,0.5,0.5"):
+            assert main(["split", "--in", str(infile), "--fractions", fractions, "--outdir", str(tmp_path / "s")]) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
 
 TRAIN_OVERRIDES = [
@@ -339,6 +342,58 @@ class TestGradcheckCommand:
         monkeypatch.setattr(layers.ops, "dense_backward", corrupted)
         assert main(["gradcheck", "--model", "word", "--seed", "0"]) == 1
         assert "FAIL" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def valid_inputs(trained, tmp_path_factory):
+    """A valid value for every file flag of every subcommand."""
+    _, ckpt, dev_path = trained
+    d = tmp_path_factory.mktemp("inputs")
+    fx = make_transfer_fixture()
+    write_jsonl(fx.source, d / "src.jsonl")
+    write_jsonl(fx.target, d / "tgt.jsonl")
+    write_alignments(fx.pairs, d / "align.jsonl")
+    write_jsonl(make_softlabel_fixture(8, seed=1).records, d / "raw.jsonl")
+    write_quad_map(default_quad_map(), d / "quad.txt")
+    (d / "verbs.txt").write_text("attacked -> 190\n")
+    (d / "actors.txt").write_text("police\n")
+    (d / "run.conf").write_text("epochs = 1\n")
+    (d / "vecs.txt").write_text("")
+    return {
+        "softlabel": {"--dict": d / "verbs.txt", "--quadmap": d / "quad.txt", "--actors": d / "actors.txt",
+                      "--in": d / "raw.jsonl", "--out": d / "labelled.jsonl"},
+        "transfer": {"--src": d / "src.jsonl", "--tgt": d / "tgt.jsonl", "--align": d / "align.jsonl",
+                     "--out": d / "transferred.jsonl"},
+        "split": {"--in": dev_path, "--outdir": d / "split"},
+        "train": {"--train": dev_path, "--dev": dev_path, "--config": d / "run.conf", "--embeddings": d / "vecs.txt",
+                  "--quadmap": d / "quad.txt", "--out-checkpoint": d / "m.ckpt"},
+        "eval": {"--checkpoint": ckpt, "--test": dev_path, "--report": d / "report.json"},
+        "predict": {"--checkpoint": ckpt, "--in": dev_path, "--out": d / "predicted.jsonl"},
+    }
+
+
+TEXT_INPUTS = [
+    ("softlabel", "--dict"), ("softlabel", "--quadmap"), ("softlabel", "--actors"), ("softlabel", "--in"),
+    ("transfer", "--src"), ("transfer", "--tgt"), ("transfer", "--align"),
+    ("split", "--in"),
+    ("train", "--train"), ("train", "--dev"), ("train", "--config"), ("train", "--embeddings"), ("train", "--quadmap"),
+    ("eval", "--test"),
+    ("predict", "--in"),
+]
+
+
+@pytest.mark.parametrize("command,flag", TEXT_INPUTS, ids=[f"{c}{f}" for c, f in TEXT_INPUTS])
+def test_invalid_utf8_input_exits_2(valid_inputs, tmp_path, capsys, command, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"fine\n\xff\xfe\n")
+    flags = {**valid_inputs[command], flag: bad}
+    argv = [command, *(str(x) for pair in flags.items() for x in pair)]
+    if command == "train":
+        argv += TRAIN_OVERRIDES
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "line 2" in err and "UTF-8" in err
 
 
 class TestParser:

@@ -26,6 +26,7 @@ from quadcode.corpus import (
     write_alignments,
     write_jsonl,
 )
+from quadcode.errors import NotUtf8Error
 from quadcode.ontology import CLASSES, QuadClass, parse_cameo_code
 
 # --- oracle -----------------------------------------------------------------
@@ -79,6 +80,8 @@ class TestRecordValidation:
             {"id": "a", "lang": "en", "text": "hi", "cameo": "99"},
             {"id": "a", "lang": "en", "text": "hi", "source": 7},
             {"id": 3, "lang": "en", "text": "hi"},
+            {"id": "a", "lang": "en", "text": "hi", "cameo": 5},
+            {"id": "a", "lang": "en", "text": "hi", "cameo": ["01"]},
         ],
     )
     def test_rejects(self, obj):
@@ -131,10 +134,24 @@ class TestJsonlRoundTrip:
 
     def test_bad_json_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
-        path.write_text('{"id":"a","lang":"en","text":"hi"}\n{oops\n')
-        with pytest.raises(MalformedRecordError) as err:
+        for bad in ("{oops", "[" * 100_000 + "]" * 100_000):
+            path.write_text('{"id":"a","lang":"en","text":"hi"}\n' + bad + "\n")
+            with pytest.raises(MalformedRecordError) as err:
+                read_jsonl(path)
+            assert err.value.line_no == 2
+
+    def test_invalid_utf8_line_number(self, tmp_path):
+        path = tmp_path / "u.jsonl"
+        path.write_bytes(b'{"id":"a","lang":"en","text":"hi"}\n{"id":"b","lang":"en","text":"\xff"}\n')
+        with pytest.raises(NotUtf8Error) as err:
             read_jsonl(path)
         assert err.value.line_no == 2
+
+    def test_unicode_line_separators_stay_inside_text(self, tmp_path):
+        records = [_rec(0), SentenceRecord(id="b", lang="en", text="one\u2028two\x85three")]
+        path = tmp_path / "s.jsonl"
+        write_jsonl(records, path)
+        assert read_jsonl(path) == records
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "e.jsonl"
@@ -309,7 +326,7 @@ class TestStratifiedSplit:
         with pytest.raises(DuplicateIdError):
             stratified_split([r, r], (0.8, 0.1, 0.1), seed=0)
 
-    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.9, 0.2, 0.1), (-0.1, 0.6, 0.5)])
+    @pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.9, 0.2, 0.1), (-0.1, 0.6, 0.5), (math.nan, 0.5, 0.5)])
     def test_rejects_bad_fractions(self, fractions):
         with pytest.raises(CorpusError):
             stratified_split([_rec(0, label=QuadClass.VERBAL_CONFLICT)], fractions, seed=0)

@@ -2,9 +2,14 @@
 traces against an independent length-law recomputation, prediction behavior,
 and the checkpoint container."""
 
+import hashlib
+import json
+import struct
+
 import numpy as np
 import pytest
 
+from quadcode import cli
 from quadcode.models import (
     CharCnnConfig,
     CheckpointError,
@@ -16,6 +21,7 @@ from quadcode.models import (
     build_char_cnn,
     build_word_cnn,
     char_stack_lengths,
+    implied_param_count,
     load_checkpoint,
     make_gradcheck_examples,
     parameter_count,
@@ -26,7 +32,7 @@ from quadcode.models import (
     tiny_word_config,
     word_branch_lengths,
 )
-from quadcode.text_encoding import EncodedExample, build_vocab, WordEncoder
+from quadcode.text_encoding import EncodedExample, build_vocab, load_embeddings, WordEncoder
 from quadcode.corpus import SentenceRecord
 
 # --- oracles ------------------------------------------------------------------
@@ -134,6 +140,17 @@ class TestParameterCounts:
             config.alphabet_size, config.embed_dim, convs, config.hidden, 4, flat
         )
         assert parameter_count(model) == want
+
+    def test_implied_count_without_building(self):
+        assert implied_param_count(WordCnnConfig(vocab_size=5000, embed_dim=128)) == 1_149_938
+        full_char = CharCnnConfig(alphabet_size=70)
+        convs = [(256, 7, 3), (256, 3, 0), (256, 3, 0), (256, 3, 3)]
+        assert implied_param_count(full_char) == char_param_count_closed_form(70, 32, convs, (1024, 1024), 4, 13_824)
+        one_hot = CharCnnConfig(alphabet_size=8, embed_dim=8, length=32,
+                                convs=tiny_char_config().convs, hidden=(16, 16), one_hot=True)
+        for model in (build_word_cnn(tiny_word_config(), seed=0), build_char_cnn(tiny_char_config(), seed=0),
+                      build_char_cnn(one_hot, seed=0)):
+            assert implied_param_count(model.config) == parameter_count(model)
 
 
 class TestShapeTraces:
@@ -287,12 +304,24 @@ class TestBuildDeterminism:
             embed = next(p for p in model.parameters() if p.name == "embedding")
             assert (embed.value[0] == 0.0).all()
 
-    def test_pretrained_embeddings_installed(self):
-        config = tiny_word_config()
-        table = np.full((config.vocab_size, config.embed_dim), 0.125)
-        model = build_word_cnn(config, seed=0, embeddings=table)
+    def test_embedding_init_range(self):
+        for model in (build_word_cnn(tiny_word_config(), seed=7), build_char_cnn(tiny_char_config(), seed=7)):
+            body = next(p for p in model.parameters() if p.name == "embedding").value[1:]
+            assert (body > -0.25).all() and (body < 0.25).all()
+            assert np.abs(body).max() > 0.01  # actually random, not zeros
+
+    def test_pretrained_embeddings_installed(self, tmp_path):
+        vocab = build_vocab([SentenceRecord(id="a", lang="en", text="alpha beta")])
+        config = tiny_word_config(vocab_size=vocab.size)
+        model = build_word_cnn(config, seed=0)
         embed = next(p for p in model.parameters() if p.name == "embedding")
-        assert (embed.value[1:] == 0.125).all()
+        before = embed.value.copy()
+        path = tmp_path / "vecs.txt"
+        path.write_text("alpha " + " ".join(["0.125"] * config.embed_dim) + "\n")
+        load_embeddings(path, vocab, embed.value)
+        covered = np.arange(vocab.size) == vocab.index_of("alpha")
+        assert (embed.value[covered] == 0.125).all()
+        assert (embed.value[~covered] == before[~covered]).all()
         assert (embed.value[0] == 0.0).all()
 
     def test_one_hot_char_table_frozen(self):
@@ -396,6 +425,38 @@ class TestCheckpoints:
         path.write_bytes(b"hi")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda h: {**h, "params": [{**h["params"][0], "shape": 5}, *h["params"][1:]]},
+            lambda h: [h],
+            lambda h: {**h, "probe": {"count": "x"}},
+            lambda h: {**h, "probe": {"count": 0}},
+            lambda h: {**h, "params": "all"},
+            lambda h: {**h, "config": {**h["config"], "vocab_size": 10**12}},
+            lambda h: {**h, "config": {**h["config"], "vocab_size": 50.0}},
+            lambda h: {**h, "config": {**h["config"], "hidden": "wide"}},
+            lambda h: b"[" * 100_000 + b"]" * 100_000,
+        ],
+        ids=["shape_int", "header_list", "probe_count_str", "probe_count_zero", "params_str",
+             "vocab_huge", "vocab_float", "hidden_str", "nested_too_deep"],
+    )
+    def test_forged_header_with_valid_digest(self, tmp_path, capsys, forge):
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = forge(json.loads(data[16 : 16 + header_len]))
+        raw = header if isinstance(header, bytes) else json.dumps(header).encode("utf-8")
+        body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        code = cli.main(["eval", "--checkpoint", str(path), "--test", str(tmp_path / "t.jsonl"),
+                         "--report", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
 
 class TestGradcheckExamples:

@@ -1,4 +1,6 @@
-"""Vocabulary ranking, fixed-length id encoding, embedding tables."""
+"""Vocabulary ranking, fixed-length id encoding, pre-trained embeddings."""
+
+import json
 
 import numpy as np
 import pytest
@@ -21,16 +23,10 @@ from quadcode.text_encoding import (
     WordEncoder,
     build_char_alphabet,
     build_vocab,
-    dumps_entries,
     encode_chars,
     encode_words,
     encoder_from_json_obj,
     load_embeddings,
-    one_hot_table,
-    random_table,
-    read_char_alphabet,
-    read_vocab,
-    write_vocab,
 )
 
 
@@ -170,50 +166,37 @@ class TestEncode:
 
 
 class TestEmbeddingTables:
-    def test_random_table_range_and_pad_row(self):
-        table = random_table(40, 8, seed=7)
-        assert table.matrix.shape == (40, 8)
-        assert (table.matrix[PAD] == 0.0).all()
-        body = table.matrix[1:]
-        assert (body > -0.25).all() and (body < 0.25).all()
-        assert np.abs(body).max() > 0.01  # actually random, not zeros
-
-    def test_random_table_deterministic(self):
-        a = random_table(10, 4, seed=3).matrix
-        b = random_table(10, 4, seed=3).matrix
-        c = random_table(10, 4, seed=4).matrix
-        assert (a == b).all() and not (a == c).all()
-
-    def test_one_hot_identity_and_frozen(self):
-        table = one_hot_table(6)
-        assert not table.trainable
-        expected = np.eye(6)
-        expected[PAD] = 0.0
-        assert (table.matrix == expected).all()
+    def _table(self, vocab, d, fill=0.5):
+        table = np.full((vocab.size, d), fill)
+        table[PAD] = 0.0
+        return table
 
     def test_load_embeddings_covered_and_missing(self, tmp_path):
         vocab = build_vocab(_recs("alpha beta"))
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0 3.0\nstranger 9.0 9.0 9.0\n")
-        table = load_embeddings(path, vocab, 3, seed=12)
-        assert table.matrix[vocab.index_of("alpha")].tolist() == [1.0, 2.0, 3.0]
-        beta_row = table.matrix[vocab.index_of("beta")]
-        assert (np.abs(beta_row) < 0.25).all() and np.abs(beta_row).max() > 0.0
-        assert (table.matrix[PAD] == 0.0).all()
+        table = self._table(vocab, 3)
+        load_embeddings(path, vocab, table)
+        assert table[vocab.index_of("alpha")].tolist() == [1.0, 2.0, 3.0]
+        assert table[vocab.index_of("beta")].tolist() == [0.5, 0.5, 0.5]
+        assert table[UNK].tolist() == [0.5, 0.5, 0.5]
+        assert (table[PAD] == 0.0).all()
 
     def test_load_embeddings_empty_file_matches_random(self, tmp_path):
         vocab = build_vocab(_recs("alpha beta"))
         path = tmp_path / "vecs.txt"
         path.write_text("")
-        table = load_embeddings(path, vocab, 4, seed=5)
-        assert (table.matrix == random_table(vocab.size, 4, seed=5).matrix).all()
+        table = np.random.default_rng(5).uniform(-0.25, 0.25, size=(vocab.size, 4))
+        before = table.copy()
+        load_embeddings(path, vocab, table)
+        assert (table == before).all()
 
     def test_dimension_mismatch(self, tmp_path):
         vocab = build_vocab(_recs("alpha"))
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 2.0\n")
         with pytest.raises(DimensionMismatchError) as err:
-            load_embeddings(path, vocab, 3, seed=0)
+            load_embeddings(path, vocab, self._table(vocab, 3))
         assert err.value.got == 2 and err.value.want == 3
 
     def test_unparseable_value(self, tmp_path):
@@ -221,36 +204,25 @@ class TestEmbeddingTables:
         path = tmp_path / "vecs.txt"
         path.write_text("alpha 1.0 oops 3.0\n")
         with pytest.raises(EmbeddingParseError):
-            load_embeddings(path, vocab, 3, seed=0)
+            load_embeddings(path, vocab, self._table(vocab, 3))
 
 
 class TestSerialization:
     def test_jsonl_shape(self):
-        text = dumps_entries([VocabEntry("a", 2, 9)])
-        assert text == '{"token":"a","index":2,"count":9}\n'
+        encoder = WordEncoder(Vocabulary([VocabEntry("a", 2, 9)]), 4)
+        text = json.dumps(encoder.to_json_obj()["entries"], separators=(",", ":"))
+        assert text == '[{"token":"a","index":2,"count":9}]'
 
-    def test_vocab_file_round_trip(self, tmp_path):
-        vocab = build_vocab(_recs("the cat sat", "the cat", "the"))
-        path = tmp_path / "vocab.jsonl"
-        write_vocab(vocab, path)
-        again = read_vocab(path)
-        assert again.entries == vocab.entries
-        second = tmp_path / "again.jsonl"
-        write_vocab(again, second)
-        assert path.read_bytes() == second.read_bytes()
-
-    def test_char_alphabet_round_trip(self, tmp_path):
+    def test_char_alphabet_round_trip(self):
         alphabet = build_char_alphabet(_recs("قصفت القوات"))
-        path = tmp_path / "alpha.jsonl"
-        write_vocab(alphabet, path)
-        assert read_char_alphabet(path).entries == alphabet.entries
+        obj = json.loads(json.dumps(CharEncoder(alphabet, 8).to_json_obj(), ensure_ascii=False))
+        assert encoder_from_json_obj(obj).alphabet.entries == alphabet.entries
 
-    def test_parse_errors(self, tmp_path):
-        path = tmp_path / "vocab.jsonl"
-        path.write_text('{"token":"a","index":2}\n')
+    def test_parse_errors(self):
+        obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 2}]}
         with pytest.raises(VocabParseError) as err:
-            read_vocab(path)
-        assert err.value.line_no == 1
+            encoder_from_json_obj(obj)
+        assert err.value.entry_no == 1
 
     def test_non_dense_indices_rejected(self):
         with pytest.raises(TextEncodingError):
@@ -285,3 +257,8 @@ class TestEncoderBundles:
     def test_unknown_kind(self):
         with pytest.raises(TextEncodingError):
             encoder_from_json_obj({"kind": "bytes", "length": 3, "entries": []})
+
+    @pytest.mark.parametrize("obj", [["word"], {"kind": "word", "length": "3", "entries": []}])
+    def test_malformed_encoder_object(self, obj):
+        with pytest.raises(TextEncodingError):
+            encoder_from_json_obj(obj)

@@ -119,15 +119,6 @@ class TestEvaluate:
         with pytest.raises(EmptyDatasetError):
             evaluate(model, [])
 
-    def test_thread_count_does_not_change_counts(self, monkeypatch):
-        model = build_word_cnn(tiny_word_config(), seed=1)
-        examples = _examples(40, seed=3)
-        monkeypatch.setenv("QUADCODE_THREADS", "1")
-        serial = evaluate(model, examples)
-        monkeypatch.setenv("QUADCODE_THREADS", "5")
-        threaded = evaluate(model, examples)
-        assert (serial.confusion == threaded.confusion).all()
-
 
 class TestTrainingLoop:
     def _separable_examples(self, n, seed=0):
