@@ -17,6 +17,8 @@ import sys
 from importlib import metadata
 from pathlib import Path
 
+import numpy as np
+
 from . import config as config_mod
 from . import experiments
 from .corpus import (
@@ -43,7 +45,7 @@ from .models import (
 from .ontology import CLASSES, default_quad_map, load_quad_map, quad_map_digest
 from .softlabel import code_corpus, load_actor_words, load_dictionary
 from .tensor_nn.gradcheck import finite_difference_check
-from .train_eval import evaluate, write_history
+from .train_eval import DEFAULT_BATCH_SIZE, evaluate, write_history
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -218,12 +220,14 @@ def _cmd_predict(args) -> int:
     encoder = _require_encoder(loaded)
     records = read_jsonl(args.infile)
     with open(args.out, "w", encoding="utf-8") as fh:
-        for record in records:
-            class_index, probs = predict(loaded.model, encoder.encode(record.text))
-            obj = record_to_obj(record)
-            obj["predicted"] = CLASSES[class_index].value
-            obj["probs"] = [float(p) for p in probs]
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+        for start in range(0, len(records), DEFAULT_BATCH_SIZE):
+            chunk = records[start : start + DEFAULT_BATCH_SIZE]
+            classes, probs = predict(loaded.model, np.stack([encoder.encode(r.text) for r in chunk]))
+            for record, class_index, row in zip(chunk, classes, probs):
+                obj = record_to_obj(record)
+                obj["predicted"] = CLASSES[class_index].value
+                obj["probs"] = [float(p) for p in row]
+                fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
     print(f"{len(records)} records annotated")
     _write_manifest(args.out, "predict", inputs=[args.checkpoint, args.infile], outputs=[args.out])
     return 0

@@ -12,6 +12,11 @@ hidden dense layers.
 
 Defaults are the full-scale dimensions above; every width is configurable
 so the same code runs desk-scale fixtures and gradient checks.
+
+Both models run whole batches: forward_logits takes (N, L) indices and
+returns (N, 4) logits, and backward_from_logits takes the (N, 4) logit
+gradient. Shapes named per layer (shape_trace, the docs above) are those
+of one example, without the batch axis.
 """
 
 from __future__ import annotations
@@ -25,9 +30,10 @@ from pathlib import Path
 import numpy as np
 
 from . import rng
-from .errors import InputError, QuadcodeError
+from .errors import InputError
 from .tensor_nn import ops
 from .tensor_nn.layers import (
+    EVAL,
     Conv1d,
     Dense,
     Dropout,
@@ -37,8 +43,9 @@ from .tensor_nn.layers import (
     Parameter,
     PassContext,
     ReLU,
+    batch_loss,  # noqa: F401  (the training loss is public as models.batch_loss)
 )
-from .text_encoding import EncodedExample, encoder_from_json_obj
+from .text_encoding import CharEncoder, EncodedExample, WordEncoder, encoder_from_json_obj
 
 
 class InvalidConfigError(InputError):
@@ -271,6 +278,7 @@ class WordCnn:
         return params
 
     def forward_logits(self, indices: np.ndarray, ctx: PassContext, trace: list | None = None):
+        """(N, L) indices -> ((N, classes) logits, caches for the backward)."""
         x, emb_cache = self.embedding.forward(indices, ctx)
         if trace is not None:
             trace.append(("embedding", tuple(x.shape)))
@@ -284,7 +292,7 @@ class WordCnn:
             trace.append(("concat", tuple(feats.shape)))
         head_caches: list = []
         logits = _run(self.head, feats, ctx, head_caches, trace)
-        sizes = [out.shape[0] for out in outputs]
+        sizes = [out.shape[1] for out in outputs]
         return logits, (emb_cache, branch_caches, sizes, head_caches)
 
     def backward_from_logits(self, caches, grad: np.ndarray) -> None:
@@ -337,6 +345,7 @@ class CharCnn:
         return params
 
     def forward_logits(self, indices: np.ndarray, ctx: PassContext, trace: list | None = None):
+        """(N, L) indices -> ((N, classes) logits, caches for the backward)."""
         x, emb_cache = self.embedding.forward(indices, ctx)
         if trace is not None:
             trace.append(("embedding", tuple(x.shape)))
@@ -381,51 +390,27 @@ def tiny_char_config(alphabet_size: int = 8) -> CharCnnConfig:
 # --- model-level helpers --------------------------------------------------------
 
 
-def predict(model: Model, indices: np.ndarray) -> tuple[int, np.ndarray]:
-    """Evaluation-mode forward: (argmax class, probs). Ties take the lowest index."""
-    logits, _ = model.forward_logits(indices, PassContext(training=False))
-    probs = ops.softmax(logits)
-    return int(np.argmax(probs)), probs
+def predict(model: Model, indices: np.ndarray):
+    """Evaluation-mode forward. Ties take the lowest class index.
 
-
-def batch_loss(
-    model: Model,
-    examples: list[EncodedExample],
-    *,
-    training: bool = False,
-    dropout_rngs: list | None = None,
-    accumulate: bool = False,
-) -> float:
-    """Mean cross entropy over examples, optionally accumulating gradients.
-
-    Examples are processed in list order and gradient contributions are
-    scaled by 1/n, so accumulated grads are exactly the mean-loss gradient
-    regardless of batch size.
+    (L,) indices give (class, probs of shape (4,)); an (N, L) batch gives
+    (classes of shape (N,), probs of shape (N, 4)) from one batched pass.
     """
-    if not examples:
-        raise QuadcodeError("batch_loss needs at least one example")
-    n = len(examples)
-    total = 0.0
-    for j, example in enumerate(examples):
-        gen = dropout_rngs[j] if dropout_rngs is not None else None
-        ctx = PassContext(training=training, rng=gen)
-        logits, caches = model.forward_logits(example.indices, ctx)
-        loss, probs = ops.softmax_cross_entropy(logits, example.label)
-        total += loss
-        if accumulate:
-            grad = ops.softmax_cross_entropy_backward(probs, example.label) / n
-            model.backward_from_logits(caches, grad)
-    return total / n
+    indices = np.asarray(indices)
+    single = indices.ndim == 1
+    logits, _ = model.forward_logits(indices[None] if single else indices, EVAL)
+    probs = ops.softmax(logits)
+    classes = np.argmax(probs, axis=1)
+    return (int(classes[0]), probs[0]) if single else (classes, probs)
 
 
 def shape_trace(model: Model, indices: np.ndarray | None = None) -> list[tuple[str, tuple[int, ...]]]:
-    """(layer name, output shape) per layer from an evaluation forward."""
+    """(layer name, per-example output shape) per layer from an evaluation forward of one (L,) input."""
     if indices is None:
-        length = model.config.length
-        indices = np.zeros(length, dtype=np.int64)
+        indices = np.zeros(model.config.length, dtype=np.int64)
     trace: list[tuple[str, tuple[int, ...]]] = []
-    model.forward_logits(indices, PassContext(training=False), trace=trace)
-    return trace
+    model.forward_logits(np.asarray(indices)[None], EVAL, trace=trace)
+    return [(name, shape[1:]) for name, shape in trace]
 
 
 def parameter_count(model: Model) -> int:
@@ -439,7 +424,7 @@ def make_gradcheck_examples(model: Model, count: int = 2, seed: int = 0) -> list
     at zero, never influences the loss.
     """
     gen = rng.stream(seed, rng.FIXTURE)
-    size = _input_size(model)
+    size = _input_size(model.config)
     length = model.config.length
     return [
         EncodedExample(gen.integers(1, size, size=length, dtype=np.int64), int(gen.integers(0, 4)))
@@ -499,13 +484,24 @@ def _config_from_obj(kind: str, obj: dict):
     raise CheckpointError(f"unknown model kind {kind!r}")
 
 
-def _input_size(model: Model) -> int:
-    return model.config.vocab_size if model.kind == "word" else model.config.alphabet_size
+def _input_size(config: WordCnnConfig | CharCnnConfig) -> int:
+    return config.vocab_size if isinstance(config, WordCnnConfig) else config.alphabet_size
+
+
+def _check_encoder_fits(path, kind: str, config: WordCnnConfig | CharCnnConfig, encoder) -> None:
+    """An encoder must emit indices the model can look up, at the model's length."""
+    want = WordEncoder if kind == "word" else CharEncoder
+    size = encoder.vocab.size if isinstance(encoder, WordEncoder) else encoder.alphabet.size
+    if not isinstance(encoder, want) or size != _input_size(config) or encoder.length != config.length:
+        raise CheckpointError(
+            f"{path}: encoder ({type(encoder).__name__}, {size} entries, length {encoder.length}) does not fit "
+            f"the {kind} model (input size {_input_size(config)}, length {config.length})"
+        )
 
 
 def _probe_inputs(model: Model, probe_seed: int) -> np.ndarray:
     gen = rng.stream(probe_seed, rng.PROBE)
-    return gen.integers(0, _input_size(model), size=(_PROBE_COUNT, model.config.length), dtype=np.int64)
+    return gen.integers(0, _input_size(model.config), size=(_PROBE_COUNT, model.config.length), dtype=np.int64)
 
 
 def save_checkpoint(
@@ -521,9 +517,7 @@ def save_checkpoint(
     params = model.parameters()
     config_obj = _word_config_obj(model.config) if model.kind == "word" else _char_config_obj(model.config)
     probe_in = _probe_inputs(model, probe_seed)
-    probe_logits = np.stack([
-        model.forward_logits(row, PassContext(training=False))[0] for row in probe_in
-    ])
+    probe_logits = model.forward_logits(probe_in, EVAL)[0]
     header = {
         "kind": model.kind,
         "config": config_obj,
@@ -582,6 +576,10 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     if expected_kind is not None and kind != expected_kind:
         raise InvalidConfigError(f"checkpoint holds a {kind!r} model, expected {expected_kind!r}")
     config = _config_from_obj(kind, header.get("config"))
+    encoder_obj = header.get("encoder")
+    encoder = None if encoder_obj is None else encoder_from_json_obj(encoder_obj)
+    if encoder is not None:
+        _check_encoder_fits(path, kind, config, encoder)
     probe = header.get("probe")
     count = probe.get("count") if isinstance(probe, dict) else None
     if not isinstance(count, int) or count < 1:
@@ -608,12 +606,10 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     probe_in = np.frombuffer(data[offset : offset + in_bytes], dtype="<i8").reshape(count, length)
     offset += in_bytes
     want = np.frombuffer(data[offset : offset + logit_bytes], dtype="<f8").reshape(count, model.config.classes)
-    got = np.stack([model.forward_logits(row, PassContext(training=False))[0] for row in probe_in])
+    got = model.forward_logits(probe_in, EVAL)[0]
     if not np.array_equal(got, want):
         raise ProbeMismatchError(f"{path}: restored model disagrees with stored probe logits")
 
-    encoder_obj = header.get("encoder")
-    encoder = None if encoder_obj is None else encoder_from_json_obj(encoder_obj)
     return LoadedCheckpoint(
         model=model,
         encoder=encoder,

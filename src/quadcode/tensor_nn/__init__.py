@@ -1,6 +1,6 @@
-"""Minimal deterministic numeric core: float64 arrays, the layer set the
-two classifiers need, hand-written backward passes, SGD/Adam, and a
-finite-difference gradient checker."""
+"""Minimal deterministic numeric core: batch-major float64 arrays, the
+layer set the two classifiers need, hand-written backward passes, the
+batched training loss, SGD/Adam, and a finite-difference gradient checker."""
 
 from . import ops
 from .gradcheck import GradCheckReport, finite_difference_check, relative_error

@@ -1,7 +1,8 @@
 """Finite-difference verification of whole-model gradients.
 
 The analytic gradients come from one evaluation-mode backward pass over a
-fixed example batch; the numeric side perturbs a seeded subsample of each
+fixed example batch, through the same batched loss that training uses
+(`batch_loss`); the numeric side perturbs a seeded subsample of each
 parameter's coordinates by +/-epsilon and re-runs the forward. Evaluation
 mode matters: dropout must be the identity so the loss is a deterministic
 function of the parameters.
@@ -19,8 +20,7 @@ import numpy as np
 
 from .. import rng
 from ..errors import QuadcodeError
-from . import ops
-from .layers import EVAL, Parameter
+from .layers import Parameter, batch_loss
 
 
 @dataclass(frozen=True)
@@ -49,24 +49,6 @@ def relative_error(a: float, n: float) -> float:
     return abs(a - n) / (abs(a) + abs(n) + 1e-12)
 
 
-def _mean_loss(model, examples, accumulate: bool = False) -> float:
-    """Evaluation-mode mean cross entropy; optionally fills Parameter.grad.
-
-    A model here is anything with forward_logits(indices, ctx) and
-    backward_from_logits(caches, grad); examples carry .indices and .label.
-    """
-    n = len(examples)
-    total = 0.0
-    for example in examples:
-        logits, caches = model.forward_logits(example.indices, EVAL)
-        loss, probs = ops.softmax_cross_entropy(logits, example.label)
-        total += loss
-        if accumulate:
-            grad = ops.softmax_cross_entropy_backward(probs, example.label) / n
-            model.backward_from_logits(caches, grad)
-    return total / n
-
-
 def _candidate_coords(p: Parameter) -> np.ndarray:
     if p.pinned is None:
         return np.arange(p.size)
@@ -90,7 +72,7 @@ def finite_difference_check(
     params = model.parameters()
     for p in params:
         p.zero_grad()
-    _mean_loss(model, examples, accumulate=True)
+    batch_loss(model, examples, accumulate=True)
     analytic = [p.grad.copy().reshape(-1) for p in params]
     for p in params:
         p.zero_grad()
@@ -109,9 +91,9 @@ def finite_difference_check(
         for coord in coords:
             original = flat[coord]
             flat[coord] = original + epsilon
-            plus = _mean_loss(model, examples)
+            plus = batch_loss(model, examples)
             flat[coord] = original - epsilon
-            minus = _mean_loss(model, examples)
+            minus = batch_loss(model, examples)
             flat[coord] = original
             numeric = (plus - minus) / (2.0 * epsilon)
             worst = max(worst, relative_error(float(grads[coord]), numeric))

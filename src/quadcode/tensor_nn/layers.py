@@ -1,9 +1,12 @@
 """Layer objects: named parameters plus stateless forward/backward pairs.
 
-forward(x, ctx) returns (output, cache); backward(cache, grad) accumulates
-into Parameter.grad and returns the gradient w.r.t. the layer input. Caches
-live with the caller, so evaluation-mode forwards are pure: they read the
-parameters and write nothing.
+Every layer works on a whole batch: inputs and outputs carry the batch axis
+first, (N, C, L) for feature maps and (N, D) for vectors, and a single
+example is a batch of one. forward(x, ctx) returns (output, cache);
+backward(cache, grad) accumulates the batch's summed parameter gradient
+into Parameter.grad and returns the gradient w.r.t. the layer input.
+Caches live with the caller, so evaluation-mode forwards are pure: they
+read the parameters and write nothing.
 
 Layers reach ops through the module attribute (`ops.conv1d` etc.), which is
 what lets the gradcheck negative-control test swap a backward out from under
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -37,7 +41,7 @@ class Parameter:
     grad: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.value = np.asarray(self.value, dtype=np.float64)
+        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
         self.grad = np.zeros_like(self.value)
 
     @property
@@ -50,13 +54,13 @@ class Parameter:
 
 @dataclass(frozen=True)
 class PassContext:
-    """Per-forward switches: training flag and the dropout generator."""
+    """Per-forward switches: training flag and one dropout generator per example."""
 
     training: bool = False
-    rng: np.random.Generator | None = None
+    rngs: Sequence[np.random.Generator] | None = None
 
 
-EVAL = PassContext(training=False, rng=None)
+EVAL = PassContext(training=False, rngs=None)
 
 
 def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -65,7 +69,7 @@ def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 
 class Embedding:
-    """Index lookup into a (V, d) table, emitting (d, L) feature maps.
+    """Index lookup into a (V, d) table: (N, L) indices -> (N, d, L) maps.
 
     The PAD row (index pad_index) is zeroed here and takes no gradient, so
     it stays exactly zero through any number of updates.
@@ -86,9 +90,8 @@ class Embedding:
         return ops.embedding_lookup(self.param.value, indices), indices
 
     def backward(self, cache, grad: np.ndarray) -> None:
-        table_grad = ops.embedding_backward(cache, grad, self.param.value.shape)
-        table_grad[self.pad_index, :] = 0.0
-        self.param.grad += table_grad
+        ops.embedding_backward(cache, grad, self.param.grad)
+        self.param.grad[self.pad_index, :] = 0.0
         return None  # indices are discrete; nothing flows further back
 
 
@@ -152,7 +155,7 @@ class MaxPool1d:
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         y, argmax = ops.maxpool1d_with_argmax(x, self.width)
-        return y, (argmax, x.shape[1])
+        return y, (argmax, x.shape[2])
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         argmax, in_length = cache
@@ -168,7 +171,7 @@ class Dropout:
         self.rate = rate
 
     def forward(self, x: np.ndarray, ctx: PassContext):
-        y, mask = ops.dropout(x, self.rate, ctx.rng, ctx.training)
+        y, mask = ops.dropout(x, self.rate, ctx.rngs, ctx.training)
         return y, mask
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
@@ -183,3 +186,32 @@ class Flatten:
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         return ops.flatten_backward(cache, grad)
+
+
+def batch_loss(
+    model,
+    examples,
+    *,
+    training: bool = False,
+    dropout_rngs: Sequence[np.random.Generator] | None = None,
+    accumulate: bool = False,
+) -> float:
+    """Mean cross entropy over examples in one batched pass, optionally
+    accumulating its gradient into Parameter.grad.
+
+    A model is anything with forward_logits(indices, ctx) and
+    backward_from_logits(caches, grad); examples carry .indices (one
+    length for the whole batch) and .label. dropout_rngs[j] draws example
+    j's dropout masks. The loss gradient is scaled by 1/n, so accumulated
+    grads are the mean-loss gradient whatever the batch size.
+    """
+    if not examples:
+        raise QuadcodeError("batch_loss needs at least one example")
+    n = len(examples)
+    indices = np.stack([example.indices for example in examples])
+    labels = np.array([example.label for example in examples], dtype=np.int64)
+    logits, caches = model.forward_logits(indices, PassContext(training=training, rngs=dropout_rngs))
+    losses, probs = ops.softmax_cross_entropy(logits, labels)
+    if accumulate:
+        model.backward_from_logits(caches, ops.softmax_cross_entropy_backward(probs, labels) / n)
+    return float(losses.sum()) / n

@@ -1,15 +1,20 @@
-"""Forward/backward primitives on float64 numpy arrays.
+"""Forward/backward primitives on batch-major float64 numpy arrays.
 
 No tape, no graph: every forward op has a hand-written backward op and the
 caller wires them together. Backward contracts are exact analytic gradients
 of the forward definitions; the finite-difference suite keeps them honest.
 All public forwards validate shapes and trap non-finite outputs.
 
-Conventions: feature maps are (channels, length), vectors are (n,), weights
-are (out, in) for dense and (frames, in_channels, kernel) for conv.
+Conventions: axis 0 is always the batch axis N, and a single example is
+just N=1. Feature maps are (N, channels, length), vectors are (N, n),
+logits are (N, classes) and labels (N,). Weights are (out, in) for dense
+and (frames, in_channels, kernel) for conv. Backward ops return the
+gradient summed over the batch for weights and per example for inputs.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -43,22 +48,36 @@ def _f64(a) -> np.ndarray:
 # --- convolution --------------------------------------------------------------
 
 
-def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Valid 1-d convolution, stride 1.
+def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
+    """(N, C, L) -> (C*K, N*T) window matrix, T = L-K+1.
 
-    x: (C, L), w: (F, C, K), b: (F,) -> (F, L-K+1) with
-    out[f, t] = b[f] + sum_{c,k} x[c, t+k] * w[f, c, k].
+    Column n*T + t holds x[n, :, t:t+K] flattened channel-major, matching
+    w.reshape(F, C*K). The windows are a fresh copy, built on demand and
+    never kept between forward and backward.
+    """
+    n, channels, length = x.shape
+    steps = length - kernel + 1
+    windows = sliding_window_view(x, kernel, axis=2)  # (N, C, T, K)
+    return windows.transpose(1, 3, 0, 2).reshape(channels * kernel, n * steps)
+
+
+def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Valid 1-d convolution, stride 1, as one GEMM over the whole batch.
+
+    x: (N, C, L), w: (F, C, K), b: (F,) -> (N, F, L-K+1) with
+    out[n, f, t] = b[f] + sum_{c,k} x[n, c, t+k] * w[f, c, k].
     """
     x, w, b = _f64(x), _f64(w), _f64(b)
-    _require(x.ndim == 2, f"conv1d input must be (C, L), got {x.shape}")
+    _require(x.ndim == 3, f"conv1d input must be (N, C, L), got {x.shape}")
     _require(w.ndim == 3, f"conv1d weights must be (F, C, K), got {w.shape}")
     frames, c_in, kernel = w.shape
-    _require(x.shape[0] == c_in, f"conv1d channels mismatch: input {x.shape[0]}, weights {c_in}")
+    _require(x.shape[1] == c_in, f"conv1d channels mismatch: input {x.shape[1]}, weights {c_in}")
     _require(b.shape == (frames,), f"conv1d bias must be ({frames},), got {b.shape}")
-    _require(x.shape[1] >= kernel, f"conv1d needs L >= K, got L={x.shape[1]}, K={kernel}")
-    windows = sliding_window_view(x, kernel, axis=1)  # (C, L-K+1, K)
-    y = np.tensordot(w, windows, axes=[(1, 2), (0, 2)]) + b[:, None]
-    return _trap("conv1d", y)
+    _require(x.shape[2] >= kernel, f"conv1d needs L >= K, got L={x.shape[2]}, K={kernel}")
+    n, steps = x.shape[0], x.shape[2] - kernel + 1
+    y = w.reshape(frames, c_in * kernel) @ _im2col(x, kernel)  # (F, N*T)
+    y += b[:, None]
+    return _trap("conv1d", np.ascontiguousarray(y.reshape(frames, n, steps).transpose(1, 0, 2)))
 
 
 def conv1d_backward(
@@ -66,22 +85,23 @@ def conv1d_backward(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Gradients (grad_x, grad_w, grad_b) of sum(grad_y * conv1d(x, w, b)).
 
-    grad_w[f,c,k] = sum_t grad_y[f,t] x[c,t+k]; grad_x is the full
-    correlation of grad_y with the kernel-reversed weights:
-    grad_x[c,i] = sum_{f,k} grad_y[f,i-k] w[f,c,k].
+    grad_w[f,c,k] = sum_{n,t} grad_y[n,f,t] x[n,c,t+k] is one GEMM against
+    the rebuilt windows; grad_x comes from a second GEMM giving each
+    window's gradient, scattered back onto the positions it covered:
+    grad_x[n,c,t+k] += sum_f grad_y[n,f,t] w[f,c,k].
     """
     x, w, grad_y = _f64(x), _f64(w), _f64(grad_y)
-    frames, _, kernel = w.shape
-    length = x.shape[1]
+    frames, c_in, kernel = w.shape
+    n, _, length = x.shape
     steps = length - kernel + 1
-    _require(grad_y.shape == (frames, steps), f"conv1d grad must be ({frames}, {steps}), got {grad_y.shape}")
-    windows = sliding_window_view(x, kernel, axis=1)
-    grad_w = np.tensordot(grad_y, windows, axes=[(1,), (1,)])
-    grad_b = grad_y.sum(axis=1)
-    padded = np.zeros((frames, length + kernel - 1))
-    padded[:, kernel - 1 : kernel - 1 + steps] = grad_y
-    gwin = sliding_window_view(padded, kernel, axis=1)  # (F, L, K)
-    grad_x = np.tensordot(w[:, :, ::-1], gwin, axes=[(0, 2), (0, 2)])
+    _require(grad_y.shape == (n, frames, steps), f"conv1d grad must be ({n}, {frames}, {steps}), got {grad_y.shape}")
+    gy = grad_y.transpose(1, 0, 2).reshape(frames, n * steps)
+    grad_w = (gy @ _im2col(x, kernel).T).reshape(w.shape)
+    grad_b = grad_y.sum(axis=(0, 2))
+    grad_cols = (w.reshape(frames, c_in * kernel).T @ gy).reshape(c_in, kernel, n, steps)
+    grad_x = np.zeros((n, c_in, length))
+    for k in range(kernel):
+        grad_x[:, :, k : k + steps] += grad_cols[:, k].transpose(1, 0, 2)
     return grad_x, grad_w, grad_b
 
 
@@ -89,7 +109,7 @@ def conv1d_backward(
 
 
 def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
-    """Non-overlapping window maxima: (F, L) -> (F, floor(L/width)).
+    """Non-overlapping window maxima: (N, F, L) -> (N, F, floor(L/width)).
 
     Stride equals width; the trailing L mod width positions are dropped.
     """
@@ -99,14 +119,14 @@ def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
 def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Pool plus absolute input position of each window's first maximum."""
     x = _f64(x)
-    _require(x.ndim == 2, f"maxpool1d input must be (F, L), got {x.shape}")
+    _require(x.ndim == 3, f"maxpool1d input must be (N, F, L), got {x.shape}")
     _require(width >= 1, f"maxpool1d width must be >= 1, got {width}")
-    frames, length = x.shape
+    n, frames, length = x.shape
     steps = length // width
     _require(steps >= 1, f"maxpool1d needs L >= width, got L={length}, width={width}")
-    view = x[:, : steps * width].reshape(frames, steps, width)
-    inner = view.argmax(axis=2)  # numpy argmax keeps the first of ties
-    y = np.take_along_axis(view, inner[:, :, None], axis=2)[:, :, 0]
+    view = x[:, :, : steps * width].reshape(n, frames, steps, width)
+    inner = view.argmax(axis=3)  # numpy argmax keeps the first of ties
+    y = np.take_along_axis(view, inner[..., None], axis=3)[..., 0]
     argmax = inner + np.arange(steps, dtype=np.int64) * width
     return _trap("maxpool1d", y), argmax
 
@@ -115,10 +135,9 @@ def maxpool1d_backward(grad_y: np.ndarray, argmax: np.ndarray, in_length: int) -
     """Route each window's gradient to its recorded argmax position."""
     grad_y = _f64(grad_y)
     _require(grad_y.shape == argmax.shape, f"maxpool1d grad/argmax mismatch: {grad_y.shape} vs {argmax.shape}")
-    frames = grad_y.shape[0]
-    grad_x = np.zeros((frames, in_length))
-    # windows are disjoint, so plain fancy assignment cannot collide
-    grad_x[np.arange(frames)[:, None], argmax] = grad_y
+    grad_x = np.zeros((*grad_y.shape[:2], in_length))
+    # windows are disjoint, so plain assignment cannot collide
+    np.put_along_axis(grad_x, argmax, grad_y, axis=2)
     return grad_x
 
 
@@ -126,20 +145,23 @@ def maxpool1d_backward(grad_y: np.ndarray, argmax: np.ndarray, in_length: int) -
 
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Affine map W x + b with W (m, n), x (n,), b (m,)."""
+    """Affine map x W^T + b with x (N, n), W (m, n), b (m,) -> (N, m)."""
     x, w, b = _f64(x), _f64(w), _f64(b)
-    _require(x.ndim == 1, f"dense input must be 1-d, got {x.shape}")
-    _require(w.ndim == 2 and w.shape[1] == x.shape[0], f"dense weights {w.shape} do not match input {x.shape}")
+    _require(x.ndim == 2, f"dense input must be (N, n), got {x.shape}")
+    _require(w.ndim == 2 and w.shape[1] == x.shape[1], f"dense weights {w.shape} do not match input {x.shape}")
     _require(b.shape == (w.shape[0],), f"dense bias must be ({w.shape[0]},), got {b.shape}")
-    return _trap("dense", w @ x + b)
+    y = x @ w.T
+    y += b
+    return _trap("dense", y)
 
 
 def dense_backward(
     x: np.ndarray, w: np.ndarray, grad_y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     x, w, grad_y = _f64(x), _f64(w), _f64(grad_y)
-    _require(grad_y.shape == (w.shape[0],), f"dense grad must be ({w.shape[0]},), got {grad_y.shape}")
-    return w.T @ grad_y, np.outer(grad_y, x), grad_y.copy()
+    _require(grad_y.shape == (x.shape[0], w.shape[0]),
+             f"dense grad must be ({x.shape[0]}, {w.shape[0]}), got {grad_y.shape}")
+    return grad_y @ w, grad_y.T @ x, grad_y.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -153,21 +175,24 @@ def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
 
 
 def dropout(
-    x: np.ndarray, rate: float, gen: np.random.Generator | None, training: bool
+    x: np.ndarray, rate: float, gens: Sequence[np.random.Generator] | None, training: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: keep with prob 1-rate and rescale so E[y] = x.
 
-    Returns (y, mask); backward is grad * mask. Identity (mask of ones) when
-    not training or rate is 0, consuming no randomness.
+    Row j of the mask is drawn from gens[j] alone, so an example's mask does
+    not depend on the batch around it. Returns (y, mask); backward is
+    grad * mask. Identity (mask of ones) when not training or rate is 0,
+    consuming no randomness.
     """
     x = _f64(x)
     if not 0.0 <= rate < 1.0:
         raise QuadcodeError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
         return x, np.ones_like(x)
-    if gen is None:
-        raise QuadcodeError("training-mode dropout needs a random generator")
-    mask = (gen.random(x.shape) >= rate) / (1.0 - rate)
+    if gens is None:
+        raise QuadcodeError("training-mode dropout needs one random generator per example")
+    _require(len(gens) == x.shape[0], f"dropout got {len(gens)} generators for a batch of {x.shape[0]}")
+    mask = (np.stack([gen.random(x.shape[1:]) for gen in gens]) >= rate) / (1.0 - rate)
     return _trap("dropout", x * mask), mask
 
 
@@ -176,26 +201,28 @@ def dropout_backward(mask: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
 
 
 def concat(parts: list[np.ndarray]) -> np.ndarray:
-    """Join along the feature axis (axis 0); trailing dims must agree."""
+    """Join along the feature axis (axis 1); every other axis must agree."""
     _require(len(parts) >= 1, "concat needs at least one tensor")
     parts = [_f64(p) for p in parts]
     first = parts[0]
-    for p in parts[1:]:
-        _require(p.ndim == first.ndim and p.shape[1:] == first.shape[1:],
-                 f"concat shapes disagree beyond axis 0: {[p.shape for p in parts]}")
-    return _trap("concat", np.concatenate(parts, axis=0))
+    for p in parts:
+        _require(p.ndim == first.ndim >= 2 and p.shape[0] == first.shape[0] and p.shape[2:] == first.shape[2:],
+                 f"concat shapes disagree beyond axis 1: {[p.shape for p in parts]}")
+    return _trap("concat", np.concatenate(parts, axis=1))
 
 
 def concat_backward(sizes: list[int], grad_y: np.ndarray) -> list[np.ndarray]:
-    """Split the gradient back into pieces of the given axis-0 sizes."""
+    """Split the gradient back into pieces of the given axis-1 sizes."""
     grad_y = _f64(grad_y)
-    _require(sum(sizes) == grad_y.shape[0], f"concat grad axis 0 is {grad_y.shape[0]}, pieces sum to {sum(sizes)}")
-    return [g.copy() for g in np.split(grad_y, np.cumsum(sizes[:-1]), axis=0)]
+    _require(grad_y.ndim >= 2 and sum(sizes) == grad_y.shape[1],
+             f"concat grad must have {sum(sizes)} features on axis 1, got shape {grad_y.shape}")
+    return [np.ascontiguousarray(g) for g in np.split(grad_y, np.cumsum(sizes[:-1]), axis=1)]
 
 
 def flatten(x: np.ndarray) -> np.ndarray:
-    """Row-major reshape to 1-d."""
-    return _f64(x).reshape(-1)
+    """Row-major reshape of each example: (N, ...) -> (N, prod(...))."""
+    x = _f64(x)
+    return x.reshape(x.shape[0], -1)
 
 
 def flatten_backward(shape: tuple[int, ...], grad_y: np.ndarray) -> np.ndarray:
@@ -208,54 +235,60 @@ def flatten_backward(shape: tuple[int, ...], grad_y: np.ndarray) -> np.ndarray:
 
 
 def embedding_lookup(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Gather rows and transpose to (d, L) so conv sees channels first."""
+    """Gather rows: (N, L) indices -> (N, d, L), channels first for conv."""
     table = _f64(table)
     idx = np.asarray(indices)
     _require(table.ndim == 2, f"embedding table must be 2-d, got {table.shape}")
-    _require(idx.ndim == 1 and np.issubdtype(idx.dtype, np.integer), f"indices must be a 1-d integer array, got {idx.dtype} {idx.shape}")
+    _require(idx.ndim == 2 and np.issubdtype(idx.dtype, np.integer),
+             f"indices must be an (N, L) integer array, got {idx.dtype} {idx.shape}")
     _require(idx.size >= 1, "embedding_lookup needs at least one index")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
         raise ShapeMismatchError(f"embedding index out of range [0, {table.shape[0]})")
-    return _trap("embedding_lookup", np.ascontiguousarray(table[idx].T))
+    return _trap("embedding_lookup", np.ascontiguousarray(table[idx].transpose(0, 2, 1)))
 
 
-def embedding_backward(
-    indices: np.ndarray, grad_y: np.ndarray, table_shape: tuple[int, int]
-) -> np.ndarray:
-    """Scatter-add (d, L) gradient rows back onto the looked-up table rows."""
+def embedding_backward(indices: np.ndarray, grad_y: np.ndarray, out: np.ndarray) -> None:
+    """Scatter-add the (N, d, L) gradient onto the looked-up rows of out.
+
+    out is the (V, d) table gradient, updated in place by one unbuffered
+    add of all N*L rows, so repeated indices accumulate.
+    """
     idx = np.asarray(indices)
     grad_y = _f64(grad_y)
-    _require(grad_y.shape == (table_shape[1], idx.size), f"embedding grad must be ({table_shape[1]}, {idx.size}), got {grad_y.shape}")
-    grad = np.zeros(table_shape)
-    np.add.at(grad, idx, grad_y.T)
-    return grad
+    _require(idx.ndim == 2 and grad_y.shape == (idx.shape[0], out.shape[1], idx.shape[1]),
+             f"embedding grad must be (N, {out.shape[1]}, L) for {idx.shape} indices, got {grad_y.shape}")
+    np.add.at(out, idx.reshape(-1), grad_y.transpose(0, 2, 1).reshape(-1, out.shape[1]))
 
 
 # --- loss -----------------------------------------------------------------------
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
-    """Shift-stabilized softmax; rows sum to 1 within 1e-9."""
+    """Shift-stabilized softmax over the last axis; rows sum to 1 within 1e-9."""
     logits = _f64(logits)
-    _require(logits.ndim == 1, f"softmax expects a 1-d logit vector, got {logits.shape}")
-    e = np.exp(logits - logits.max())
-    return _trap("softmax", e / e.sum())
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return _trap("softmax", e / e.sum(axis=-1, keepdims=True))
 
 
-def softmax_cross_entropy(logits: np.ndarray, true_class: int) -> tuple[float, np.ndarray]:
-    """(loss, probs) with loss = -log softmax(logits)[true_class]."""
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(losses (N,), probs (N, C)) with losses[n] = -log softmax(logits[n])[labels[n]]."""
     logits = _f64(logits)
-    _require(logits.ndim == 1, f"softmax expects a 1-d logit vector, got {logits.shape}")
+    labels = np.asarray(labels)
+    _require(logits.ndim == 2, f"softmax_cross_entropy expects (N, classes) logits, got {logits.shape}")
+    _require(labels.shape == logits.shape[:1] and np.issubdtype(labels.dtype, np.integer),
+             f"labels must be ({logits.shape[0]},) integers, got {labels.dtype} {labels.shape}")
     if not np.all(np.isfinite(logits)):
         raise NonFiniteTensorError("softmax_cross_entropy requires finite logits")
-    _require(0 <= true_class < logits.shape[0], f"class {true_class} out of range for {logits.shape[0]} logits")
-    shifted = logits - logits.max()
-    log_probs = shifted - np.log(np.exp(shifted).sum())
-    return float(-log_probs[true_class]), np.exp(log_probs)
+    _require(bool(np.all((labels >= 0) & (labels < logits.shape[1]))),
+             f"class labels out of range for {logits.shape[1]} logits")
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    rows = np.arange(logits.shape[0])
+    return -log_probs[rows, labels], np.exp(log_probs)
 
 
-def softmax_cross_entropy_backward(probs: np.ndarray, true_class: int) -> np.ndarray:
-    """Gradient w.r.t. logits: probs - onehot(true_class)."""
+def softmax_cross_entropy_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Gradient of each example's loss w.r.t. its logits: probs - onehot(labels)."""
     grad = _f64(probs).copy()
-    grad[true_class] -= 1.0
+    grad[np.arange(grad.shape[0]), labels] -= 1.0
     return grad

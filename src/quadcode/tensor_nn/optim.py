@@ -3,6 +3,13 @@
 step() applies the update to every unfrozen parameter, then zeroes every
 gradient (frozen ones included, since they may have accumulated). Non-finite
 gradients abort before any parameter is touched.
+
+Updates run in place with `out=` arithmetic: the gradient array doubles as
+scratch space once it has been read, plus one scratch buffer per step. Adam
+walks each parameter in slices small enough that its ten passes over a
+slice stay in cache. The operations and their order are those of the
+textbook formulas, so the results are bit-identical to evaluating them
+directly over whole arrays.
 """
 
 from __future__ import annotations
@@ -11,6 +18,11 @@ import numpy as np
 
 from ..errors import QuadcodeError
 from .layers import Parameter
+
+
+# Elements per Adam slice: the value, gradient, m, v and scratch slices
+# (5 x 128 KiB) stay in cache between the passes of one update.
+_SLICE = 1 << 14
 
 
 class NonFiniteGradientError(QuadcodeError):
@@ -44,7 +56,7 @@ class Sgd:
             if not p.frozen:
                 v *= self.momentum
                 v += p.grad
-                p.value -= self.lr * v
+                p.value -= np.multiply(v, self.lr, out=p.grad)
             p.zero_grad()
 
 
@@ -75,14 +87,33 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
+        scratch = np.empty(min(_SLICE, max((p.size for p in self.params), default=0)))
         for p, m, v in zip(self.params, self._m, self._v):
-            if not p.frozen:
-                m *= self.beta1
-                m += (1.0 - self.beta1) * p.grad
-                v *= self.beta2
-                v += (1.0 - self.beta2) * np.square(p.grad)
-                p.value -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-            p.zero_grad()
+            if p.frozen:
+                p.zero_grad()
+                continue
+            flat = [a.reshape(-1) for a in (p.value, p.grad, m, v)]  # views: all are contiguous
+            for start in range(0, p.size, _SLICE):
+                value, g, m_s, v_s = (a[start : start + _SLICE] for a in flat)
+                self._update(value, g, m_s, v_s, scratch[: value.size], bc1, bc2)
+
+    def _update(self, value, g, m, v, tmp, bc1: float, bc2: float) -> None:
+        """value -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates; zeroes g."""
+        np.multiply(g, 1.0 - self.beta1, out=tmp)
+        m *= self.beta1
+        m += tmp
+        np.square(g, out=tmp)
+        tmp *= 1.0 - self.beta2
+        v *= self.beta2
+        v += tmp
+        np.divide(v, bc2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += self.eps
+        np.divide(m, bc1, out=g)
+        g *= self.lr
+        g /= tmp
+        value -= g
+        g[...] = 0.0
 
 
 def make_optimizer(

@@ -2,8 +2,9 @@
 
 Everything downstream of (seed, data, config) is deterministic: epoch
 shuffles and per-example dropout masks come from counter-based streams
-keyed by (epoch) and (step, example position), gradient accumulation runs
-in example order, and evaluation consumes no randomness at all.
+keyed by (epoch) and (step, example position), each batch runs as one
+batched pass whose arithmetic depends only on its contents, and evaluation
+consumes no randomness at all.
 """
 
 from __future__ import annotations
@@ -35,9 +36,12 @@ class NonFiniteLossError(QuadcodeError):
         self.step = step
 
 
+DEFAULT_BATCH_SIZE = 32
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    batch_size: int = 32
+    batch_size: int = DEFAULT_BATCH_SIZE
     epochs: int = 30
     patience: int = 5
     shuffle: bool = True
@@ -128,13 +132,18 @@ class Metrics:
         return out
 
 
-def evaluate(model: Model, test_set: Sequence[EncodedExample]) -> Metrics:
-    """Dropout-off predictions over the whole set; exact counts."""
+def evaluate(
+    model: Model, test_set: Sequence[EncodedExample], batch_size: int = DEFAULT_BATCH_SIZE
+) -> Metrics:
+    """Dropout-off predictions over the whole set, batch_size examples per
+    forward pass; exact counts."""
     if not test_set:
         raise EmptyDatasetError("test")
     confusion = np.zeros((4, 4), dtype=np.int64)
-    for example in test_set:
-        confusion[example.label, predict(model, example.indices)[0]] += 1
+    for start in range(0, len(test_set), batch_size):
+        chunk = test_set[start : start + batch_size]
+        classes, _ = predict(model, np.stack([example.indices for example in chunk]))
+        np.add.at(confusion, ([example.label for example in chunk], classes), 1)
     return Metrics(confusion)
 
 
@@ -182,7 +191,7 @@ def train(
             optimizer.step()
             epoch_loss += loss * len(batch)
             step += 1
-        dev_accuracy = evaluate(model, dev_set).accuracy
+        dev_accuracy = evaluate(model, dev_set, config.batch_size).accuracy
         history.append(EpochStats(epoch, epoch_loss / n, dev_accuracy))
         if dev_accuracy > best_accuracy:
             best_accuracy = dev_accuracy

@@ -32,7 +32,16 @@ from quadcode.models import (
     tiny_word_config,
     word_branch_lengths,
 )
-from quadcode.text_encoding import EncodedExample, build_vocab, load_embeddings, WordEncoder
+from quadcode.text_encoding import (
+    CharAlphabet,
+    CharEncoder,
+    EncodedExample,
+    VocabEntry,
+    Vocabulary,
+    WordEncoder,
+    build_vocab,
+    load_embeddings,
+)
 from quadcode.corpus import SentenceRecord
 
 # --- oracles ------------------------------------------------------------------
@@ -233,6 +242,16 @@ class TestPredict:
             _, probs = predict(model, indices)
             assert abs(probs.sum() - 1.0) < 1e-9
 
+    def test_batch_rows_match_single_predictions(self):
+        for model in (build_word_cnn(tiny_word_config(), seed=3), build_char_cnn(tiny_char_config(), seed=3)):
+            gen = np.random.default_rng(1)
+            batch = gen.integers(0, 8, size=(5, model.config.length), dtype=np.int64)
+            classes, probs = predict(model, batch)
+            assert classes.shape == (5,) and probs.shape == (5, 4)
+            for row, cls, p in zip(batch, classes, probs):
+                single_cls, single_p = predict(model, row)
+                assert single_cls == cls and np.abs(single_p - p).max() <= 1e-12
+
     def test_eval_forward_needs_no_rng(self):
         # PassContext(training=False) carries no generator; dropout must not ask for one
         model = build_word_cnn(tiny_word_config(), seed=4)
@@ -269,6 +288,25 @@ class TestBatchLoss:
                 p.zero_grad()
         for name in batched:
             np.testing.assert_allclose(batched[name], summed[name], rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    @pytest.mark.parametrize("training", [False, True])
+    def test_batch_gradient_equals_singletons(self, kind, training):
+        # One batch of B and B batches of one give the same mean gradient,
+        # dropout included: example j draws from its own generator either way.
+        model = build_word_cnn(tiny_word_config(), seed=8) if kind == "word" else build_char_cnn(tiny_char_config(), seed=8)
+        examples = make_gradcheck_examples(model, count=5, seed=8)
+        gens = lambda: [np.random.default_rng([8, j]) for j in range(5)]  # noqa: E731
+        whole = batch_loss(model, examples, training=training, dropout_rngs=gens(), accumulate=True)
+        batched = [p.grad.copy() for p in model.parameters()]
+        for p in model.parameters():
+            p.zero_grad()
+        singles = 0.0
+        for e, gen in zip(examples, gens()):
+            singles += batch_loss(model, [e], training=training, dropout_rngs=[gen], accumulate=True) / 5
+        for p, want in zip(model.parameters(), batched):
+            assert np.abs(p.grad / 5 - want).max() <= 1e-12, p.name
+        assert abs(whole - singles) <= 1e-12
 
     def test_empty_batch_rejected(self):
         from quadcode.errors import QuadcodeError
@@ -457,6 +495,42 @@ class TestCheckpoints:
                          "--report", str(tmp_path / "r.json")])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+
+    @pytest.mark.parametrize(
+        "kind, forge",
+        [
+            ("word", lambda h: {**h, "encoder": {**h["encoder"], "entries": h["encoder"]["entries"] + [
+                {"token": f"extra{i}", "index": 50 + i, "count": 1} for i in range(32)]}}),
+            ("word", lambda h: {**h, "encoder": {**h["encoder"], "kind": "char", "entries": [
+                {**e, "token": chr(0x41 + i)} for i, e in enumerate(h["encoder"]["entries"])]}}),
+            ("word", lambda h: {**h, "encoder": {**h["encoder"], "length": 17}}),
+            ("char", lambda h: {**h, "encoder": {**h["encoder"], "entries": h["encoder"]["entries"][:5]}}),
+        ],
+        ids=["word_vocab_larger", "word_char_encoder", "word_length", "char_alphabet_smaller"],
+    )
+    def test_encoder_that_does_not_fit_the_model(self, tmp_path, capsys, kind, forge):
+        if kind == "word":
+            encoder = WordEncoder(Vocabulary(VocabEntry(f"w{i}", i, 1) for i in range(2, 50)), 16)
+            model = build_word_cnn(tiny_word_config(vocab_size=50), seed=0)
+        else:
+            encoder = CharEncoder(CharAlphabet(VocabEntry(chr(0x61 + i), i, 1) for i in range(2, 8)), 32)
+            model = build_char_cnn(tiny_char_config(alphabet_size=8), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, encoder=encoder)
+        load_checkpoint(path)  # the honest checkpoint loads
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        raw = json.dumps(forge(json.loads(data[16 : 16 + header_len]))).encode("utf-8")
+        body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]
+        path.write_bytes(body + hashlib.sha256(body).digest())
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        infile = tmp_path / "in.jsonl"
+        infile.write_text('{"id": "a", "lang": "en", "text": "w2 w3 abc"}\n', encoding="utf-8")
+        code = cli.main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and "does not fit" in err
 
 
 class TestGradcheckExamples:

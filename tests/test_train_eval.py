@@ -1,8 +1,16 @@
 """Metric arithmetic against brute-force recounts, the training loop's
 learning behavior, determinism, and early stopping."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import quadcode
 
 from quadcode.errors import QuadcodeError
 from quadcode.models import build_word_cnn, predict, tiny_word_config
@@ -114,6 +122,13 @@ class TestEvaluate:
         preds = [predict(model, e.indices)[0] for e in examples]
         assert (metrics.confusion == confusion_of(truths, preds)).all()
 
+    def test_chunk_size_does_not_change_counts(self):
+        model = build_word_cnn(tiny_word_config(), seed=1)
+        examples = _examples(30, seed=3)
+        want = evaluate(model, examples).confusion
+        for batch_size in (1, 7, 30, 64):
+            assert (evaluate(model, examples, batch_size).confusion == want).all()
+
     def test_empty_set_rejected(self):
         model = build_word_cnn(tiny_word_config(), seed=0)
         with pytest.raises(EmptyDatasetError):
@@ -222,6 +237,43 @@ class TestTrainingLoop:
             TrainConfig(epochs=0)
         with pytest.raises(InputError):
             TrainConfig(patience=-1)
+
+
+# One dropout training step and one Adam step of a char model whose fc1 input
+# is 3456 wide and whose convs run (N*T, C*K) GEMMs of a few thousand rows,
+# large enough for OpenBLAS to split them across threads.
+_BLAS_STEP = """
+import hashlib, json, sys
+import numpy as np
+from quadcode import models, rng
+from quadcode.tensor_nn.optim import Adam
+config = models.CharCnnConfig(alphabet_size=30, embed_dim=16, length=512, hidden=(256, 256),
+                              convs=tuple(models.ConvSpec(64, k, p) for k, p in ((7, 3), (3, None), (3, None), (3, 3))))
+model = models.CharCnn(config, seed=3)
+examples = models.make_gradcheck_examples(model, count=16, seed=3)
+gens = [rng.stream(3, rng.DROPOUT, 0, j) for j in range(len(examples))]
+models.batch_loss(model, examples, training=True, dropout_rngs=gens, accumulate=True)
+grads = hashlib.sha256(b"".join(p.grad.tobytes() for p in model.parameters())).hexdigest()
+Adam(model.parameters()).step()
+models.save_checkpoint(model, sys.argv[1])
+with open(sys.argv[1], "rb") as fh:
+    print(json.dumps({"grads": grads, "checkpoint": hashlib.sha256(fh.read()).hexdigest()}))
+"""
+
+
+def test_char_step_identical_with_one_and_two_blas_threads(tmp_path):
+    src_root = str(Path(quadcode.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
+    out = []
+    for threads in (1, 2):
+        # BLAS reads its thread count at import, hence a fresh interpreter
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads), "PYTHONPATH": path}
+        done = subprocess.run([sys.executable, "-c", _BLAS_STEP, str(tmp_path / f"{threads}.ckpt")],
+                              env=env, capture_output=True, timeout=300)
+        assert done.returncode == 0, done.stderr.decode()
+        out.append(json.loads(done.stdout))
+    assert out[0] == out[1]
+    assert (tmp_path / "1.ckpt").read_bytes() == (tmp_path / "2.ckpt").read_bytes()
 
 
 class TestHistoryFiles:
