@@ -73,11 +73,17 @@ def _write_manifest(
     outputs: list[str | Path],
     config_obj: dict | None = None,
     seed: int | None = None,
+    known_digests: dict[str, str] | None = None,
 ) -> Path:
+    """known_digests maps an input path to the sha256 its reader already took,
+    so that file is not read a second time."""
+    known = known_digests or {}
     manifest = {
         "command": command,
         "config": config_obj or {},
-        "inputs": {str(p): _sha256_file(p) for p in inputs if p and Path(p).exists()},
+        "inputs": {
+            str(p): known.get(str(p)) or _sha256_file(p) for p in inputs if p and Path(p).exists()
+        },
         "outputs": [str(p) for p in outputs],
         "seed": seed,
         "toolkit_version": _version(),
@@ -211,7 +217,8 @@ def _cmd_eval(args) -> int:
         **metrics.to_json_obj(),
     }
     Path(args.report).write_text(json.dumps(report, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
-    _write_manifest(args.report, "eval", inputs=[args.checkpoint, args.test], outputs=[args.report])
+    _write_manifest(args.report, "eval", inputs=[args.checkpoint, args.test], outputs=[args.report],
+                    known_digests={str(args.checkpoint): loaded.sha256})
     return 0
 
 
@@ -229,7 +236,8 @@ def _cmd_predict(args) -> int:
                 obj["probs"] = [float(p) for p in row]
                 fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
     print(f"{len(records)} records annotated")
-    _write_manifest(args.out, "predict", inputs=[args.checkpoint, args.infile], outputs=[args.out])
+    _write_manifest(args.out, "predict", inputs=[args.checkpoint, args.infile], outputs=[args.out],
+                    known_digests={str(args.checkpoint): loaded.sha256})
     return 0
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -220,8 +221,11 @@ def implied_param_count(config: WordCnnConfig | CharCnnConfig) -> int:
 # --- models -------------------------------------------------------------------
 
 
-def _init_embedding(seed: int, rows: int, dim: int) -> np.ndarray:
-    """The embedding init: uniform(-0.25, 0.25) from the embedding stream."""
+def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
+    """The embedding init: uniform(-0.25, 0.25) from the embedding stream,
+    or zeros when seed is None."""
+    if seed is None:
+        return np.zeros((rows, dim))
     return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
 
 
@@ -241,11 +245,14 @@ def _unwind(layers, caches, grad):
 
 
 class WordCnn:
+    """seed=None builds the same layers with zero-filled parameters and
+    draws no random numbers, for a caller that overwrites every parameter."""
+
     kind = "word"
 
-    def __init__(self, config: WordCnnConfig, seed: int):
+    def __init__(self, config: WordCnnConfig, seed: int | None):
         self.config = config
-        init = rng.stream(seed, rng.INIT)
+        init = None if seed is None else rng.stream(seed, rng.INIT)
         table = _init_embedding(seed, config.vocab_size, config.embed_dim)
         self.embedding = Embedding(table, trainable=config.embeddings_trainable)
         self.branches: list[list[tuple[str, object]]] = []
@@ -307,12 +314,14 @@ class WordCnn:
 
 
 class CharCnn:
+    """seed=None as for WordCnn."""
+
     kind = "char"
 
-    def __init__(self, config: CharCnnConfig, seed: int):
+    def __init__(self, config: CharCnnConfig, seed: int | None):
         self.config = config
         char_stack_lengths(config)  # validates before any allocation
-        init = rng.stream(seed, rng.INIT)
+        init = None if seed is None else rng.stream(seed, rng.INIT)
         if config.one_hot:
             table = np.eye(config.alphabet_size, dtype=np.float64)
         else:
@@ -504,6 +513,11 @@ def _probe_inputs(model: Model, probe_seed: int) -> np.ndarray:
     return gen.integers(0, _input_size(model.config), size=(_PROBE_COUNT, model.config.length), dtype=np.int64)
 
 
+def _raw(array: np.ndarray, dtype: str) -> memoryview:
+    """The array's bytes in the file's dtype, without a copy when it already matches."""
+    return memoryview(np.ascontiguousarray(array, dtype=dtype)).cast("B")
+
+
 def save_checkpoint(
     model: Model,
     path: str | Path,
@@ -513,7 +527,11 @@ def save_checkpoint(
     metadata: dict | None = None,
     probe_seed: int = 0,
 ) -> None:
-    """Write the binary checkpoint; byte-identical for identical state."""
+    """Write the binary checkpoint; byte-identical for identical state.
+
+    Each piece goes to the file and the digest straight from its array's
+    memory, so the save holds no copy of the file.
+    """
     params = model.parameters()
     config_obj = _word_config_obj(model.config) if model.kind == "word" else _char_config_obj(model.config)
     probe_in = _probe_inputs(model, probe_seed)
@@ -528,17 +546,15 @@ def save_checkpoint(
         "probe": {"count": _PROBE_COUNT, "seed": probe_seed},
     }
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode("utf-8")
-    blob = bytearray()
-    blob += _MAGIC
-    blob += struct.pack("<I", _VERSION)
-    blob += struct.pack("<Q", len(header_bytes))
-    blob += header_bytes
-    for p in params:
-        blob += np.ascontiguousarray(p.value, dtype="<f8").tobytes()
-    blob += np.ascontiguousarray(probe_in, dtype="<i8").tobytes()
-    blob += np.ascontiguousarray(probe_logits, dtype="<f8").tobytes()
-    blob += hashlib.sha256(bytes(blob)).digest()
-    Path(path).write_bytes(bytes(blob))
+    pieces = [_MAGIC, struct.pack("<IQ", _VERSION, len(header_bytes)), header_bytes]
+    pieces += [_raw(p.value, "<f8") for p in params]
+    pieces += [_raw(probe_in, "<i8"), _raw(probe_logits, "<f8")]
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for piece in pieces:
+            digest.update(piece)
+            fh.write(piece)
+        fh.write(digest.digest())
 
 
 @dataclass
@@ -547,19 +563,28 @@ class LoadedCheckpoint:
     encoder: object | None
     quad_map_digest: str | None
     metadata: dict
+    sha256: str  # hex digest of the whole file, as a manifest records it
     header: dict = field(repr=False)
 
 
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> LoadedCheckpoint:
-    """Restore a model and verify digest plus bit-exact probe predictions."""
+    """Restore a model and verify digest plus bit-exact probe predictions.
+
+    Checks run in file order, the digest before the header is parsed, and
+    the file size against the header before the model is allocated. The
+    file is read once, parameters are filled from views into it rather
+    than from slices, and the model is built without drawing an init.
+    """
     data = Path(path).read_bytes()
     if len(data) < 16 + 32 or data[:4] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad or truncated magic)")
     version = struct.unpack_from("<I", data, 4)[0]
     if version != _VERSION:
         raise FormatVersionMismatchError(version, _VERSION)
-    if hashlib.sha256(data[:-32]).digest() != data[-32:]:
+    digest = hashlib.sha256(memoryview(data)[:-32])
+    if digest.digest() != data[-32:]:
         raise DigestMismatchError(f"{path}: integrity digest does not match contents")
+    digest.update(data[-32:])
     header_len = struct.unpack_from("<Q", data, 8)[0]
     offset = 16
     if offset + header_len > len(data) - 32:
@@ -584,12 +609,17 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     count = probe.get("count") if isinstance(probe, dict) else None
     if not isinstance(count, int) or count < 1:
         raise CheckpointError(f"{path}: bad probe block description {probe!r}")
-    in_bytes = count * config.length * 8
-    logit_bytes = count * config.classes * 8
+    length = config.length
     # Sizes come from the header, so check them against the file before allocating.
-    if offset + implied_param_count(config) * 8 + in_bytes + logit_bytes != len(data) - 32:
+    if offset + (implied_param_count(config) + count * (length + config.classes)) * 8 != len(data) - 32:
         raise CheckpointError(f"{path}: file size does not match the model its header describes")
-    model = WordCnn(config, seed=0) if kind == "word" else CharCnn(config, seed=0)
+    model = WordCnn(config, seed=None) if kind == "word" else CharCnn(config, seed=None)
+
+    def take(dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+        nonlocal offset
+        out = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=offset).reshape(shape)
+        offset += out.nbytes
+        return out
 
     params = model.parameters()
     declared = header.get("params")
@@ -598,14 +628,10 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     for p, meta in zip(params, declared):
         if not isinstance(meta, dict) or meta.get("name") != p.name or meta.get("shape") != list(p.value.shape):
             raise CheckpointError(f"{path}: parameter mismatch at {p.name!r} vs header {meta!r}")
-        nbytes = p.value.size * 8
-        p.value[...] = np.frombuffer(data[offset : offset + nbytes], dtype="<f8").reshape(p.value.shape)
-        offset += nbytes
+        p.value[...] = take("<f8", p.value.shape)
 
-    length = model.config.length
-    probe_in = np.frombuffer(data[offset : offset + in_bytes], dtype="<i8").reshape(count, length)
-    offset += in_bytes
-    want = np.frombuffer(data[offset : offset + logit_bytes], dtype="<f8").reshape(count, model.config.classes)
+    probe_in = take("<i8", (count, length))
+    want = take("<f8", (count, config.classes))
     got = model.forward_logits(probe_in, EVAL)[0]
     if not np.array_equal(got, want):
         raise ProbeMismatchError(f"{path}: restored model disagrees with stored probe logits")
@@ -615,5 +641,6 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
         encoder=encoder,
         quad_map_digest=header.get("quadmap_digest"),
         metadata=header.get("metadata", {}),
+        sha256=digest.hexdigest(),
         header=header,
     )

@@ -42,7 +42,7 @@ class Parameter:
 
     def __post_init__(self):
         self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        self.grad = np.zeros_like(self.value)
+        self.grad = np.zeros(self.value.shape)  # not zeros_like: untouched pages stay unwritten
 
     @property
     def size(self) -> int:
@@ -63,7 +63,10 @@ class PassContext:
 EVAL = PassContext(training=False, rngs=None)
 
 
-def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+def glorot_uniform(gen: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot/Xavier uniform draw; no generator gives zeros."""
+    if gen is None:
+        return np.zeros(shape)
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return gen.uniform(-limit, limit, size=shape)
 
@@ -96,7 +99,7 @@ class Embedding:
 
 
 class Conv1d:
-    def __init__(self, in_channels: int, frames: int, kernel: int, gen: np.random.Generator, name: str):
+    def __init__(self, in_channels: int, frames: int, kernel: int, gen: np.random.Generator | None, name: str):
         fan_in = in_channels * kernel
         fan_out = frames * kernel
         self.w = Parameter(f"{name}.w", glorot_uniform(gen, (frames, in_channels, kernel), fan_in, fan_out))
@@ -117,7 +120,7 @@ class Conv1d:
 
 
 class Dense:
-    def __init__(self, in_features: int, units: int, gen: np.random.Generator, name: str):
+    def __init__(self, in_features: int, units: int, gen: np.random.Generator | None, name: str):
         self.w = Parameter(f"{name}.w", glorot_uniform(gen, (units, in_features), in_features, units))
         self.b = Parameter(f"{name}.b", np.zeros(units))
 

@@ -117,7 +117,14 @@ def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pool plus absolute input position of each window's first maximum."""
+    """Pool plus absolute input position of each window's first maximum.
+
+    One whole-array step per window position rather than an argmax over a
+    window axis of 2 or 3, which numpy runs row by row. A position takes
+    over only when strictly greater, so the first of equal maxima wins;
+    np.maximum carries a NaN through to the output trap. (Of a window whose
+    maximum is a zero of both signs, np.maximum picks which zero is output.)
+    """
     x = _f64(x)
     _require(x.ndim == 3, f"maxpool1d input must be (N, F, L), got {x.shape}")
     _require(width >= 1, f"maxpool1d width must be >= 1, got {width}")
@@ -125,8 +132,13 @@ def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
     steps = length // width
     _require(steps >= 1, f"maxpool1d needs L >= width, got L={length}, width={width}")
     view = x[:, :, : steps * width].reshape(n, frames, steps, width)
-    inner = view.argmax(axis=3)  # numpy argmax keeps the first of ties
-    y = np.take_along_axis(view, inner[..., None], axis=3)[..., 0]
+    y = view[..., 0].copy()
+    # the narrowest index type keeps the per-position temporaries small
+    inner = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1))
+    for i in range(1, width):
+        candidate = view[..., i]
+        np.maximum(inner, (candidate > y) * inner.dtype.type(i), out=inner)  # later positions carry larger i
+        np.maximum(candidate, y, out=y)
     argmax = inner + np.arange(steps, dtype=np.int64) * width
     return _trap("maxpool1d", y), argmax
 

@@ -173,6 +173,7 @@ def train(
     n = len(train_set)
     history: list[EpochStats] = []
     best_accuracy = -1.0
+    best_epoch = 0
     best_values: list[np.ndarray] | None = None
     wait = 0
     step = 0
@@ -195,13 +196,15 @@ def train(
         history.append(EpochStats(epoch, epoch_loss / n, dev_accuracy))
         if dev_accuracy > best_accuracy:
             best_accuracy = dev_accuracy
-            best_values = [p.value.copy() for p in params]
+            best_epoch = epoch
+            # the final epoch needs no snapshot: nothing can follow to overwrite it
+            best_values = [p.value.copy() for p in params] if epoch < config.epochs else None
             wait = 0
         else:
             wait += 1
             if wait > config.patience:
                 break
-    if best_values is not None:
+    if best_epoch != history[-1].epoch:
         for p, value in zip(params, best_values):
             p.value[...] = value
     return model, history

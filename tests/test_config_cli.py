@@ -4,11 +4,13 @@ CLI commands run in-process through main(argv) so exit codes, stdout, and
 produced files can all be asserted cheaply.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from quadcode import cli
 from quadcode.cli import main
 from quadcode.config import (
     ConfigError,
@@ -319,6 +321,26 @@ class TestPredictCommand:
         code = main(["predict", "--checkpoint", str(broken), "--in", str(dev_path), "--out", str(tmp_path / "p.jsonl")])
         assert code == 2
         assert "digest" in capsys.readouterr().err.lower()
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_manifest_reuses_the_load_digest(trained, tmp_path, monkeypatch, capsys, command):
+    """The manifest records the checkpoint's sha256 as taken while loading it,
+    without reading the file a second time."""
+    _, ckpt, dev_path = trained
+    hashed = []
+    true_sha256_file = cli._sha256_file
+    monkeypatch.setattr(cli, "_sha256_file", lambda path: hashed.append(str(path)) or true_sha256_file(path))
+    out = tmp_path / "out.json"
+    if command == "eval":
+        argv = ["eval", "--checkpoint", str(ckpt), "--test", str(dev_path), "--report", str(out)]
+    else:
+        argv = ["predict", "--checkpoint", str(ckpt), "--in", str(dev_path), "--out", str(out)]
+    assert main(argv) == 0
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    assert manifest["inputs"][str(ckpt)] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
+    assert manifest["inputs"][str(dev_path)] == hashlib.sha256(dev_path.read_bytes()).hexdigest()
+    assert hashed == [str(dev_path)]
 
 
 class TestGradcheckCommand:

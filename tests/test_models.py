@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from quadcode import cli
+from quadcode import cli, rng
 from quadcode.models import (
     CharCnnConfig,
     CheckpointError,
@@ -39,6 +39,7 @@ from quadcode.text_encoding import (
     VocabEntry,
     Vocabulary,
     WordEncoder,
+    build_char_alphabet,
     build_vocab,
     load_embeddings,
 )
@@ -463,6 +464,72 @@ class TestCheckpoints:
         path.write_bytes(b"hi")
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
+
+    # sha256 of the files _golden_checkpoint writes, as the format stood
+    # before the writer streamed its pieces: any drift in layout fails here.
+    GOLDEN = {
+        "word": "54b1a245394188c5123ec20bee50fe46788821b32e7e48ae4a9bfae4758259fa",
+        "char": "96175c71d79dfe621d8584978d9390f4a5f3bfed2f2ce70dc82d6e131cadf391",
+    }
+
+    def _golden_checkpoint(self, kind, path):
+        records = [SentenceRecord(id="a", lang="en", text="alpha beta gamma beta"),
+                   SentenceRecord(id="b", lang="en", text="delta alpha")]
+        if kind == "word":
+            encoder = WordEncoder(build_vocab(records), 16)
+            model = build_word_cnn(tiny_word_config(vocab_size=encoder.vocab.size), seed=11)
+        else:
+            alphabet = build_char_alphabet(records)
+            encoder = CharEncoder(alphabet, 32)
+            model = build_char_cnn(tiny_char_config(alphabet_size=alphabet.size), seed=12)
+        # Multiples of 1/8 keep every probe sum exact, so the stored logits do
+        # not depend on the order in which the BLAS build adds.
+        for p in model.parameters():
+            p.value[...] = np.round(p.value * 8) / 8
+        save_checkpoint(model, path, encoder=encoder, quad_map_digest="ab" * 32,
+                        metadata={"seed": 11, "note": "golden"}, probe_seed=13)
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_format_matches_golden(self, tmp_path, kind):
+        path = tmp_path / f"{kind}.ckpt"
+        self._golden_checkpoint(kind, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[kind]
+        assert load_checkpoint(path, expected_kind=kind).sha256 == self.GOLDEN[kind]
+
+    def test_loaded_sha256_is_the_file_digest(self, tmp_path):
+        model, path = self._model_and_path(tmp_path, seed=5)
+        save_checkpoint(model, path)
+        assert load_checkpoint(path).sha256 == hashlib.sha256(path.read_bytes()).hexdigest()
+
+    def test_digest_checked_before_header(self, tmp_path):
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        assert blob[16:17] == b"{"
+        blob[16] ^= 0xFF  # not UTF-8: a header parsed first would fail as unreadable
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DigestMismatchError):
+            load_checkpoint(path)
+
+    def test_loaded_model_has_zero_grads(self, tmp_path):
+        model = build_char_cnn(tiny_char_config(), seed=2)
+        path = tmp_path / "char.ckpt"
+        save_checkpoint(model, path)
+        for p in load_checkpoint(path).model.parameters():
+            assert p.grad.shape == p.value.shape and not p.grad.any()
+
+    @pytest.mark.parametrize("build", [build_word_cnn, build_char_cnn])
+    def test_load_draws_no_init(self, tmp_path, monkeypatch, build):
+        model = build(tiny_word_config() if build is build_word_cnn else tiny_char_config(), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        paths = []
+        true_stream = rng.stream
+        monkeypatch.setattr(rng, "stream", lambda seed, *path: paths.append(path) or true_stream(seed, *path))
+        loaded = load_checkpoint(path)
+        assert not [p for p in paths if p[:1] in ((rng.INIT,), (rng.EMBED,))]
+        for pa, pb in zip(model.parameters(), loaded.model.parameters()):
+            assert (pa.value == pb.value).all()
 
     @pytest.mark.parametrize(
         "forge",

@@ -322,6 +322,26 @@ class TestMaxPool:
         with pytest.raises(ops.ShapeMismatchError):
             ops.maxpool1d(np.zeros((1, 1, 2)), 3)
 
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 31])
+    def test_ties_at_every_width_match_oracle(self, width):
+        gen = np.random.default_rng(width)
+        x = gen.integers(-1, 2, size=(2, 3, 2 * width + 1)).astype(np.float64)
+        y, argmax = ops.maxpool1d_with_argmax(x, width)
+        for j in range(2):
+            want_y, want_arg = naive_maxpool(x[j], width)
+            assert (y[j] == want_y).all() and (argmax[j] == want_arg).all()
+
+    def test_signed_zero_tie_routes_to_first(self):
+        _, argmax = ops.maxpool1d_with_argmax(np.array([[[-1.0, -0.0, 0.0, -0.0, 0.0, 0.0]]]), 3)
+        assert argmax.tolist() == [[[1, 3]]]
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_nan_anywhere_in_window_trapped(self, pos):
+        x = np.zeros((1, 1, 3))
+        x[0, 0, pos] = np.nan
+        with pytest.raises(ops.NonFiniteTensorError):
+            ops.maxpool1d(x, 3)
+
 
 class TestDense:
     def test_identity(self):

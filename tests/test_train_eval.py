@@ -6,12 +6,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 import quadcode
 
+from quadcode import train_eval
 from quadcode.errors import QuadcodeError
 from quadcode.models import build_word_cnn, predict, tiny_word_config
 from quadcode.text_encoding import EncodedExample
@@ -205,6 +207,34 @@ class TestTrainingLoop:
         # stopping rule: the tail after the best epoch is at most patience+1 long
         best_epoch = max(history, key=lambda h: (h.dev_accuracy, -h.epoch)).epoch
         assert history[-1].epoch - best_epoch <= config.patience + 1
+
+    @pytest.mark.parametrize(
+        "accuracies, epochs, patience, best_epoch",
+        [
+            ([0.5, 0.7], 2, 5, 2),  # best is the final epoch: nothing to restore
+            ([0.7, 0.5, 0.6], 3, 5, 1),  # ran to the limit past the best epoch
+            ([0.5, 0.7, 0.6, 0.6], 10, 1, 2),  # stopped early by patience
+            ([0.7, 0.7], 2, 5, 1),  # a tie does not move the best epoch
+            ([0.4], 1, 0, 1),
+        ],
+    )
+    def test_returns_best_epoch_parameters(self, monkeypatch, accuracies, epochs, patience, best_epoch):
+        """Scripted dev accuracies; the returned weights are exactly those
+        the best epoch ended with, whether or not a snapshot was needed."""
+        snapshots = []
+        scripted = iter(accuracies)
+
+        def fake_evaluate(model, dev_set, batch_size):
+            snapshots.append([p.value.copy() for p in model.parameters()])
+            return SimpleNamespace(accuracy=next(scripted))
+
+        monkeypatch.setattr(train_eval, "evaluate", fake_evaluate)
+        data = self._separable_examples(8, seed=12)
+        model, history = train(build_word_cnn(tiny_word_config(), seed=0), data, data,
+                               TrainConfig(batch_size=4, epochs=epochs, patience=patience, seed=0))
+        assert [h.dev_accuracy for h in history] == accuracies
+        for p, want in zip(model.parameters(), snapshots[best_epoch - 1]):
+            assert (p.value == want).all()
 
     def test_epochs_one_runs_single_epoch(self):
         model = build_word_cnn(tiny_word_config(), seed=0)
