@@ -24,6 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -567,21 +568,44 @@ class LoadedCheckpoint:
     header: dict = field(repr=False)
 
 
+def _read_aligned(path: str | Path) -> np.ndarray:
+    """The file's bytes, read once into a fresh buffer placed so that the
+    parameter block (after the 16-byte preamble and the header) starts on
+    an 8-byte boundary. The header length only sets that shift; load_checkpoint
+    checks it afterwards like any other field."""
+    with open(path, "rb", buffering=0) as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(16)
+        header_len = struct.unpack_from("<Q", head, 8)[0] if len(head) == 16 else 0
+        raw = np.empty(size + 8, dtype=np.uint8)
+        shift = -(raw.ctypes.data + 16 + header_len) % 8
+        data = raw[shift : shift + size]
+        data[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        got = len(head)
+        view = memoryview(data)
+        while got < size and (n := fh.readinto(view[got:])):
+            got += n
+    return data[:got]
+
+
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> LoadedCheckpoint:
     """Restore a model and verify digest plus bit-exact probe predictions.
 
-    Checks run in file order, the digest before the header is parsed, and
-    the file size against the header before the model is allocated. The
-    file is read once, parameters are filled from views into it rather
-    than from slices, and the model is built without drawing an init.
+    Checks run in file order: magic, version, the digest before the header
+    is parsed, the header, that the encoder fits the model, and the file
+    size against the header before the model is allocated. The file is
+    read once into one aligned buffer and hashed once; every parameter of
+    the returned model is a writable float64 view into that buffer, so the
+    load makes no second copy of the parameters and draws no init.
     """
-    data = Path(path).read_bytes()
+    buf = _read_aligned(path)
+    data = memoryview(buf)
     if len(data) < 16 + 32 or data[:4] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad or truncated magic)")
     version = struct.unpack_from("<I", data, 4)[0]
     if version != _VERSION:
         raise FormatVersionMismatchError(version, _VERSION)
-    digest = hashlib.sha256(memoryview(data)[:-32])
+    digest = hashlib.sha256(data[:-32])
     if digest.digest() != data[-32:]:
         raise DigestMismatchError(f"{path}: integrity digest does not match contents")
     digest.update(data[-32:])
@@ -590,7 +614,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     if offset + header_len > len(data) - 32:
         raise CheckpointError(f"{path}: truncated header")
     try:
-        header = json.loads(data[offset : offset + header_len].decode("utf-8"))
+        header = json.loads(str(data[offset : offset + header_len], "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
     offset += header_len
@@ -617,7 +641,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
 
     def take(dtype: str, shape: tuple[int, ...]) -> np.ndarray:
         nonlocal offset
-        out = np.frombuffer(data, dtype=dtype, count=math.prod(shape), offset=offset).reshape(shape)
+        out = buf[offset : offset + math.prod(shape) * 8].view(dtype).reshape(shape)
         offset += out.nbytes
         return out
 
@@ -628,7 +652,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     for p, meta in zip(params, declared):
         if not isinstance(meta, dict) or meta.get("name") != p.name or meta.get("shape") != list(p.value.shape):
             raise CheckpointError(f"{path}: parameter mismatch at {p.name!r} vs header {meta!r}")
-        p.value[...] = take("<f8", p.value.shape)
+        p.value = take("<f8", p.value.shape)
 
     probe_in = take("<i8", (count, length))
     want = take("<f8", (count, config.classes))

@@ -48,7 +48,7 @@ class Sgd:
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self._velocity = [np.zeros_like(p.value) for p in self.params]
+        self._velocity = [np.zeros(p.value.shape) for p in self.params]
 
     def step(self) -> None:
         _check_finite(self.params)
@@ -79,8 +79,9 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m = [np.zeros_like(p.value) for p in self.params]
-        self._v = [np.zeros_like(p.value) for p in self.params]
+        # not zeros_like: np.zeros leaves the pages unwritten until the first step
+        self._m = [np.zeros(p.value.shape) for p in self.params]
+        self._v = [np.zeros(p.value.shape) for p in self.params]
 
     def step(self) -> None:
         _check_finite(self.params)

@@ -50,41 +50,28 @@ class VocabParseError(TextEncodingError):
         self.entry_no = entry_no
 
 
-@dataclass(frozen=True)
-class VocabEntry:
-    token: str
-    index: int
-    count: int
-
-
-def _rank_and_index(counts: Counter, max_size: int | None, min_count: int) -> list[tuple]:
-    """Shared ranking rule: count desc, then key ascending; ids from 2 up."""
-    if max_size is not None and max_size < _RESERVED:
-        raise TextEncodingError(f"max_size must leave room for PAD and UNK, got {max_size}")
-    kept = [(k, c) for k, c in counts.items() if c >= min_count]
-    kept.sort(key=lambda kc: (-kc[1], kc[0]))
-    if max_size is not None:
-        kept = kept[: max_size - _RESERVED]
-    return kept
-
-
 class Vocabulary:
-    """Dense token→id map with PAD=0 and UNK=1 always present."""
+    """Dense token→id map with PAD=0 and UNK=1 always present.
 
-    def __init__(self, entries: Iterable[VocabEntry]):
-        self.entries: tuple[VocabEntry, ...] = tuple(entries)
-        self._index: dict[str, int] = {}
-        for pos, entry in enumerate(self.entries):
-            want = pos + _RESERVED
-            if entry.index != want:
-                raise TextEncodingError(f"vocabulary indices not dense: {entry.token!r} has index {entry.index}, expected {want}")
-            if entry.token in self._index:
-                raise TextEncodingError(f"duplicate vocabulary token {entry.token!r}")
-            self._index[entry.token] = entry.index
+    tokens[i] has id i + 2 and was seen counts[i] times. Word vocabularies
+    and character alphabets are both Vocabularies; CharEncoder checks that
+    an alphabet's tokens are single codepoints.
+    """
+
+    def __init__(self, tokens: list[str], counts: list[int]):
+        self.tokens = tokens
+        self.counts = counts
+        self._index: dict[str, int] = dict(zip(tokens, range(_RESERVED, _RESERVED + len(tokens))))
+        if len(self._index) != len(tokens):
+            seen: set[str] = set()
+            for entry_no, token in enumerate(tokens, start=1):
+                if token in seen:
+                    raise VocabParseError(entry_no, f"duplicate token {token!r}")
+                seen.add(token)
 
     @property
     def size(self) -> int:
-        return len(self.entries) + _RESERVED
+        return len(self.tokens) + _RESERVED
 
     def index_of(self, token: str) -> int:
         return self._index.get(token, UNK)
@@ -93,31 +80,15 @@ class Vocabulary:
         return token in self._index
 
 
-class CharAlphabet:
-    """Dense codepoint→id map; entries hold single-character tokens."""
-
-    def __init__(self, entries: Iterable[VocabEntry]):
-        self.entries: tuple[VocabEntry, ...] = tuple(entries)
-        self._index: dict[str, int] = {}
-        for pos, entry in enumerate(self.entries):
-            want = pos + _RESERVED
-            if entry.index != want:
-                raise TextEncodingError(f"alphabet indices not dense: {entry.token!r} has index {entry.index}, expected {want}")
-            if len(entry.token) != 1:
-                raise TextEncodingError(f"alphabet entry must be a single codepoint, got {entry.token!r}")
-            if entry.token in self._index:
-                raise TextEncodingError(f"duplicate alphabet codepoint {entry.token!r}")
-            self._index[entry.token] = entry.index
-
-    @property
-    def size(self) -> int:
-        return len(self.entries) + _RESERVED
-
-    def index_of(self, char: str) -> int:
-        return self._index.get(char, UNK)
-
-    def __contains__(self, char: str) -> bool:
-        return char in self._index
+def _ranked(counts: Counter, max_size: int | None, min_count: int) -> Vocabulary:
+    """Shared ranking rule: count desc, then key ascending; ids from 2 up."""
+    if max_size is not None and max_size < _RESERVED:
+        raise TextEncodingError(f"max_size must leave room for PAD and UNK, got {max_size}")
+    kept = [(k, c) for k, c in counts.items() if c >= min_count]
+    kept.sort(key=lambda kc: (-kc[1], kc[0]))
+    if max_size is not None:
+        kept = kept[: max_size - _RESERVED]
+    return Vocabulary([k for k, _ in kept], [c for _, c in kept])
 
 
 def build_vocab(
@@ -130,19 +101,17 @@ def build_vocab(
     counts: Counter = Counter()
     for record in records:
         counts.update(tokenize(record.text))
-    kept = _rank_and_index(counts, max_size, min_count)
-    return Vocabulary(VocabEntry(tok, i + _RESERVED, c) for i, (tok, c) in enumerate(kept))
+    return _ranked(counts, max_size, min_count)
 
 
 def build_char_alphabet(
     records: Iterable[SentenceRecord], max_size: int | None = 256, min_count: int = 1
-) -> CharAlphabet:
+) -> Vocabulary:
     """Most frequent codepoints of the lowercased texts, ties by codepoint."""
     counts: Counter = Counter()
     for record in records:
         counts.update(record.text.lower())
-    kept = _rank_and_index(counts, max_size, min_count)
-    return CharAlphabet(VocabEntry(ch, i + _RESERVED, c) for i, (ch, c) in enumerate(kept))
+    return _ranked(counts, max_size, min_count)
 
 
 def _fit(indices: list[int], length: int) -> np.ndarray:
@@ -159,7 +128,7 @@ def encode_words(vocab: Vocabulary, tokens: Sequence[str], length: int) -> np.nd
     return _fit([vocab.index_of(t) for t in tokens], length)
 
 
-def encode_chars(alphabet: CharAlphabet, text: str, length: int) -> np.ndarray:
+def encode_chars(alphabet: Vocabulary, text: str, length: int) -> np.ndarray:
     """int64[length] over the codepoints of text.lower(), whitespace kept."""
     return _fit([alphabet.index_of(ch) for ch in text.lower()], length)
 
@@ -211,20 +180,31 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, table: np.ndarray) -> N
 # objects in index order.
 
 
-def _entry_obj(entry: VocabEntry) -> dict:
-    return {"token": entry.token, "index": entry.index, "count": entry.count}
+def _entry_objs(vocab: Vocabulary) -> list[dict]:
+    return [
+        {"token": token, "index": index, "count": count}
+        for index, (token, count) in enumerate(zip(vocab.tokens, vocab.counts), start=_RESERVED)
+    ]
 
 
-def _entry_from_obj(obj: object, entry_no: int) -> VocabEntry:
-    if not isinstance(obj, dict):
-        raise VocabParseError(entry_no, "expected a JSON object")
-    try:
-        token, index, count = obj["token"], obj["index"], obj["count"]
-    except KeyError as exc:
-        raise VocabParseError(entry_no, f"missing key {exc.args[0]!r}") from None
-    if not isinstance(token, str) or not isinstance(index, int) or not isinstance(count, int):
-        raise VocabParseError(entry_no, "bad field types")
-    return VocabEntry(token, index, count)
+def _vocab_from_objs(objs: list) -> Vocabulary:
+    """One validating pass over the entry objects; entry numbers count from 1."""
+    tokens: list[str] = []
+    counts: list[int] = []
+    for entry_no, obj in enumerate(objs, start=1):
+        if not isinstance(obj, dict):
+            raise VocabParseError(entry_no, "expected a JSON object")
+        try:
+            token, index, count = obj["token"], obj["index"], obj["count"]
+        except KeyError as exc:
+            raise VocabParseError(entry_no, f"missing key {exc.args[0]!r}") from None
+        if not isinstance(token, str) or not isinstance(index, int) or not isinstance(count, int):
+            raise VocabParseError(entry_no, "bad field types")
+        if index != entry_no - 1 + _RESERVED:
+            raise VocabParseError(entry_no, f"index {index} is not dense, expected {entry_no - 1 + _RESERVED}")
+        tokens.append(token)
+        counts.append(count)
+    return Vocabulary(tokens, counts)
 
 
 # --- encoder bundles ---------------------------------------------------------
@@ -245,14 +225,19 @@ class WordEncoder:
         return {
             "kind": "word",
             "length": self.length,
-            "entries": [_entry_obj(e) for e in self.vocab.entries],
+            "entries": _entry_objs(self.vocab),
         }
 
 
 @dataclass(frozen=True)
 class CharEncoder:
-    alphabet: CharAlphabet
+    alphabet: Vocabulary
     length: int
+
+    def __post_init__(self):
+        for entry_no, token in enumerate(self.alphabet.tokens, start=1):
+            if len(token) != 1:
+                raise VocabParseError(entry_no, f"alphabet entry must be a single codepoint, got {token!r}")
 
     def encode(self, text: str) -> np.ndarray:
         return encode_chars(self.alphabet, text, self.length)
@@ -261,7 +246,7 @@ class CharEncoder:
         return {
             "kind": "char",
             "length": self.length,
-            "entries": [_entry_obj(e) for e in self.alphabet.entries],
+            "entries": _entry_objs(self.alphabet),
         }
 
 
@@ -274,9 +259,8 @@ def encoder_from_json_obj(obj: object) -> WordEncoder | CharEncoder:
         raise TextEncodingError(f"encoder object missing key {exc.args[0]!r}") from None
     if not isinstance(length, int) or not isinstance(raw_entries, list):
         raise TextEncodingError("encoder object has bad field types")
-    entries = [_entry_from_obj(e, i + 1) for i, e in enumerate(raw_entries)]
     if kind == "word":
-        return WordEncoder(Vocabulary(entries), length)
+        return WordEncoder(_vocab_from_objs(raw_entries), length)
     if kind == "char":
-        return CharEncoder(CharAlphabet(entries), length)
+        return CharEncoder(_vocab_from_objs(raw_entries), length)
     raise TextEncodingError(f"unknown encoder kind {kind!r}")

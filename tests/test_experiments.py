@@ -1,22 +1,11 @@
-"""Record-level fitting plumbing and the two-section experiment report."""
-
-import json
+"""Record-level fitting plumbing: encoder fit, labelled encoding, fit."""
 
 import pytest
 
 from quadcode.config import Settings
 from quadcode.corpus import SentenceRecord
 from quadcode.errors import InputError
-from quadcode.experiments import (
-    Condition,
-    ExperimentReport,
-    REFERENCE_RESULTS,
-    ReportRow,
-    build_encoder,
-    encode_labelled,
-    fit,
-    run_experiment,
-)
+from quadcode.experiments import build_encoder, encode_labelled, fit
 from quadcode.fixtures import make_separable_corpus
 from quadcode.text_encoding import CharEncoder, WordEncoder
 
@@ -106,7 +95,7 @@ class TestFit:
         records = make_separable_corpus(16, seed=6)
         settings = _small_settings("word")
         # pick a token the fitted vocabulary is guaranteed to contain
-        token = build_encoder(records[:12], settings).vocab.entries[0].token
+        token = build_encoder(records[:12], settings).vocab.tokens[0]
         vec_path = tmp_path / "vecs.txt"
         vec_path.write_text(token + " " + " ".join(["0.111"] * 8) + "\n")
         settings.apply(
@@ -118,62 +107,3 @@ class TestFit:
         embed = next(p for p in result.model.parameters() if p.name == "embedding")
         assert embed.frozen
         assert (embed.value[index] == 0.111).all()
-
-
-class TestReport:
-    def _report(self, rows):
-        return ExperimentReport(tuple(rows), Settings().to_json_obj())
-
-    def test_two_sections_in_order(self):
-        report = self._report([
-            ReportRow("word", "latin fixture", 0.9875),
-            ReportRow("char", "arabic fixture", 0.9625),
-        ])
-        text = report.render_text()
-        word_at = text.index("Word-based models")
-        char_at = text.index("Character-based models")
-        assert word_at < char_at
-        assert "latin fixture" in text and "0.9875" in text
-        assert "arabic fixture" in text and "0.9625" in text
-
-    def test_reference_rows_always_present(self):
-        text = self._report([]).render_text()
-        for kind, condition, accuracy in REFERENCE_RESULTS:
-            assert condition in text
-            assert f"{accuracy:.2f}" in text
-        assert text.count("(no runs)") == 2
-        assert "not distributed" in text
-
-    def test_rows_land_in_their_section(self):
-        report = self._report([ReportRow("char", "only char", 0.5)])
-        text = report.render_text()
-        word_section = text[text.index("Word-based models"): text.index("Character-based models")]
-        assert "(no runs)" in word_section
-        assert "only char" not in word_section
-
-    def test_json_twin_carries_same_rows(self):
-        report = self._report([ReportRow("word", "fixture", 0.75)])
-        obj = json.loads(report.to_json())
-        assert obj["rows"] == [{"kind": "word", "condition": "fixture", "accuracy": 0.75}]
-        assert len(obj["reference_results"]) == len(REFERENCE_RESULTS)
-        assert "note" in obj and "settings" in obj
-
-
-class TestRunExperiment:
-    def test_mixed_suite(self):
-        latin = make_separable_corpus(32, seed=7)
-        arabic = make_separable_corpus(32, seed=7, script="arabic")
-        conditions = [
-            Condition("word", "latin fixture", tuple(latin[:24]), tuple(latin[24:28]), tuple(latin[28:])),
-            Condition("char", "arabic fixture", tuple(arabic[:24]), tuple(arabic[24:28]), tuple(arabic[28:])),
-        ]
-        report = run_experiment(conditions, _small_settings("word"))
-        assert [r.kind for r in report.rows] == ["word", "char"]
-        assert all(0.0 <= r.accuracy <= 1.0 for r in report.rows)
-        text = report.render_text()
-        assert "latin fixture" in text and "arabic fixture" in text
-
-    def test_empty_suite(self):
-        report = run_experiment([], _small_settings())
-        assert report.rows == ()
-        assert "(no runs)" in report.render_text()

@@ -33,10 +33,8 @@ from quadcode.models import (
     word_branch_lengths,
 )
 from quadcode.text_encoding import (
-    CharAlphabet,
     CharEncoder,
     EncodedExample,
-    VocabEntry,
     Vocabulary,
     WordEncoder,
     build_char_alphabet,
@@ -44,6 +42,7 @@ from quadcode.text_encoding import (
     load_embeddings,
 )
 from quadcode.corpus import SentenceRecord
+from quadcode.tensor_nn.optim import Adam
 
 # --- oracles ------------------------------------------------------------------
 
@@ -511,6 +510,86 @@ class TestCheckpoints:
         with pytest.raises(DigestMismatchError):
             load_checkpoint(path)
 
+    def _sealed(self, body: bytes) -> bytes:
+        return body + hashlib.sha256(body).digest()
+
+    @pytest.mark.parametrize("build", [build_word_cnn, build_char_cnn])
+    def test_loaded_parameters_are_aligned_views_of_one_buffer(self, tmp_path, build):
+        model = build(tiny_word_config() if build is build_word_cnn else tiny_char_config(), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        params = load_checkpoint(path).model.parameters()
+        roots = set()
+        for p in params:
+            v = p.value
+            assert v.dtype == np.float64 and v.flags.c_contiguous and v.flags.writeable and v.flags.aligned
+            assert v.ctypes.data % 8 == 0
+            while v.base is not None:
+                v = v.base
+            roots.add(id(v))
+        assert len(roots) == 1
+        for a, b in zip(params, params[1:]):  # back to back, in declaration order
+            assert b.value.ctypes.data == a.value.ctypes.data + a.value.nbytes
+
+    def test_every_header_alignment_loads(self, tmp_path):
+        model, path = self._model_and_path(tmp_path, seed=6)
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        residues = set()
+        for pad in range(8):  # JSON allows trailing whitespace after the header object
+            raw = data[16 : 16 + header_len] + b" " * pad
+            residues.add((16 + len(raw)) % 8)
+            path.write_bytes(self._sealed(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]))
+            loaded = load_checkpoint(path)  # replays the probes
+            for pa, pb in zip(model.parameters(), loaded.model.parameters()):
+                assert (pa.value == pb.value).all() and pb.value.flags.aligned
+        assert residues == set(range(8))
+
+    @pytest.mark.parametrize("delta", [1, -1, 10**6, 2**63])
+    def test_wrong_header_length(self, tmp_path, delta):
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        body = data[:8] + struct.pack("<Q", header_len + delta) + data[16:-32]
+        path.write_bytes(body + data[-32:])
+        with pytest.raises(DigestMismatchError):
+            load_checkpoint(path)
+        path.write_bytes(self._sealed(body))
+        with pytest.raises(CheckpointError) as err:
+            load_checkpoint(path)
+        assert not isinstance(err.value, DigestMismatchError)
+
+    @pytest.mark.parametrize("sealed", [False, True])
+    def test_truncated_inside_parameter_block(self, tmp_path, capsys, sealed):
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        cut = 16 + struct.unpack_from("<Q", data, 8)[0] + 8 * 100 + 3
+        path.write_bytes(self._sealed(data[:cut]) if sealed else data[:cut])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        infile = tmp_path / "in.jsonl"
+        infile.write_text('{"id": "a", "lang": "en", "text": "w2 w3"}\n', encoding="utf-8")
+        code = cli.main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("build", [build_word_cnn, build_char_cnn])
+    def test_adam_step_on_loaded_model_saves_like_the_original(self, tmp_path, build):
+        model = build(tiny_word_config() if build is build_word_cnn else tiny_char_config(), seed=8)
+        save_checkpoint(model, tmp_path / "start.ckpt")
+        loaded = load_checkpoint(tmp_path / "start.ckpt").model
+        examples = make_gradcheck_examples(model, count=3, seed=9)
+        for m, name in ((model, "original.ckpt"), (loaded, "loaded.ckpt")):
+            gens = [np.random.default_rng(j) for j in range(len(examples))]
+            batch_loss(m, examples, training=True, dropout_rngs=gens, accumulate=True)
+            Adam(m.parameters(), lr=0.01).step()
+            save_checkpoint(m, tmp_path / name)
+        assert (tmp_path / "loaded.ckpt").read_bytes() == (tmp_path / "original.ckpt").read_bytes()
+        assert (tmp_path / "loaded.ckpt").read_bytes() != (tmp_path / "start.ckpt").read_bytes()
+
     def test_loaded_model_has_zero_grads(self, tmp_path):
         model = build_char_cnn(tiny_char_config(), seed=2)
         path = tmp_path / "char.ckpt"
@@ -578,10 +657,10 @@ class TestCheckpoints:
     )
     def test_encoder_that_does_not_fit_the_model(self, tmp_path, capsys, kind, forge):
         if kind == "word":
-            encoder = WordEncoder(Vocabulary(VocabEntry(f"w{i}", i, 1) for i in range(2, 50)), 16)
+            encoder = WordEncoder(Vocabulary([f"w{i}" for i in range(2, 50)], [1] * 48), 16)
             model = build_word_cnn(tiny_word_config(vocab_size=50), seed=0)
         else:
-            encoder = CharEncoder(CharAlphabet(VocabEntry(chr(0x61 + i), i, 1) for i in range(2, 8)), 32)
+            encoder = CharEncoder(Vocabulary([chr(0x61 + i) for i in range(2, 8)], [1] * 6), 32)
             model = build_char_cnn(tiny_char_config(alphabet_size=8), seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, encoder=encoder)

@@ -11,13 +11,11 @@ from quadcode.corpus import SentenceRecord
 from quadcode.text_encoding import (
     PAD,
     UNK,
-    CharAlphabet,
     CharEncoder,
     DimensionMismatchError,
     EmbeddingParseError,
     EncodedExample,
     TextEncodingError,
-    VocabEntry,
     VocabParseError,
     Vocabulary,
     WordEncoder,
@@ -38,7 +36,7 @@ class TestBuildVocab:
     def test_rank_by_count_then_token(self):
         # b appears 3x, a 2x, c 1x -> indices 2, 3, 4 after PAD/UNK
         vocab = build_vocab(_recs("b a", "b a c", "b"))
-        assert [(e.token, e.index, e.count) for e in vocab.entries] == [
+        assert [(t, vocab.index_of(t), c) for t, c in zip(vocab.tokens, vocab.counts)] == [
             ("b", 2, 3),
             ("a", 3, 2),
             ("c", 4, 1),
@@ -47,11 +45,11 @@ class TestBuildVocab:
 
     def test_tie_broken_lexicographically(self):
         vocab = build_vocab(_recs("zeta alpha", "zeta alpha"))
-        assert [e.token for e in vocab.entries] == ["alpha", "zeta"]
+        assert vocab.tokens == ["alpha", "zeta"]
 
     def test_max_size_counts_reserved_slots(self):
         vocab = build_vocab(_recs("a a a b b c"), max_size=3)
-        assert [e.token for e in vocab.entries] == ["a"]
+        assert vocab.tokens == ["a"]
         assert vocab.size == 3
 
     def test_max_size_too_small(self):
@@ -60,7 +58,7 @@ class TestBuildVocab:
 
     def test_min_count_filters(self):
         vocab = build_vocab(_recs("a a b"), min_count=2)
-        assert [e.token for e in vocab.entries] == ["a"]
+        assert vocab.tokens == ["a"]
 
     def test_uses_shared_tokenizer(self):
         vocab = build_vocab(_recs('"Hello," she said.'))
@@ -80,17 +78,17 @@ class TestBuildVocab:
     @settings(max_examples=80, deadline=None)
     def test_indices_dense_and_counts_sorted(self, words):
         vocab = build_vocab(_recs(" ".join(words)) if words else [])
-        indices = [e.index for e in vocab.entries]
+        indices = [vocab.index_of(t) for t in vocab.tokens]
         assert indices == list(range(2, 2 + len(indices)))
-        counts = [e.count for e in vocab.entries]
-        assert counts == sorted(counts, reverse=True)
+        assert len(vocab.counts) == len(indices)
+        assert vocab.counts == sorted(vocab.counts, reverse=True)
 
 
 class TestCharAlphabet:
     def test_counts_codepoints_of_lowercased_text(self):
         alphabet = build_char_alphabet(_recs("AbA"))
         # lowercased: "aba" -> a:2, b:1
-        assert [(e.token, e.count) for e in alphabet.entries] == [("a", 2), ("b", 1)]
+        assert list(zip(alphabet.tokens, alphabet.counts)) == [("a", 2), ("b", 1)]
 
     def test_whitespace_is_a_codepoint(self):
         alphabet = build_char_alphabet(_recs("a a"))
@@ -98,7 +96,7 @@ class TestCharAlphabet:
 
     def test_tie_broken_by_codepoint(self):
         alphabet = build_char_alphabet(_recs("ba"))
-        assert [e.token for e in alphabet.entries] == ["a", "b"]
+        assert alphabet.tokens == ["a", "b"]
 
     def test_arabic_codepoints(self):
         alphabet = build_char_alphabet(_recs("قصفت القوات"))
@@ -106,11 +104,12 @@ class TestCharAlphabet:
 
     def test_max_size_follows_frequency(self):
         alphabet = build_char_alphabet(_recs("aaabbc"), max_size=4)
-        assert [e.token for e in alphabet.entries] == ["a", "b"]
+        assert alphabet.tokens == ["a", "b"]
 
     def test_multichar_entry_rejected(self):
-        with pytest.raises(TextEncodingError):
-            CharAlphabet([VocabEntry("ab", 2, 1)])
+        with pytest.raises(VocabParseError) as err:
+            CharEncoder(Vocabulary(["a", "ab"], [2, 1]), 4)
+        assert err.value.entry_no == 2
 
 
 class TestEncode:
@@ -209,14 +208,15 @@ class TestEmbeddingTables:
 
 class TestSerialization:
     def test_jsonl_shape(self):
-        encoder = WordEncoder(Vocabulary([VocabEntry("a", 2, 9)]), 4)
+        encoder = WordEncoder(Vocabulary(["a"], [9]), 4)
         text = json.dumps(encoder.to_json_obj()["entries"], separators=(",", ":"))
         assert text == '[{"token":"a","index":2,"count":9}]'
 
     def test_char_alphabet_round_trip(self):
         alphabet = build_char_alphabet(_recs("قصفت القوات"))
         obj = json.loads(json.dumps(CharEncoder(alphabet, 8).to_json_obj(), ensure_ascii=False))
-        assert encoder_from_json_obj(obj).alphabet.entries == alphabet.entries
+        again = encoder_from_json_obj(obj).alphabet
+        assert (again.tokens, again.counts) == (alphabet.tokens, alphabet.counts)
 
     def test_parse_errors(self):
         obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 2}]}
@@ -225,12 +225,51 @@ class TestSerialization:
         assert err.value.entry_no == 1
 
     def test_non_dense_indices_rejected(self):
-        with pytest.raises(TextEncodingError):
-            Vocabulary([VocabEntry("a", 5, 1)])
+        obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 5, "count": 1}]}
+        with pytest.raises(VocabParseError) as err:
+            encoder_from_json_obj(obj)
+        assert err.value.entry_no == 1
 
     def test_duplicate_token_rejected(self):
-        with pytest.raises(TextEncodingError):
-            Vocabulary([VocabEntry("a", 2, 2), VocabEntry("a", 3, 1)])
+        with pytest.raises(VocabParseError) as err:
+            Vocabulary(["a", "a"], [2, 1])
+        assert err.value.entry_no == 2
+
+    @pytest.mark.parametrize(
+        "kind, bad, reason",
+        [
+            ("word", ["a"], "expected a JSON object"),
+            ("word", {"token": "a", "count": 1}, "missing key 'index'"),
+            ("word", {"token": "a", "index": 4, "count": "1"}, "bad field types"),
+            ("word", {"token": 7, "index": 4, "count": 1}, "bad field types"),
+            ("word", {"token": "a", "index": 5, "count": 1}, "not dense"),
+            ("word", {"token": "x", "index": 4, "count": 1}, "duplicate token 'x'"),
+            ("char", {"token": "yz", "index": 4, "count": 1}, "single codepoint"),
+        ],
+        ids=["not_object", "missing_key", "count_str", "token_int", "non_dense", "duplicate", "multi_codepoint"],
+    )
+    def test_rejection_names_its_entry(self, kind, bad, reason):
+        good = [{"token": "x", "index": 2, "count": 3}, {"token": "y", "index": 3, "count": 2}]
+        obj = {"kind": kind, "length": 4, "entries": [*good, bad, {"token": "z", "index": 5, "count": 1}]}
+        with pytest.raises(VocabParseError, match=reason) as err:
+            encoder_from_json_obj(obj)
+        assert err.value.entry_no == 3
+        assert str(err.value).startswith("vocabulary entry 3: ")
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_json_round_trip_byte_identical(self, kind):
+        records = _recs("قصفت القوات the cat sat", "the cat ran")
+        if kind == "word":
+            encoder = WordEncoder(build_vocab(records), 6)
+        else:
+            encoder = CharEncoder(build_char_alphabet(records), 9)
+        text = json.dumps(encoder.to_json_obj(), ensure_ascii=False, separators=(",", ":"), sort_keys=True)
+        again = encoder_from_json_obj(json.loads(text))
+        assert type(again) is type(encoder)
+        assert json.dumps(again.to_json_obj(), ensure_ascii=False, separators=(",", ":"), sort_keys=True) == text
+        entries = json.loads(text)["entries"]
+        assert [e["index"] for e in entries] == list(range(2, 2 + len(entries)))
+        assert all(set(e) == {"token", "index", "count"} for e in entries)
 
 
 class TestEncoderBundles:
