@@ -22,6 +22,7 @@ import numpy as np
 from . import config as config_mod
 from . import experiments
 from .corpus import (
+    JSONL_ENCODER,
     class_histogram,
     read_alignments,
     read_jsonl,
@@ -234,7 +235,7 @@ def _cmd_predict(args) -> int:
                 obj = record_to_obj(record)
                 obj["predicted"] = CLASSES[class_index].value
                 obj["probs"] = [float(p) for p in row]
-                fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+                fh.write(JSONL_ENCODER.encode(obj) + "\n")
     print(f"{len(records)} records annotated")
     _write_manifest(args.out, "predict", inputs=[args.checkpoint, args.infile], outputs=[args.out],
                     known_digests={str(args.checkpoint): loaded.sha256})

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -156,8 +156,12 @@ def record_to_obj(record: SentenceRecord) -> dict:
     return obj
 
 
+# One encoder for every JSONL line; json.dumps would build one per call.
+JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+
+
 def dumps_record(record: SentenceRecord) -> str:
-    return json.dumps(record_to_obj(record), ensure_ascii=False, separators=(",", ":"))
+    return JSONL_ENCODER.encode(record_to_obj(record))
 
 
 def _json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
@@ -199,8 +203,7 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
 
 def write_jsonl(records: Iterable[SentenceRecord], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(dumps_record(record) + "\n")
+        handle.writelines(dumps_record(record) + "\n" for record in records)
 
 
 def read_alignments(path: str | Path) -> list[AlignmentPair]:
@@ -273,7 +276,7 @@ def transfer_labels(
             report.dropped_targets += 1
             continue
         label, cameo = assigned[record.id]
-        out.append(replace(record, label=label, cameo=cameo))
+        out.append(SentenceRecord(record.id, record.lang, record.text, label, cameo, record.source))
         report.class_counts[label] += 1
     report.labelled_targets = len(out)
     return out, report

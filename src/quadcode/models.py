@@ -26,7 +26,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -565,7 +565,6 @@ class LoadedCheckpoint:
     quad_map_digest: str | None
     metadata: dict
     sha256: str  # hex digest of the whole file, as a manifest records it
-    header: dict = field(repr=False)
 
 
 def _read_aligned(path: str | Path) -> np.ndarray:
@@ -666,5 +665,4 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
         quad_map_digest=header.get("quadmap_digest"),
         metadata=header.get("metadata", {}),
         sha256=digest.hexdigest(),
-        header=header,
     )

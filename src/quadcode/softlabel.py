@@ -10,7 +10,7 @@ training labels, which is its only job here.
 from __future__ import annotations
 
 import unicodedata
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -35,6 +35,12 @@ class DictionaryParseError(SoftLabelError):
         self.line_no = line_no
 
 
+class ActorListParseError(SoftLabelError):
+    def __init__(self, line_no: int, reason: str):
+        super().__init__(f"actor list line {line_no}: {reason}")
+        self.line_no = line_no
+
+
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip surrounding punctuation.
 
@@ -43,6 +49,11 @@ def tokenize(text: str) -> list[str]:
     """
     tokens = []
     for raw in text.lower().split():
+        # No code point is both alphanumeric and P*, so such a token has
+        # nothing to strip: most news words skip the category walk.
+        if raw[0].isalnum() and raw[-1].isalnum():
+            tokens.append(raw)
+            continue
         start, end = 0, len(raw)
         while start < end and unicodedata.category(raw[start]).startswith("P"):
             start += 1
@@ -51,6 +62,18 @@ def tokenize(text: str) -> list[str]:
         if start < end:
             tokens.append(raw[start:end])
     return tokens
+
+
+def _unmatchable(token: str) -> str | None:
+    """Why tokenize never yields token, or None when it yields it for itself.
+
+    Lowercasing is idempotent on every code point, so a token that survives
+    its own tokenization is exactly one that some sentence can produce.
+    """
+    got = tokenize(token)
+    if got == [token]:
+        return None
+    return f"token {token!r} can never match: the tokenizer reads it as {got!r}"
 
 
 @dataclass(frozen=True)
@@ -64,10 +87,9 @@ class VerbPattern:
         if not self.tokens:
             raise SoftLabelError("pattern needs at least one token")
         for token in self.tokens:
-            if not token or any(ch.isspace() for ch in token):
-                raise SoftLabelError(f"pattern token may not be empty or contain whitespace: {token!r}")
-            if token != token.lower():
-                raise SoftLabelError(f"pattern tokens must be lowercase: {token!r}")
+            reason = _unmatchable(token)
+            if reason is not None:
+                raise SoftLabelError(f"pattern {reason}")
 
 
 @dataclass(frozen=True)
@@ -131,18 +153,20 @@ def match_patterns(dictionary: PatternDictionary, tokens: Sequence[str]) -> list
     """Non-overlapping leftmost-longest scan, spans sorted by start.
 
     At each position the longest matching pattern wins and scanning resumes
-    right after it; positions with no match advance by one token.
+    right after it; positions with no match advance by one token. A position
+    whose token starts no pattern is skipped before the trie walk.
     """
+    starts = dictionary._root.children
     spans: list[MatchSpan] = []
-    pos = 0
-    while pos < len(tokens):
-        hit = dictionary.longest_match_at(tokens, pos)
-        if hit is None:
-            pos += 1
+    free = 0  # first position past the last span
+    for pos, token in enumerate(tokens):
+        if pos < free or token not in starts:
             continue
-        length, code = hit
-        spans.append(MatchSpan(pos, length, code))
-        pos += length
+        hit = dictionary.longest_match_at(tokens, pos)
+        if hit is not None:
+            length, code = hit
+            spans.append(MatchSpan(pos, length, code))
+            free = pos + length
     return spans
 
 
@@ -188,7 +212,7 @@ def code_corpus(
             continue
         quad, code = result
         hist.add(quad)
-        labelled.append(replace(record, label=quad, cameo=code))
+        labelled.append(SentenceRecord(record.id, record.lang, record.text, quad, code, record.source))
     write_jsonl(labelled, out_path)
     return hist
 
@@ -196,7 +220,8 @@ def code_corpus(
 # --- dictionary file format -------------------------------------------------
 #
 # One pattern per line: "token token ... -> CODE". '#' starts a comment.
-# Tokens are lowercased on load.
+# Tokens are lowercased on load, and each must be a token the tokenizer
+# yields (no edge punctuation), or the pattern could never match.
 
 
 def parse_dictionary(text: str) -> list[VerbPattern]:
@@ -209,13 +234,10 @@ def parse_dictionary(text: str) -> list[VerbPattern]:
         if not sep:
             raise DictionaryParseError(line_no, f"expected 'tokens -> CODE', got {raw!r}")
         tokens = tuple(t.lower() for t in phrase.split())
-        if not tokens:
-            raise DictionaryParseError(line_no, "empty phrase")
         try:
-            code = parse_cameo_code(code_text)
-        except OntologyError as exc:
+            patterns.append(VerbPattern(tokens, parse_cameo_code(code_text)))
+        except (OntologyError, SoftLabelError) as exc:
             raise DictionaryParseError(line_no, str(exc)) from None
-        patterns.append(VerbPattern(tokens, code))
     return patterns
 
 
@@ -224,10 +246,18 @@ def load_dictionary(path: str | Path) -> PatternDictionary:
 
 
 def load_actor_words(path: str | Path) -> frozenset[str]:
-    """One actor word per line, '#' comments; tokens lowercased."""
+    """One actor word per line, '#' comments; tokens lowercased.
+
+    Each word must be a single token the tokenizer yields, or it could
+    never gate a sentence.
+    """
     words = set()
-    for raw in read_text(path).splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            words.add(line.lower())
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+        word = raw.split("#", 1)[0].strip().lower()
+        if not word:
+            continue
+        reason = _unmatchable(word)
+        if reason is not None:
+            raise ActorListParseError(line_no, reason)
+        words.add(word)
     return frozenset(words)

@@ -108,17 +108,11 @@ def conv1d_backward(
 # --- pooling ------------------------------------------------------------------
 
 
-def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
-    """Non-overlapping window maxima: (N, F, L) -> (N, F, floor(L/width)).
+def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Non-overlapping window maxima, (N, F, L) -> (N, F, floor(L/width)),
+    plus the absolute input position of each window's first maximum.
 
     Stride equals width; the trailing L mod width positions are dropped.
-    """
-    return maxpool1d_with_argmax(x, width)[0]
-
-
-def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pool plus absolute input position of each window's first maximum.
-
     One whole-array step per window position rather than an argmax over a
     window axis of 2 or 3, which numpy runs row by row. A position takes
     over only when strictly greater, so the first of equal maxima wins;

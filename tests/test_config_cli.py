@@ -176,6 +176,22 @@ class TestSoftlabelCommand:
             assert "line 1" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("flag,text,where", [
+        ("--dict", "attacked -> 190\nwarned, -> 130\n", "dictionary line 2"),
+        ("--actors", "police\n# comment\nu.s.\n", "actor list line 3"),
+    ])
+    def test_unmatchable_token_exits_2(self, tmp_path, sample_dict, capsys, flag, text, where):
+        infile = tmp_path / "raw.jsonl"
+        write_jsonl(make_softlabel_fixture(5, seed=1).records, infile)
+        bad = tmp_path / "bad.txt"
+        bad.write_text(text)
+        flags = {"--dict": str(sample_dict), "--in": str(infile), "--out": str(tmp_path / "o.jsonl"), flag: str(bad)}
+        assert main(["softlabel", *(x for pair in flags.items() for x in pair)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {where}: ") and err.count("\n") == 1
+        assert "can never match" in err
+
+
 class TestTransferCommand:
     def test_end_to_end(self, tmp_path, capsys):
         fx = make_transfer_fixture()

@@ -1,13 +1,17 @@
 """Tokenizer, pattern matching against a naive oracle, and corpus coding."""
 
+import sys
+import unicodedata
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from quadcode.corpus import SentenceRecord, read_jsonl, write_jsonl
-from quadcode.ontology import CameoCode, QuadClass, default_quad_map, parse_cameo_code
+from quadcode.ontology import CameoCode, QuadClass, default_quad_map, parse_cameo_code, quad_of
 from quadcode.softlabel import (
+    ActorListParseError,
     DictionaryParseError,
     DuplicatePatternError,
     MatchSpan,
@@ -17,13 +21,31 @@ from quadcode.softlabel import (
     code_corpus,
     compile_dictionary,
     label_sentence,
+    load_actor_words,
     load_dictionary,
     match_patterns,
     parse_dictionary,
     tokenize,
 )
 
-# --- oracle -----------------------------------------------------------------
+# --- oracles ----------------------------------------------------------------
+# The tokenizer as first written: a Unicode category walk at both ends of
+# every whitespace token, with no fast path.
+
+
+def naive_tokenize(text):
+    tokens = []
+    for raw in text.lower().split():
+        start, end = 0, len(raw)
+        while start < end and unicodedata.category(raw[start]).startswith("P"):
+            start += 1
+        while end > start and unicodedata.category(raw[end - 1]).startswith("P"):
+            end -= 1
+        if start < end:
+            tokens.append(raw[start:end])
+    return tokens
+
+
 # Quadratic rescan: at each position try every pattern by direct tuple
 # comparison, longest wins, jump past the match. The trie must agree exactly.
 
@@ -48,6 +70,21 @@ def naive_leftmost_longest(patterns, tokens):
 
 def _spans_as_tuples(spans):
     return [(s.start, s.length, s.code.digits) for s in spans]
+
+
+# Characters at the edges of the fast path: P* of every subcategory ("_" is
+# Pc), combining marks, non-Latin letters and digits, symbols, and spaces.
+TRICKY_CHARS = list(
+    "aZé.,;:!?'\"()[]{}-_\u2010\u2013\u2014\u00ab\u00bb\u00bf\u300c\u300d\u3001\u2026"
+    "\u0301\u0308\u0651\u0663\u0969\uff11\u00b2\u2167\u0642\u0635\u03a3\u0130$%+ \t\n"
+)
+tricky_edges = st.text(alphabet=st.sampled_from(TRICKY_CHARS), max_size=2)
+# short words with tricky characters at their edges
+tricky_texts = st.lists(
+    st.tuples(tricky_edges, st.text(alphabet=st.one_of(st.sampled_from(TRICKY_CHARS), st.characters()), max_size=3),
+              tricky_edges).map("".join),
+    max_size=10,
+).map(" ".join)
 
 
 class TestTokenize:
@@ -79,6 +116,21 @@ class TestTokenize:
             assert token
             assert not any(ch.isspace() for ch in token)
             assert token == token.lower()
+
+    @given(tricky_texts)
+    @example("a_ _b x_y \u0663) \u00e9. e\u0301 \u00bba\u00bb ..")
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_equals_category_walk_oracle(self, text):
+        assert tokenize(text) == naive_tokenize(text)
+
+    def test_no_code_point_is_alphanumeric_and_punctuation(self):
+        # The fast path keeps a token whose edge characters are alphanumeric
+        # without looking at their categories; this makes that exact.
+        both = [
+            hex(cp) for cp in range(sys.maxunicode + 1)
+            if chr(cp).isalnum() and unicodedata.category(chr(cp)).startswith("P")
+        ]
+        assert both == []
 
 
 class TestPatternValidation:
@@ -186,7 +238,36 @@ class TestOracleEquivalence:
             assert _spans_as_tuples(match_patterns(compiled, sentence)) == naive_leftmost_longest(patterns, sentence)
 
 
+decorations = ["", "", "", ".", ",", '"', "(", ")", "\u00bb", "_", "--"]
+
+
+@st.composite
+def patterns_and_texts(draw):
+    """Oracle patterns plus a sentence over the same tokens, with case and
+    edge punctuation the tokenizer must strip."""
+    patterns, sentence = draw(dictionaries_and_sentences())
+    words = []
+    for token in sentence:
+        word = draw(st.sampled_from([token, token.upper()]))
+        words.append(draw(st.sampled_from(decorations)) + word + draw(st.sampled_from(decorations)))
+        words.extend(draw(st.lists(st.sampled_from(["--", "!", "\u2026"]), max_size=1)))
+    return patterns, " ".join(words)
+
+
 class TestLabelSentence:
+    @given(patterns_and_texts())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_first_oracle_span_decides(self, case):
+        patterns, text = case
+        quad_map = default_quad_map()
+        spans = naive_leftmost_longest(patterns, naive_tokenize(text))
+        got = label_sentence(compile_dictionary(patterns), quad_map, text)
+        if not spans:
+            assert got is None
+        else:
+            code = parse_cameo_code(spans[0][2])
+            assert got is not None and got[1].digits == code.digits and got[0] is quad_of(code, quad_map)
+
     def _dict(self):
         return compile_dictionary([
             VerbPattern(("met", "with"), parse_cameo_code("040")),
@@ -239,6 +320,39 @@ class TestDictionaryFiles:
     def test_empty_phrase(self):
         with pytest.raises(DictionaryParseError):
             parse_dictionary(" -> 040\n")
+
+    @pytest.mark.parametrize("line", ["u.s. attacked -> 190", "warned, -> 130", "(met) with -> 040", "_x -> 14"])
+    def test_token_the_tokenizer_never_yields_rejected(self, line):
+        # Such a pattern would load and never match: "The U.S. attacked the
+        # base." tokenizes to "u.s", never "u.s.".
+        with pytest.raises(DictionaryParseError) as err:
+            parse_dictionary(f"attacked -> 190\n{line}\n")
+        assert err.value.line_no == 2
+        assert "can never match" in str(err.value)
+
+    def test_interior_punctuation_accepted(self):
+        (pattern,) = parse_dictionary("U.S attacked -> 190\n")
+        assert pattern.tokens == ("u.s", "attacked")
+        result = label_sentence(compile_dictionary([pattern]), default_quad_map(), "The U.S. attacked the base.")
+        assert result is not None and result[1].digits == "190"
+
+    def test_pattern_token_must_be_tokenizer_output(self):
+        with pytest.raises(SoftLabelError, match="can never match"):
+            VerbPattern(("warned,",), parse_cameo_code("13"))
+
+    def test_actor_list(self, tmp_path):
+        path = tmp_path / "actors.txt"
+        path.write_text("# actors\nPolice\nu.n  # interior punctuation is fine\n")
+        assert load_actor_words(path) == frozenset({"police", "u.n"})
+
+    @pytest.mark.parametrize("line", ["u.n.", "police,", "al qaeda", "'army'"])
+    def test_actor_the_tokenizer_never_yields_rejected(self, tmp_path, line):
+        path = tmp_path / "actors.txt"
+        path.write_text(f"police\n\n{line}\n")
+        with pytest.raises(ActorListParseError) as err:
+            load_actor_words(path)
+        assert err.value.line_no == 3
+        assert "can never match" in str(err.value)
 
     def test_load_shipped_sample(self):
         from importlib import resources
