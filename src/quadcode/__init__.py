@@ -5,17 +5,3 @@ event codes, reduction to the four QuadClass categories, label transfer
 across sentence-aligned parallel corpora, and from-scratch word-level and
 character-level 1-d ConvNet classifiers with a deterministic numeric core.
 """
-
-from .errors import InputError, QuadcodeError
-from .ontology import CLASSES, CameoCode, QuadClass, QuadClassMap, default_quad_map, quad_of
-
-__all__ = [
-    "InputError",
-    "QuadcodeError",
-    "CLASSES",
-    "CameoCode",
-    "QuadClass",
-    "QuadClassMap",
-    "default_quad_map",
-    "quad_of",
-]

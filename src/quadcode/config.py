@@ -8,7 +8,7 @@ and every key is validated against the schema below.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
@@ -67,40 +67,39 @@ def _file_key(field_name: str) -> str:
 
 @dataclass
 class Settings:
-    """Every tunable of the train pipeline, flat, with desk-scale defaults."""
+    """Every tunable of the train pipeline, flat. A field that feeds a config
+    dataclass takes that dataclass's default, so each default is written once."""
 
     model: str = "word"
-    seed: int = 0
-    batch_size: int = 32
-    epochs: int = 30
-    patience: int = 5
-    shuffle: bool = True
-    optimizer: str = "adam"
-    lr: float = 1e-3
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    word_embed_dim: int = 128
-    word_length: int = 64
-    word_frames: int = 256
-    word_kernels: tuple[int, ...] = (3, 4, 5)
-    word_pool: int = 2
-    word_hidden: int = 150
-    word_dropout: float = 0.5
+    seed: int = TrainConfig.seed
+    batch_size: int = TrainConfig.batch_size
+    epochs: int = TrainConfig.epochs
+    patience: int = TrainConfig.patience
+    shuffle: bool = TrainConfig.shuffle
+    optimizer: str = TrainConfig.optimizer
+    lr: float = TrainConfig.lr
+    momentum: float = TrainConfig.momentum
+    beta1: float = TrainConfig.beta1
+    beta2: float = TrainConfig.beta2
+    eps: float = TrainConfig.eps
+    word_embed_dim: int = WordCnnConfig.embed_dim
+    word_length: int = WordCnnConfig.length
+    word_frames: int = WordCnnConfig.frames
+    word_kernels: tuple[int, ...] = WordCnnConfig.kernels
+    word_pool: int = WordCnnConfig.pool
+    word_hidden: int = WordCnnConfig.hidden
+    word_dropout: float = WordCnnConfig.dropout
     word_vocab_max_size: int = 20000
     word_vocab_min_count: int = 1
     word_embeddings: str = ""
-    word_embeddings_trainable: bool = True
-    char_embed_dim: int = 32
-    char_length: int = 512
-    char_convs: tuple[ConvSpec, ...] = field(
-        default=(ConvSpec(256, 7, 3), ConvSpec(256, 3), ConvSpec(256, 3), ConvSpec(256, 3, 3))
-    )
-    char_hidden: tuple[int, ...] = (1024, 1024)
-    char_dropout: float = 0.5
+    word_embeddings_trainable: bool = WordCnnConfig.embeddings_trainable
+    char_embed_dim: int = CharCnnConfig.embed_dim
+    char_length: int = CharCnnConfig.length
+    char_convs: tuple[ConvSpec, ...] = CharCnnConfig.convs
+    char_hidden: tuple[int, ...] = CharCnnConfig.hidden
+    char_dropout: float = CharCnnConfig.dropout
     char_alphabet_max_size: int = 256
-    char_one_hot: bool = False
+    char_one_hot: bool = CharCnnConfig.one_hot
 
     def apply(self, mapping: Mapping[str, str], source: str) -> None:
         """Coerce and set string values from a file or --set overrides."""
@@ -114,7 +113,7 @@ class Settings:
             try:
                 if name == "char_convs":
                     value = _parse_convs(text)
-                elif name in ("word_kernels", "char_hidden"):
+                elif isinstance(current, tuple):
                     value = _parse_int_tuple(text)
                 elif isinstance(current, bool):
                     value = _parse_bool(text)
@@ -141,29 +140,21 @@ class Settings:
             obj[f.name] = value
         return obj
 
+    def _config(self, cls, prefix: str, **data):
+        """cls built field by field: `data` supplies the sizes the data decides,
+        the setting `prefix + name` every other field but `classes` (always 4)."""
+        names = [f.name for f in fields(cls) if f.name not in data and f.name != "classes"]
+        return cls(**data, **{name: getattr(self, prefix + name) for name in names})
+
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            batch_size=self.batch_size, epochs=self.epochs, patience=self.patience,
-            shuffle=self.shuffle, optimizer=self.optimizer, lr=self.lr,
-            momentum=self.momentum, beta1=self.beta1, beta2=self.beta2, eps=self.eps,
-            seed=self.seed,
-        )
+        return self._config(TrainConfig, "")
 
     def word_config(self, vocab_size: int) -> WordCnnConfig:
-        return WordCnnConfig(
-            vocab_size=vocab_size, embed_dim=self.word_embed_dim, length=self.word_length,
-            frames=self.word_frames, kernels=self.word_kernels, pool=self.word_pool,
-            hidden=self.word_hidden, dropout=self.word_dropout,
-            embeddings_trainable=self.word_embeddings_trainable,
-        )
+        return self._config(WordCnnConfig, "word_", vocab_size=vocab_size)
 
     def char_config(self, alphabet_size: int) -> CharCnnConfig:
-        embed_dim = alphabet_size if self.char_one_hot else self.char_embed_dim
-        return CharCnnConfig(
-            alphabet_size=alphabet_size, embed_dim=embed_dim, length=self.char_length,
-            convs=self.char_convs, hidden=self.char_hidden, dropout=self.char_dropout,
-            one_hot=self.char_one_hot,
-        )
+        one_hot = {"embed_dim": alphabet_size} if self.char_one_hot else {}
+        return self._config(CharCnnConfig, "char_", alphabet_size=alphabet_size, **one_hot)
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:

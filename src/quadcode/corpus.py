@@ -230,7 +230,6 @@ class TransferReport:
     labelled_targets: int = 0
     conflicts: int = 0
     dropped_targets: int = 0
-    class_counts: dict[QuadClass, int] = field(default_factory=lambda: {c: 0 for c in CLASSES})
 
     def lines(self) -> list[str]:
         return [
@@ -277,7 +276,6 @@ def transfer_labels(
             continue
         label, cameo = assigned[record.id]
         out.append(SentenceRecord(record.id, record.lang, record.text, label, cameo, record.source))
-        report.class_counts[label] += 1
     report.labelled_targets = len(out)
     return out, report
 
@@ -287,8 +285,6 @@ class DatasetSplit:
     train: list[SentenceRecord]
     dev: list[SentenceRecord]
     test: list[SentenceRecord]
-    seed: int
-    fractions: tuple[float, float, float]
 
 
 def _allocate(n: int, fractions: tuple[float, float, float]) -> list[int]:
@@ -336,7 +332,7 @@ def stratified_split(
         for bucket, count in zip(buckets, counts):
             bucket.extend(shuffled[at : at + count])
             at += count
-    return DatasetSplit(buckets[0], buckets[1], buckets[2], seed, tuple(fractions))
+    return DatasetSplit(*buckets)
 
 
 def class_histogram(records: Iterable[SentenceRecord]) -> LabelHistogram:

@@ -54,6 +54,7 @@ def fit(
     settings: Settings,
 ) -> FitResult:
     """Vocabulary/alphabet from the training split only, then train."""
+    train_config = settings.train_config()  # bad training settings fail before any work
     encoder = build_encoder(train_records, settings)
     enc_train = encode_labelled(train_records, encoder)
     enc_dev = encode_labelled(dev_records, encoder)
@@ -65,6 +66,6 @@ def fit(
     else:
         config = settings.char_config(alphabet_size=encoder.alphabet.size)
         model = build_char_cnn(config, seed=settings.seed)
-    model, history = train(model, enc_train, enc_dev, settings.train_config())
+    model, history = train(model, enc_train, enc_dev, train_config)
     return FitResult(model, encoder, history)
 

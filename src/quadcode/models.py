@@ -26,8 +26,9 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,17 +113,12 @@ class WordCnnConfig:
             raise InvalidConfigError("vocab_size must cover PAD and UNK (>= 2)")
 
 
-@dataclass(frozen=True)
-class ConvSpec:
+class ConvSpec(NamedTuple):
+    """One conv layer of the char stack; a checkpoint header stores it as [frames, kernel, pool]."""
+
     frames: int
     kernel: int
     pool: int | None = None
-
-    def __post_init__(self):
-        _positive("frames", self.frames)
-        _positive("kernel", self.kernel)
-        if self.pool is not None:
-            _positive("pool", self.pool)
 
 
 @dataclass(frozen=True)
@@ -142,7 +138,7 @@ class CharCnnConfig:
     one_hot: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "convs", tuple(self.convs))
+        object.__setattr__(self, "convs", tuple(ConvSpec(*spec) for spec in self.convs))
         object.__setattr__(self, "hidden", tuple(self.hidden))
         if self.classes != 4:
             raise InvalidConfigError(f"classifier is four-way, got classes={self.classes}")
@@ -156,6 +152,11 @@ class CharCnnConfig:
             _positive(name, getattr(self, name))
         for h in self.hidden:
             _positive("hidden units", h)
+        for spec in self.convs:
+            _positive("frames", spec.frames)
+            _positive("kernel", spec.kernel)
+            if spec.pool is not None:
+                _positive("pool", spec.pool)
         if self.alphabet_size < 2:
             raise InvalidConfigError("alphabet_size must cover PAD and UNK (>= 2)")
         if self.one_hot and self.embed_dim != self.alphabet_size:
@@ -455,43 +456,22 @@ _VERSION = 1
 _PROBE_COUNT = 4
 
 
-def _word_config_obj(c: WordCnnConfig) -> dict:
-    return {
-        "vocab_size": c.vocab_size, "embed_dim": c.embed_dim, "length": c.length,
-        "frames": c.frames, "kernels": list(c.kernels), "pool": c.pool,
-        "hidden": c.hidden, "classes": c.classes, "dropout": c.dropout,
-        "embeddings_trainable": c.embeddings_trainable,
-    }
-
-
-def _char_config_obj(c: CharCnnConfig) -> dict:
-    return {
-        "alphabet_size": c.alphabet_size, "embed_dim": c.embed_dim, "length": c.length,
-        "convs": [[s.frames, s.kernel, s.pool] for s in c.convs],
-        "hidden": list(c.hidden), "classes": c.classes, "dropout": c.dropout,
-        "one_hot": c.one_hot,
-    }
+_CONFIG_CLASSES = {"word": WordCnnConfig, "char": CharCnnConfig}
 
 
 def _config_from_obj(kind: str, obj: dict):
+    """The header's "config" object back into the config it was written from:
+    exactly the config class's fields, by name."""
+    cls = _CONFIG_CLASSES.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise CheckpointError(f"unknown model kind {kind!r}")
+    names = {f.name for f in fields(cls)}
+    if not isinstance(obj, dict) or obj.keys() != names:
+        raise CheckpointError(f"bad {kind} config in checkpoint header: want exactly the keys {sorted(names)}")
     try:
-        if kind == "word":
-            return WordCnnConfig(
-                vocab_size=obj["vocab_size"], embed_dim=obj["embed_dim"], length=obj["length"],
-                frames=obj["frames"], kernels=tuple(obj["kernels"]), pool=obj["pool"],
-                hidden=obj["hidden"], classes=obj["classes"], dropout=obj["dropout"],
-                embeddings_trainable=obj["embeddings_trainable"],
-            )
-        if kind == "char":
-            return CharCnnConfig(
-                alphabet_size=obj["alphabet_size"], embed_dim=obj["embed_dim"], length=obj["length"],
-                convs=tuple(ConvSpec(f, k, p) for f, k, p in obj["convs"]),
-                hidden=tuple(obj["hidden"]), classes=obj["classes"], dropout=obj["dropout"],
-                one_hot=obj["one_hot"],
-            )
-    except (KeyError, TypeError, ValueError, InvalidConfigError) as exc:
+        return cls(**obj)
+    except (TypeError, ValueError, InvalidConfigError) as exc:
         raise CheckpointError(f"bad {kind} config in checkpoint header: {exc}") from None
-    raise CheckpointError(f"unknown model kind {kind!r}")
 
 
 def _input_size(config: WordCnnConfig | CharCnnConfig) -> int:
@@ -534,12 +514,11 @@ def save_checkpoint(
     memory, so the save holds no copy of the file.
     """
     params = model.parameters()
-    config_obj = _word_config_obj(model.config) if model.kind == "word" else _char_config_obj(model.config)
     probe_in = _probe_inputs(model, probe_seed)
     probe_logits = model.forward_logits(probe_in, EVAL)[0]
     header = {
         "kind": model.kind,
-        "config": config_obj,
+        "config": asdict(model.config),
         "encoder": None if encoder is None else encoder.to_json_obj(),
         "quadmap_digest": quad_map_digest,
         "metadata": metadata or {},

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import InputError, read_text
 
@@ -87,13 +87,6 @@ class QuadClass(Enum):
     @property
     def index(self) -> int:
         return _CLASS_INDEX[self]
-
-    @classmethod
-    def from_name(cls, name: str) -> "QuadClass":
-        try:
-            return cls(name)
-        except ValueError:
-            raise OntologyError(f"unknown QuadClass name: {name!r}") from None
 
 
 CLASSES: tuple[QuadClass, ...] = tuple(QuadClass)
@@ -217,10 +210,6 @@ def load_quad_map(path: str | Path) -> QuadClassMap:
     return parse_quad_map(read_text(path))
 
 
-def write_quad_map(quad_map: QuadClassMap, path: str | Path) -> None:
-    Path(path).write_text(dumps_quad_map(quad_map), encoding="utf-8")
-
-
 def quad_map_digest(quad_map: QuadClassMap) -> str:
     """SHA-256 of the canonical text form; stored in checkpoints."""
     return hashlib.sha256(dumps_quad_map(quad_map).encode("utf-8")).hexdigest()
@@ -235,12 +224,3 @@ def default_quad_map() -> QuadClassMap:
     text = resources.files("quadcode.data").joinpath("default_quadmap.txt").read_text(encoding="utf-8")
     return parse_quad_map(text)
 
-
-def make_quad_map(entries: Iterable[tuple[int, QuadClass]]) -> QuadClassMap:
-    """Build a map from (top_level, class) pairs; duplicates rejected."""
-    table: dict[int, QuadClass] = {}
-    for n, quad in entries:
-        if n in table:
-            raise DuplicateTopLevelError(n)
-        table[n] = quad
-    return QuadClassMap(table)

@@ -74,16 +74,16 @@ def glorot_uniform(gen: np.random.Generator | None, shape: tuple[int, ...], fan_
 class Embedding:
     """Index lookup into a (V, d) table: (N, L) indices -> (N, d, L) maps.
 
-    The PAD row (index pad_index) is zeroed here and takes no gradient, so
-    it stays exactly zero through any number of updates.
+    The PAD row (index 0) is zeroed here and takes no gradient, so it stays
+    exactly zero through any number of updates. The parameter is named
+    "embedding", as checkpoint headers record it.
     """
 
-    def __init__(self, table: np.ndarray, trainable: bool = True, pad_index: int = 0, name: str = "embedding"):
+    def __init__(self, table: np.ndarray, trainable: bool = True):
         pinned = np.zeros(np.asarray(table).shape, dtype=bool)
-        pinned[pad_index, :] = True
-        self.param = Parameter(name, table, frozen=not trainable, pinned=pinned)
-        self.param.value[pad_index, :] = 0.0
-        self.pad_index = pad_index
+        pinned[0, :] = True
+        self.param = Parameter("embedding", table, frozen=not trainable, pinned=pinned)
+        self.param.value[0, :] = 0.0
 
     @property
     def params(self) -> list[Parameter]:
@@ -94,7 +94,7 @@ class Embedding:
 
     def backward(self, cache, grad: np.ndarray) -> None:
         ops.embedding_backward(cache, grad, self.param.grad)
-        self.param.grad[self.pad_index, :] = 0.0
+        self.param.grad[0, :] = 0.0
         return None  # indices are discrete; nothing flows further back
 
 

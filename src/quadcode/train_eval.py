@@ -60,6 +60,18 @@ class TrainConfig:
             raise InputError(f"epochs must be >= 1, got {self.epochs}")
         if self.patience < 0:
             raise InputError(f"patience must be >= 0, got {self.patience}")
+        if self.seed < 0:
+            raise InputError(f"seed must be >= 0, got {self.seed}")
+        if self.optimizer not in ("adam", "sgd"):
+            raise InputError(f"optimizer must be 'adam' or 'sgd', got {self.optimizer!r}")
+        for name in ("lr", "eps"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0.0):
+                raise InputError(f"{name} must be finite and > 0, got {value}")
+        for name in ("momentum", "beta1", "beta2"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:  # also false for nan
+                raise InputError(f"{name} must be in [0, 1), got {value}")
 
 
 @dataclass(frozen=True)

@@ -50,7 +50,6 @@ from quadcode.ontology import (
     load_quad_map,
     parse_cameo_code,
     quad_of,
-    write_quad_map,
 )
 from quadcode.softlabel import VerbPattern, compile_dictionary, match_patterns
 from quadcode.tensor_nn import layers, ops
@@ -329,11 +328,11 @@ def test_c7_ontology_totality_and_round_trip():
 
     with tempfile.TemporaryDirectory() as tmp:
         map_path = Path(tmp) / "map.txt"
-        write_quad_map(quad_map, map_path)
+        map_path.write_text(dumps_quad_map(quad_map), encoding="utf-8")
         reloaded = load_quad_map(map_path)
         assert dumps_quad_map(reloaded) == dumps_quad_map(quad_map)
         again = Path(tmp) / "map2.txt"
-        write_quad_map(reloaded, again)
+        again.write_text(dumps_quad_map(reloaded), encoding="utf-8")
         assert map_path.read_bytes() == again.read_bytes()
 
         corpus_path = Path(tmp) / "corpus.jsonl"

@@ -6,6 +6,7 @@ produced files can all be asserted cheaply.
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -21,8 +22,9 @@ from quadcode.config import (
 )
 from quadcode.corpus import read_jsonl, write_alignments, write_jsonl
 from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture, make_transfer_fixture
-from quadcode.models import ConvSpec
-from quadcode.ontology import default_quad_map, write_quad_map
+from quadcode.models import CharCnnConfig, ConvSpec, WordCnnConfig
+from quadcode.ontology import default_quad_map, dumps_quad_map
+from quadcode.train_eval import TrainConfig
 
 
 class TestSettings:
@@ -92,6 +94,25 @@ class TestSettings:
         assert cc.one_hot and cc.embed_dim == 70  # one-hot ties the dims
         tc = s.train_config()
         assert tc.batch_size == 32 and tc.optimizer == "adam"
+
+    def test_default_settings_build_the_dataclass_defaults(self):
+        s = Settings()
+        assert s.train_config() == TrainConfig()
+        assert s.word_config(vocab_size=123) == WordCnnConfig(vocab_size=123)
+        assert s.char_config(alphabet_size=70) == CharCnnConfig(alphabet_size=70)
+
+    def test_every_config_field_has_one_setting(self):
+        # The data decides the input sizes and the classifier is four-way;
+        # every other field of a config dataclass is a setting of the same name.
+        names = {f.name for f in fields(Settings)}
+        for cls, prefix, derived in [
+            (TrainConfig, "", set()),
+            (WordCnnConfig, "word_", {"vocab_size", "classes"}),
+            (CharCnnConfig, "char_", {"alphabet_size", "classes"}),
+        ]:
+            for f in fields(cls):
+                if f.name not in derived:
+                    assert prefix + f.name in names, f"{cls.__name__}.{f.name} has no setting"
 
 
 class TestConfigFiles:
@@ -257,6 +278,21 @@ def trained(tmp_path_factory):
 
 
 class TestTrainCommand:
+    @pytest.mark.parametrize("setting", [
+        "optimizer=foo", "lr=0", "lr=-0.1", "lr=nan", "lr=inf", "momentum=1", "momentum=-0.5",
+        "beta1=1.5", "beta2=1", "beta2=nan", "eps=0", "eps=-1", "eps=inf", "seed=-1",
+    ])
+    def test_bad_train_setting_exits_2(self, trained, tmp_path, capsys, setting):
+        root, _, dev_path = trained
+        code = main([
+            "train", "--train", str(root / "train.jsonl"), "--dev", str(dev_path),
+            "--out-checkpoint", str(tmp_path / "m.ckpt"), *TRAIN_OVERRIDES, "--set", setting,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+        assert setting.split("=")[0] in err
+        assert not (tmp_path / "m.ckpt").exists()
+
     def test_outputs_exist(self, trained, capsys):
         root, ckpt, _ = trained
         assert ckpt.exists()
@@ -392,7 +428,7 @@ def valid_inputs(trained, tmp_path_factory):
     write_jsonl(fx.target, d / "tgt.jsonl")
     write_alignments(fx.pairs, d / "align.jsonl")
     write_jsonl(make_softlabel_fixture(8, seed=1).records, d / "raw.jsonl")
-    write_quad_map(default_quad_map(), d / "quad.txt")
+    (d / "quad.txt").write_text(dumps_quad_map(default_quad_map()), encoding="utf-8")
     (d / "verbs.txt").write_text("attacked -> 190\n")
     (d / "actors.txt").write_text("police\n")
     (d / "run.conf").write_text("epochs = 1\n")

@@ -5,6 +5,7 @@ and the checkpoint container."""
 import hashlib
 import json
 import struct
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from quadcode.models import (
     DigestMismatchError,
     InvalidConfigError,
     WordCnnConfig,
+    _config_from_obj,
     batch_loss,
     build_char_cnn,
     build_word_cnn,
@@ -99,6 +101,12 @@ class TestConfigValidation:
             WordCnnConfig(vocab_size=10, dropout=1.0)
         WordCnnConfig(vocab_size=10, dropout=0.0)
 
+    def test_bad_conv_spec_rejected(self):
+        with pytest.raises(InvalidConfigError):
+            CharCnnConfig(alphabet_size=8, convs=[[4, 0, None]])
+        with pytest.raises(InvalidConfigError):
+            CharCnnConfig(alphabet_size=8, convs=[ConvSpec(4, 3, 0)])
+
     def test_one_hot_dimension_tie(self):
         with pytest.raises(InvalidConfigError):
             CharCnnConfig(alphabet_size=10, embed_dim=32, one_hot=True)
@@ -113,6 +121,19 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError) as err:
             word_branch_lengths(config, 5)
         assert err.value.layer == "branch_k5.conv"
+
+
+class TestConfigCodec:
+    """The checkpoint header stores a config as asdict(config); reading it back
+    goes through JSON, so tuples come back as lists."""
+
+    CONFIGS = [tiny_word_config(), WordCnnConfig(vocab_size=20000), tiny_char_config(), CharCnnConfig(alphabet_size=70)]
+
+    @pytest.mark.parametrize("config", CONFIGS, ids=["word_tiny", "word_full", "char_tiny", "char_full"])
+    def test_round_trip(self, config):
+        kind = "word" if isinstance(config, WordCnnConfig) else "char"
+        assert _config_from_obj(kind, asdict(config)) == config
+        assert _config_from_obj(kind, json.loads(json.dumps(asdict(config)))) == config
 
 
 class TestParameterCounts:
@@ -622,9 +643,10 @@ class TestCheckpoints:
             lambda h: {**h, "config": {**h["config"], "vocab_size": 50.0}},
             lambda h: {**h, "config": {**h["config"], "hidden": "wide"}},
             lambda h: b"[" * 100_000 + b"]" * 100_000,
+            lambda h: {**h, "kind": ["word"]},
         ],
         ids=["shape_int", "header_list", "probe_count_str", "probe_count_zero", "params_str",
-             "vocab_huge", "vocab_float", "hidden_str", "nested_too_deep"],
+             "vocab_huge", "vocab_float", "hidden_str", "nested_too_deep", "kind_list"],
     )
     def test_forged_header_with_valid_digest(self, tmp_path, capsys, forge):
         model, path = self._model_and_path(tmp_path)
@@ -642,6 +664,34 @@ class TestCheckpoints:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    @pytest.mark.parametrize(
+        "forge",
+        [
+            lambda c: {k: v for k, v in c.items() if k != "dropout"},
+            lambda c: {**c, "dtype": "float32"},
+            lambda c: [c],
+        ],
+        ids=["missing_key", "extra_key", "config_list"],
+    )
+    def test_config_keys_must_be_the_config_fields(self, tmp_path, capsys, kind, forge):
+        model = build_word_cnn(tiny_word_config(), seed=0) if kind == "word" else build_char_cnn(tiny_char_config(), seed=0)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        load_checkpoint(path)  # the honest checkpoint loads
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + header_len])
+        raw = json.dumps({**header, "config": forge(header["config"])}).encode("utf-8")
+        path.write_bytes(self._sealed(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]))
+        with pytest.raises(CheckpointError, match="config"):
+            load_checkpoint(path)
+        infile = tmp_path / "in.jsonl"
+        infile.write_text('{"id": "a", "lang": "en", "text": "w2 w3"}\n', encoding="utf-8")
+        code = cli.main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and "config" in err
 
     @pytest.mark.parametrize(
         "kind, forge",
