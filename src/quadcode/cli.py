@@ -13,6 +13,7 @@ import argparse
 import datetime
 import hashlib
 import json
+import math
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -137,6 +138,8 @@ def _cmd_split(args) -> int:
         fractions = ()
     if len(fractions) != 3:
         raise InputError(f"--fractions needs three comma-separated numbers, got {args.fractions!r}")
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
     records = read_jsonl(args.infile)
     split = stratified_split(records, fractions, args.seed)
     outdir = Path(args.outdir)
@@ -243,6 +246,12 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
+    if args.seed < 0:
+        raise InputError(f"--seed must be >= 0, got {args.seed}")
+    if not (math.isfinite(args.epsilon) and args.epsilon > 0.0):
+        raise InputError(f"--epsilon must be finite and > 0, got {args.epsilon}")
+    if args.coords < 1:
+        raise InputError(f"--coords must be >= 1, got {args.coords}")
     if args.model == "word":
         model = build_word_cnn(tiny_word_config(), seed=args.seed)
     else:

@@ -23,36 +23,6 @@ class CorpusError(InputError):
     """Malformed sentence or alignment files, or inconsistent records."""
 
 
-class MalformedRecordError(CorpusError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class DuplicateIdError(CorpusError):
-    def __init__(self, record_id: str):
-        super().__init__(f"duplicate record id {record_id!r}")
-        self.record_id = record_id
-
-
-class UnknownIdError(CorpusError):
-    def __init__(self, record_id: str):
-        super().__init__(f"alignment references unknown id {record_id!r}")
-        self.record_id = record_id
-
-
-class UnlabelledSourceError(CorpusError):
-    def __init__(self, record_id: str):
-        super().__init__(f"aligned source record {record_id!r} carries no label")
-        self.record_id = record_id
-
-
-class UnlabelledRecordError(CorpusError):
-    def __init__(self, record_id: str):
-        super().__init__(f"record {record_id!r} has no label")
-        self.record_id = record_id
-
-
 @dataclass(frozen=True)
 class SentenceRecord:
     """One corpus sentence with optional QuadClass label and CAMEO code."""
@@ -99,23 +69,23 @@ class LabelHistogram:
 
 def _validate_lang(lang: str, line_no: int) -> str:
     if len(lang) != 2 or not lang.isascii() or not lang.isalpha() or not lang.islower():
-        raise MalformedRecordError(line_no, f"lang must be a 2-letter ISO 639-1 code, got {lang!r}")
+        raise CorpusError(f"line {line_no}: lang must be a 2-letter ISO 639-1 code, got {lang!r}")
     return lang
 
 
 def record_from_obj(obj: dict, line_no: int, quad_map: QuadClassMap | None = None) -> SentenceRecord:
     """Build a validated record from a parsed JSON object."""
     if not isinstance(obj, dict):
-        raise MalformedRecordError(line_no, "record is not a JSON object")
+        raise CorpusError(f"line {line_no}: record is not a JSON object")
     for key in ("id", "lang", "text"):
         if key not in obj:
-            raise MalformedRecordError(line_no, f"missing required key {key!r}")
+            raise CorpusError(f"line {line_no}: missing required key {key!r}")
         if not isinstance(obj[key], str):
-            raise MalformedRecordError(line_no, f"key {key!r} must be a string")
+            raise CorpusError(f"line {line_no}: key {key!r} must be a string")
     if not obj["id"]:
-        raise MalformedRecordError(line_no, "id must be non-empty")
+        raise CorpusError(f"line {line_no}: id must be non-empty")
     if not obj["text"]:
-        raise MalformedRecordError(line_no, "text must be non-empty")
+        raise CorpusError(f"line {line_no}: text must be non-empty")
     _validate_lang(obj["lang"], line_no)
 
     label = None
@@ -123,24 +93,24 @@ def record_from_obj(obj: dict, line_no: int, quad_map: QuadClassMap | None = Non
         try:
             label = QuadClass(obj["label"])
         except ValueError:
-            raise MalformedRecordError(line_no, f"unknown label {obj['label']!r}") from None
+            raise CorpusError(f"line {line_no}: unknown label {obj['label']!r}") from None
     cameo = None
     if obj.get("cameo") is not None:
         if not isinstance(obj["cameo"], str):
-            raise MalformedRecordError(line_no, "cameo must be a string")
+            raise CorpusError(f"line {line_no}: cameo must be a string")
         try:
             cameo = parse_cameo_code(obj["cameo"])
         except OntologyError as exc:
-            raise MalformedRecordError(line_no, f"bad cameo code: {exc}") from None
+            raise CorpusError(f"line {line_no}: bad cameo code: {exc}") from None
     if label is not None and cameo is not None and quad_map is not None:
         expected = quad_of(cameo, quad_map)
         if expected is not label:
-            raise MalformedRecordError(
-                line_no, f"label {label.value} does not match cameo {cameo} (expected {expected.value})"
+            raise CorpusError(
+                f"line {line_no}: label {label.value} does not match cameo {cameo} (expected {expected.value})"
             )
     source = obj.get("source")
     if source is not None and not isinstance(source, str):
-        raise MalformedRecordError(line_no, "source must be a string")
+        raise CorpusError(f"line {line_no}: source must be a string")
     return SentenceRecord(obj["id"], obj["lang"], obj["text"], label, cameo, source)
 
 
@@ -174,9 +144,9 @@ def _json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise MalformedRecordError(line_no, f"invalid JSON: {exc.msg}") from None
+                    raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from None
                 except RecursionError:
-                    raise MalformedRecordError(line_no, "invalid JSON: nested too deeply") from None
+                    raise CorpusError(f"line {line_no}: invalid JSON: nested too deeply") from None
                 yield line_no, obj
     except UnicodeDecodeError:
         # Decoding runs ahead of the line count; read_text names the bad line.
@@ -195,7 +165,7 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
     for line_no, obj in _json_lines(path):
         record = record_from_obj(obj, line_no, quad_map)
         if record.id in seen:
-            raise DuplicateIdError(record.id)
+            raise CorpusError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
         records.append(record)
     return records
@@ -211,7 +181,7 @@ def read_alignments(path: str | Path) -> list[AlignmentPair]:
     pairs: list[AlignmentPair] = []
     for line_no, obj in _json_lines(path):
         if not isinstance(obj, dict) or not isinstance(obj.get("src_id"), str) or not isinstance(obj.get("tgt_id"), str):
-            raise MalformedRecordError(line_no, "alignment needs string keys 'src_id' and 'tgt_id'")
+            raise CorpusError(f"line {line_no}: alignment needs string keys 'src_id' and 'tgt_id'")
         pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"]))
     return pairs
 
@@ -259,11 +229,11 @@ def transfer_labels(
     for pair in pairs:
         source = src_by_id.get(pair.src_id)
         if source is None:
-            raise UnknownIdError(pair.src_id)
+            raise CorpusError(f"alignment references unknown id {pair.src_id!r}")
         if pair.tgt_id not in tgt_ids:
-            raise UnknownIdError(pair.tgt_id)
+            raise CorpusError(f"alignment references unknown id {pair.tgt_id!r}")
         if source.label is None:
-            raise UnlabelledSourceError(source.id)
+            raise CorpusError(f"aligned source record {source.id!r} carries no label")
         if pair.tgt_id in assigned:
             report.conflicts += 1
             continue
@@ -316,9 +286,9 @@ def stratified_split(
     by_class: dict[QuadClass, list[SentenceRecord]] = {c: [] for c in CLASSES}
     for record in records:
         if record.label is None:
-            raise UnlabelledRecordError(record.id)
+            raise CorpusError(f"record {record.id!r} has no label")
         if record.id in seen:
-            raise DuplicateIdError(record.id)
+            raise CorpusError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
         by_class[record.label].append(record)
 

@@ -18,16 +18,11 @@ class InputError(QuadcodeError):
     """Bad user input: malformed files, invalid codes, unusable config."""
 
 
-class NotUtf8Error(InputError):
-    def __init__(self, path: str | Path, line_no: int):
-        super().__init__(f"{path}: line {line_no}: not valid UTF-8")
-        self.line_no = line_no
-
-
 def read_text(path: str | Path) -> str:
-    """The whole file decoded as UTF-8; undecodable bytes raise NotUtf8Error."""
+    """The whole file decoded as UTF-8; undecodable bytes raise InputError."""
     data = Path(path).read_bytes()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise NotUtf8Error(path, data.count(b"\n", 0, exc.start) + 1) from None
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise InputError(f"{path}: line {line_no}: not valid UTF-8") from None

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import rng
 from .corpus import AlignmentPair, SentenceRecord
-from .ontology import CLASSES, QuadClass, parse_cameo_code
+from .ontology import CLASSES, QuadClass, default_quad_map, parse_cameo_code, quad_of
 from .softlabel import VerbPattern
 
 _FILLERS = (
@@ -94,6 +94,7 @@ def make_softlabel_fixture(n: int, seed: int) -> SoftLabelFixture:
     """
     gen = rng.stream(seed, rng.FIXTURE, 1)
     patterns = [VerbPattern(tuple(p.split()), parse_cameo_code(c)) for p, c in _FIXTURE_PATTERNS]
+    quad_map = default_quad_map()
     records, expected = [], []
     for i in range(n):
         noise = [_NOISE[k] for k in gen.integers(0, len(_NOISE), size=3)]
@@ -104,22 +105,10 @@ def make_softlabel_fixture(n: int, seed: int) -> SoftLabelFixture:
             phrase, code = _FIXTURE_PATTERNS[i % len(_FIXTURE_PATTERNS)]
             cut = int(gen.integers(0, len(noise) + 1))
             text_tokens = noise[:cut] + phrase.split() + noise[cut:]
-            parsed = parse_cameo_code(code)
-            expected.append((_quad_of_top(parsed.digits[:2]), code))
+            expected.append((quad_of(parse_cameo_code(code), quad_map), code))
         text = " ".join(text_tokens).capitalize() + "."
         records.append(SentenceRecord(id=f"sl{i:05d}", lang="en", text=text))
     return SoftLabelFixture(records, patterns, expected)
-
-
-def _quad_of_top(top: str) -> QuadClass:
-    value = int(top)
-    if value <= 5:
-        return QuadClass.VERBAL_COOPERATION
-    if value <= 8:
-        return QuadClass.MATERIAL_COOPERATION
-    if value <= 13:
-        return QuadClass.VERBAL_CONFLICT
-    return QuadClass.MATERIAL_CONFLICT
 
 
 # --- label-transfer fixture -------------------------------------------------------

@@ -52,27 +52,10 @@ from .text_encoding import CharEncoder, EncodedExample, WordEncoder, encoder_fro
 
 
 class InvalidConfigError(InputError):
-    def __init__(self, message: str, layer: str | None = None):
-        super().__init__(message if layer is None else f"{layer}: {message}")
-        self.layer = layer
+    pass
 
 
 class CheckpointError(InputError):
-    pass
-
-
-class FormatVersionMismatchError(CheckpointError):
-    def __init__(self, got: int, want: int):
-        super().__init__(f"checkpoint format version {got}, this build reads {want}")
-        self.got = got
-        self.want = want
-
-
-class DigestMismatchError(CheckpointError):
-    pass
-
-
-class ProbeMismatchError(CheckpointError):
     pass
 
 
@@ -80,7 +63,7 @@ class ProbeMismatchError(CheckpointError):
 
 
 def _positive(name: str, value: int) -> None:
-    if not isinstance(value, int) or value < 1:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
         raise InvalidConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
@@ -172,13 +155,11 @@ def word_branch_lengths(config: WordCnnConfig, kernel: int) -> tuple[int, int]:
     conv_len = config.length - kernel + 1
     if conv_len < 1:
         raise InvalidConfigError(
-            f"output length {conv_len} < 1 for input length {config.length}", layer=f"branch_k{kernel}.conv"
+            f"branch_k{kernel}.conv: output length {conv_len} < 1 for input length {config.length}"
         )
     pool_len = conv_len // config.pool
     if pool_len < 1:
-        raise InvalidConfigError(
-            f"output length 0 pooling {conv_len} by {config.pool}", layer=f"branch_k{kernel}.pool"
-        )
+        raise InvalidConfigError(f"branch_k{kernel}.pool: output length 0 pooling {conv_len} by {config.pool}")
     return conv_len, pool_len
 
 
@@ -189,15 +170,11 @@ def char_stack_lengths(config: CharCnnConfig) -> list[int]:
     for i, spec in enumerate(config.convs, start=1):
         length = length - spec.kernel + 1
         if length < 1:
-            raise InvalidConfigError(
-                f"output length {length} < 1 (kernel {spec.kernel} too wide)", layer=f"conv{i}"
-            )
+            raise InvalidConfigError(f"conv{i}: output length {length} < 1 (kernel {spec.kernel} too wide)")
         if spec.pool is not None:
             length //= spec.pool
             if length < 1:
-                raise InvalidConfigError(
-                    f"output length 0 pooling by {spec.pool}", layer=f"conv{i}.pool"
-                )
+                raise InvalidConfigError(f"conv{i}.pool: output length 0 pooling by {spec.pool}")
         lengths.append(length)
     return lengths
 
@@ -582,10 +559,10 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
         raise CheckpointError(f"{path}: not a checkpoint file (bad or truncated magic)")
     version = struct.unpack_from("<I", data, 4)[0]
     if version != _VERSION:
-        raise FormatVersionMismatchError(version, _VERSION)
+        raise CheckpointError(f"checkpoint format version {version}, this build reads {_VERSION}")
     digest = hashlib.sha256(data[:-32])
     if digest.digest() != data[-32:]:
-        raise DigestMismatchError(f"{path}: integrity digest does not match contents")
+        raise CheckpointError(f"{path}: integrity digest does not match contents")
     digest.update(data[-32:])
     header_len = struct.unpack_from("<Q", data, 8)[0]
     offset = 16
@@ -636,7 +613,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     want = take("<f8", (count, config.classes))
     got = model.forward_logits(probe_in, EVAL)[0]
     if not np.array_equal(got, want):
-        raise ProbeMismatchError(f"{path}: restored model disagrees with stored probe logits")
+        raise CheckpointError(f"{path}: restored model disagrees with stored probe logits")
 
     return LoadedCheckpoint(
         model=model,

@@ -24,46 +24,6 @@ class OntologyError(InputError):
     """Invalid CAMEO code or quad map content."""
 
 
-class NonNumericError(OntologyError):
-    def __init__(self, text: str):
-        super().__init__(f"CAMEO code must be all digits: {text!r}")
-        self.text = text
-
-
-class BadLengthError(OntologyError):
-    def __init__(self, text: str):
-        super().__init__(f"CAMEO code must have 2-4 digits: {text!r}")
-        self.text = text
-
-
-class TopLevelOutOfRangeError(OntologyError):
-    def __init__(self, text: str):
-        super().__init__(f"top-level category must be 01-20: {text!r}")
-        self.text = text
-
-
-class QuadMapError(OntologyError):
-    """Problems loading or validating a QuadClassMap file."""
-
-
-class QuadMapParseError(QuadMapError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"quad map line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class MissingTopLevelError(QuadMapError):
-    def __init__(self, top_level: int):
-        super().__init__(f"quad map has no entry for top-level code {top_level:02d}")
-        self.top_level = top_level
-
-
-class DuplicateTopLevelError(QuadMapError):
-    def __init__(self, top_level: int):
-        super().__init__(f"quad map defines top-level code {top_level:02d} twice")
-        self.top_level = top_level
-
-
 class QuadClass(Enum):
     """The four event quadrants: valence x realm.
 
@@ -107,11 +67,11 @@ class CameoCode:
 
     def __post_init__(self):
         if len(self.digits) not in (2, 3, 4):
-            raise BadLengthError(self.digits)
+            raise OntologyError(f"CAMEO code must have 2-4 digits: {self.digits!r}")
         if not self.digits.isascii() or not self.digits.isdigit():
-            raise NonNumericError(self.digits)
+            raise OntologyError(f"CAMEO code must be all digits: {self.digits!r}")
         if not TOP_LEVEL_MIN <= int(self.digits[:2]) <= TOP_LEVEL_MAX:
-            raise TopLevelOutOfRangeError(self.digits)
+            raise OntologyError(f"top-level category must be 01-20: {self.digits!r}")
 
     def __str__(self) -> str:
         return self.digits
@@ -136,10 +96,10 @@ class QuadClassMap:
     def __post_init__(self):
         for n in range(TOP_LEVEL_MIN, TOP_LEVEL_MAX + 1):
             if n not in self.table:
-                raise MissingTopLevelError(n)
+                raise OntologyError(f"quad map has no entry for top-level code {n:02d}")
         extra = set(self.table) - set(range(TOP_LEVEL_MIN, TOP_LEVEL_MAX + 1))
         if extra:
-            raise QuadMapError(f"quad map entries outside 01-20: {sorted(extra)}")
+            raise OntologyError(f"quad map entries outside 01-20: {sorted(extra)}")
 
     def __getitem__(self, top: int) -> QuadClass:
         return self.table[top]
@@ -170,23 +130,23 @@ def parse_quad_map(text: str) -> QuadClassMap:
             continue
         parts = line.split()
         if len(parts) != 2:
-            raise QuadMapParseError(line_no, f"expected '<range> <class>', got {raw!r}")
+            raise OntologyError(f"quad map line {line_no}: expected '<range> <class>', got {raw!r}")
         span, name = parts
         try:
             quad = QuadClass(name)
         except ValueError:
-            raise QuadMapParseError(line_no, f"unknown class {name!r}") from None
+            raise OntologyError(f"quad map line {line_no}: unknown class {name!r}") from None
         lo, _, hi = span.partition("-")
         try:
             lo_n = int(lo, 10)
             hi_n = int(hi, 10) if hi else lo_n
         except ValueError:
-            raise QuadMapParseError(line_no, f"bad code or range {span!r}") from None
+            raise OntologyError(f"quad map line {line_no}: bad code or range {span!r}") from None
         if not (TOP_LEVEL_MIN <= lo_n <= hi_n <= TOP_LEVEL_MAX):
-            raise QuadMapParseError(line_no, f"range {span!r} outside 01-20")
+            raise OntologyError(f"quad map line {line_no}: range {span!r} outside 01-20")
         for n in range(lo_n, hi_n + 1):
             if n in seen:
-                raise DuplicateTopLevelError(n)
+                raise OntologyError(f"quad map defines top-level code {n:02d} twice")
             seen[n] = quad
     return QuadClassMap(seen)
 

@@ -23,24 +23,6 @@ class SoftLabelError(InputError):
     """Bad verb patterns or dictionary files."""
 
 
-class DuplicatePatternError(SoftLabelError):
-    def __init__(self, tokens: tuple[str, ...]):
-        super().__init__(f"pattern defined twice: {' '.join(tokens)!r}")
-        self.tokens = tokens
-
-
-class DictionaryParseError(SoftLabelError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"dictionary line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class ActorListParseError(SoftLabelError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"actor list line {line_no}: {reason}")
-        self.line_no = line_no
-
-
 def tokenize(text: str) -> list[str]:
     """Lowercase, split on whitespace, strip surrounding punctuation.
 
@@ -124,7 +106,7 @@ class PatternDictionary:
             for token in pattern.tokens:
                 node = node.children.setdefault(token, _TrieNode())
             if node.code is not None:
-                raise DuplicatePatternError(pattern.tokens)
+                raise SoftLabelError(f"pattern defined twice: {' '.join(pattern.tokens)!r}")
             node.code = pattern.code
             self._size += 1
 
@@ -232,12 +214,12 @@ def parse_dictionary(text: str) -> list[VerbPattern]:
             continue
         phrase, sep, code_text = line.partition("->")
         if not sep:
-            raise DictionaryParseError(line_no, f"expected 'tokens -> CODE', got {raw!r}")
+            raise SoftLabelError(f"dictionary line {line_no}: expected 'tokens -> CODE', got {raw!r}")
         tokens = tuple(t.lower() for t in phrase.split())
         try:
             patterns.append(VerbPattern(tokens, parse_cameo_code(code_text)))
         except (OntologyError, SoftLabelError) as exc:
-            raise DictionaryParseError(line_no, str(exc)) from None
+            raise SoftLabelError(f"dictionary line {line_no}: {exc}") from None
     return patterns
 
 
@@ -258,6 +240,6 @@ def load_actor_words(path: str | Path) -> frozenset[str]:
             continue
         reason = _unmatchable(word)
         if reason is not None:
-            raise ActorListParseError(line_no, reason)
+            raise SoftLabelError(f"actor list line {line_no}: {reason}")
         words.add(word)
     return frozenset(words)

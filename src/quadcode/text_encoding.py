@@ -30,26 +30,6 @@ class TextEncodingError(InputError):
     pass
 
 
-class DimensionMismatchError(TextEncodingError):
-    def __init__(self, line_no: int, got: int, want: int):
-        super().__init__(f"embedding line {line_no}: vector has {got} values, expected {want}")
-        self.line_no = line_no
-        self.got = got
-        self.want = want
-
-
-class EmbeddingParseError(TextEncodingError):
-    def __init__(self, line_no: int, reason: str):
-        super().__init__(f"embedding line {line_no}: {reason}")
-        self.line_no = line_no
-
-
-class VocabParseError(TextEncodingError):
-    def __init__(self, entry_no: int, reason: str):
-        super().__init__(f"vocabulary entry {entry_no}: {reason}")
-        self.entry_no = entry_no
-
-
 class Vocabulary:
     """Dense token→id map with PAD=0 and UNK=1 always present.
 
@@ -66,7 +46,7 @@ class Vocabulary:
             seen: set[str] = set()
             for entry_no, token in enumerate(tokens, start=1):
                 if token in seen:
-                    raise VocabParseError(entry_no, f"duplicate token {token!r}")
+                    raise TextEncodingError(f"vocabulary entry {entry_no}: duplicate token {token!r}")
                 seen.add(token)
 
     @property
@@ -162,15 +142,17 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, table: np.ndarray) -> N
         parts = line.split(" ")
         token, values = parts[0], parts[1:]
         if not token:
-            raise EmbeddingParseError(line_no, "missing token")
+            raise TextEncodingError(f"embedding line {line_no}: missing token")
         if len(values) != d:
-            raise DimensionMismatchError(line_no, len(values), d)
+            raise TextEncodingError(f"embedding line {line_no}: vector has {len(values)} values, expected {d}")
         if token not in vocab:
             continue
         try:
             row = np.array([float(v) for v in values], dtype=np.float64)
         except ValueError as exc:
-            raise EmbeddingParseError(line_no, str(exc)) from None
+            raise TextEncodingError(f"embedding line {line_no}: {exc}") from None
+        if not np.isfinite(row).all():
+            raise TextEncodingError(f"embedding line {line_no}: values must be finite")
         table[vocab.index_of(token)] = row
 
 
@@ -193,15 +175,17 @@ def _vocab_from_objs(objs: list) -> Vocabulary:
     counts: list[int] = []
     for entry_no, obj in enumerate(objs, start=1):
         if not isinstance(obj, dict):
-            raise VocabParseError(entry_no, "expected a JSON object")
+            raise TextEncodingError(f"vocabulary entry {entry_no}: expected a JSON object")
         try:
             token, index, count = obj["token"], obj["index"], obj["count"]
         except KeyError as exc:
-            raise VocabParseError(entry_no, f"missing key {exc.args[0]!r}") from None
+            raise TextEncodingError(f"vocabulary entry {entry_no}: missing key {exc.args[0]!r}") from None
         if not isinstance(token, str) or not isinstance(index, int) or not isinstance(count, int):
-            raise VocabParseError(entry_no, "bad field types")
+            raise TextEncodingError(f"vocabulary entry {entry_no}: bad field types")
         if index != entry_no - 1 + _RESERVED:
-            raise VocabParseError(entry_no, f"index {index} is not dense, expected {entry_no - 1 + _RESERVED}")
+            raise TextEncodingError(
+                f"vocabulary entry {entry_no}: index {index} is not dense, expected {entry_no - 1 + _RESERVED}"
+            )
         tokens.append(token)
         counts.append(count)
     return Vocabulary(tokens, counts)
@@ -237,7 +221,9 @@ class CharEncoder:
     def __post_init__(self):
         for entry_no, token in enumerate(self.alphabet.tokens, start=1):
             if len(token) != 1:
-                raise VocabParseError(entry_no, f"alphabet entry must be a single codepoint, got {token!r}")
+                raise TextEncodingError(
+                    f"vocabulary entry {entry_no}: alphabet entry must be a single codepoint, got {token!r}"
+                )
 
     def encode(self, text: str) -> np.ndarray:
         return encode_chars(self.alphabet, text, self.length)

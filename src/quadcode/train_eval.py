@@ -24,12 +24,6 @@ from .tensor_nn.optim import make_optimizer
 from .text_encoding import EncodedExample
 
 
-class EmptyDatasetError(InputError):
-    def __init__(self, which: str):
-        super().__init__(f"{which} dataset has no examples")
-        self.which = which
-
-
 class NonFiniteLossError(QuadcodeError):
     def __init__(self, step: int):
         super().__init__(f"loss became non-finite at optimizer step {step}")
@@ -150,7 +144,7 @@ def evaluate(
     """Dropout-off predictions over the whole set, batch_size examples per
     forward pass; exact counts."""
     if not test_set:
-        raise EmptyDatasetError("test")
+        raise InputError("test dataset has no examples")
     confusion = np.zeros((4, 4), dtype=np.int64)
     for start in range(0, len(test_set), batch_size):
         chunk = test_set[start : start + batch_size]
@@ -172,9 +166,9 @@ def train(
     best epoch are restored before returning.
     """
     if not train_set:
-        raise EmptyDatasetError("train")
+        raise InputError("train dataset has no examples")
     if not dev_set:
-        raise EmptyDatasetError("dev")
+        raise InputError("dev dataset has no examples")
     train_set = list(train_set)
     dev_set = list(dev_set)
     params = model.parameters()
@@ -240,4 +234,6 @@ def read_history(path: str | Path) -> list[EpochStats]:
             out.append(EpochStats(obj["epoch"], obj["train_loss"], obj["dev_accuracy"]))
         except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise InputError(f"history line {line_no}: {exc}") from None
+        except RecursionError:
+            raise InputError(f"history line {line_no}: invalid JSON: nested too deeply") from None
     return out

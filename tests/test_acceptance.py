@@ -41,10 +41,8 @@ from quadcode.models import (
     tiny_word_config,
 )
 from quadcode.ontology import (
-    BadLengthError,
     CLASSES,
-    NonNumericError,
-    TopLevelOutOfRangeError,
+    OntologyError,
     default_quad_map,
     dumps_quad_map,
     load_quad_map,
@@ -345,15 +343,15 @@ def test_c7_ontology_totality_and_round_trip():
         write_jsonl(read_jsonl(corpus_path), second)
         assert corpus_path.read_bytes() == second.read_bytes()
 
-    with pytest.raises(BadLengthError):
+    with pytest.raises(OntologyError, match=r"^CAMEO code must have 2-4 digits: '1'$"):
         parse_cameo_code("1")
-    with pytest.raises(BadLengthError):
+    with pytest.raises(OntologyError, match=r"^CAMEO code must have 2-4 digits: '14225'$"):
         parse_cameo_code("14225")
-    with pytest.raises(NonNumericError):
+    with pytest.raises(OntologyError, match=r"^CAMEO code must be all digits: '1a'$"):
         parse_cameo_code("1a")
-    with pytest.raises(TopLevelOutOfRangeError):
+    with pytest.raises(OntologyError, match=r"^top-level category must be 01-20: '21'$"):
         parse_cameo_code("21")
-    with pytest.raises(TopLevelOutOfRangeError):
+    with pytest.raises(OntologyError, match=r"^top-level category must be 01-20: '00'$"):
         parse_cameo_code("00")
 
 

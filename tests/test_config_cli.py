@@ -418,6 +418,31 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().err
 
 
+BAD_NUMERIC_FLAGS = [
+    ["split", "--seed", "-1"],
+    ["gradcheck", "--model", "word", "--seed", "-1"],
+    ["gradcheck", "--model", "word", "--epsilon", "0"],
+    ["gradcheck", "--model", "word", "--epsilon", "-0.5"],
+    ["gradcheck", "--model", "word", "--epsilon", "nan"],
+    ["gradcheck", "--model", "word", "--epsilon", "inf"],
+    ["gradcheck", "--model", "word", "--coords", "0"],
+    ["gradcheck", "--model", "word", "--coords", "-1"],
+]
+
+
+@pytest.mark.parametrize("argv", BAD_NUMERIC_FLAGS, ids=[" ".join(argv) for argv in BAD_NUMERIC_FLAGS])
+def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
+    flag = argv[-2]
+    if argv[0] == "split":
+        infile = tmp_path / "all.jsonl"
+        write_jsonl(make_separable_corpus(8, seed=0), infile)
+        argv = [*argv, "--in", str(infile), "--outdir", str(tmp_path / "s")]
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert flag in err and "OK" not in out
+
+
 @pytest.fixture(scope="module")
 def valid_inputs(trained, tmp_path_factory):
     """A valid value for every file flag of every subcommand."""

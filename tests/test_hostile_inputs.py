@@ -1,0 +1,279 @@
+"""Hostile input: every reader of a user-supplied file fails only with InputError.
+
+Each reader gets a valid sample, then derandomised hypothesis mutations of it:
+truncation, flipped and inserted bytes, and JSON nested too deeply to parse.
+Checkpoints are forged with a correct sha256, so the digest check cannot
+catch them: header values are replaced by booleans, nulls, negatives, strings
+and lists, keys are removed, and the raw header bytes are mutated. Whatever
+a reader does with such input, the only exception that may escape is an
+InputError, which the CLI turns into exit code 2 with a one-line `error:`.
+"""
+
+import copy
+import hashlib
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from quadcode.cli import main
+from quadcode.config import resolve_settings
+from quadcode.corpus import AlignmentPair, SentenceRecord, read_alignments, read_jsonl, write_alignments, write_jsonl
+from quadcode.errors import InputError
+from quadcode.models import (
+    build_char_cnn,
+    build_word_cnn,
+    load_checkpoint,
+    predict,
+    save_checkpoint,
+    tiny_char_config,
+    tiny_word_config,
+)
+from quadcode.ontology import QuadClass, default_quad_map, dumps_quad_map, load_quad_map, parse_cameo_code
+from quadcode.softlabel import load_actor_words, load_dictionary
+from quadcode.text_encoding import CharEncoder, Vocabulary, WordEncoder, load_embeddings
+from quadcode.train_eval import EpochStats, read_history, write_history
+
+FUZZ = settings(
+    derandomize=True, max_examples=80, deadline=None, database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+
+
+def only_input_errors(call) -> None:
+    """Run call; an InputError is an accepted outcome, anything else fails the test."""
+    try:
+        call()
+    except InputError:
+        pass
+
+
+@st.composite
+def mutated(draw, sample: bytes) -> bytes:
+    """sample after one to three truncations, byte flips or byte insertions."""
+    data = bytearray(sample)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("truncate", "flip", "insert")))
+        at = draw(st.integers(0, len(data)))
+        if op == "truncate":
+            del data[at:]
+        elif op == "flip" and at < len(data):
+            data[at] ^= draw(st.integers(1, 255))
+        else:
+            data[at:at] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(data)
+
+
+@st.composite
+def nested(draw, sample: bytes) -> bytes:
+    """sample with a line of deeply nested JSON arrays or objects inserted."""
+    lines = sample.split(b"\n")
+    depth = draw(st.sampled_from((10, 100, 3_000)))
+    opener = draw(st.sampled_from((b"[", b'{"a":')))
+    closer = b"]" if opener == b"[" else b"}"
+    line = opener * depth + b"1" + closer * draw(st.sampled_from((0, depth)))
+    lines.insert(draw(st.integers(0, len(lines))), line)
+    return b"\n".join(lines)
+
+
+def hostile(sample: bytes, is_json: bool):
+    return st.one_of(mutated(sample), nested(sample)) if is_json else mutated(sample)
+
+
+# --- text readers -------------------------------------------------------------
+
+
+def _jsonl_sample(tmp_path) -> bytes:
+    path = tmp_path / "sample.jsonl"
+    write_jsonl([
+        SentenceRecord("a", "en", "Police met with protesters.", QuadClass.VERBAL_COOPERATION, parse_cameo_code("040")),
+        SentenceRecord("b", "ar", "قصفت القوات القرية", QuadClass.MATERIAL_CONFLICT, parse_cameo_code("190"), "mt"),
+        SentenceRecord("c", "en", "Nothing happened."),
+    ], path)
+    return path.read_bytes()
+
+
+def _alignment_sample(tmp_path) -> bytes:
+    path = tmp_path / "sample.align.jsonl"
+    write_alignments([AlignmentPair("a", "x"), AlignmentPair("b", "y")], path)
+    return path.read_bytes()
+
+
+def _history_sample(tmp_path) -> bytes:
+    path = tmp_path / "sample.history.jsonl"
+    write_history([EpochStats(1, 1.25, 0.5), EpochStats(2, 0.75, 0.625)], path)
+    return path.read_bytes()
+
+
+QUADMAP_SAMPLE = dumps_quad_map(default_quad_map()).encode()
+DICTIONARY_SAMPLE = b"# verbs\nmet with -> 040\nsigned agreement with -> 057\nattacked -> 190  # comment\n"
+ACTORS_SAMPLE = b"# actors\npolice\nu.n\n"
+CONFIG_SAMPLE = (
+    b"epochs = 2\nlr = 0.01\nshuffle = yes\nword.kernels = 3,4,5\nword.dropout = 0.25\n"
+    b"char.convs = 8x3p2,8x3\nchar.hidden = 16,16\n"
+)
+EMBEDDINGS_SAMPLE = "alpha 0.5 -1 2e-3\nbeta 1 2 3\nunknown 4 5 6\n".encode()
+
+
+def _resolve_and_build(config_path=None, overrides=None) -> None:
+    settings = resolve_settings(config_path, overrides)
+    settings.train_config()
+    settings.word_config(50)
+    settings.char_config(40)
+
+
+def _load_embeddings(path) -> None:
+    vocab = Vocabulary(["alpha", "beta"], [2, 1])
+    load_embeddings(path, vocab, np.zeros((vocab.size, 3)))
+
+
+def _read_jsonl(path) -> None:
+    read_jsonl(path, default_quad_map())  # the map adds the label/cameo consistency check
+
+
+# (name, sample, reader, whether the format is JSON)
+TEXT_READERS = [
+    ("read_jsonl", _jsonl_sample, _read_jsonl, True),
+    ("read_alignments", _alignment_sample, read_alignments, True),
+    ("read_history", _history_sample, read_history, True),
+    ("load_quad_map", lambda _: QUADMAP_SAMPLE, load_quad_map, False),
+    ("load_dictionary", lambda _: DICTIONARY_SAMPLE, load_dictionary, False),
+    ("load_actor_words", lambda _: ACTORS_SAMPLE, load_actor_words, False),
+    ("resolve_settings", lambda _: CONFIG_SAMPLE, _resolve_and_build, False),
+    ("load_embeddings", lambda _: EMBEDDINGS_SAMPLE, _load_embeddings, False),
+]
+
+
+@pytest.mark.parametrize("make_sample, read, is_json", [r[1:] for r in TEXT_READERS], ids=[r[0] for r in TEXT_READERS])
+def test_mutated_file_raises_only_input_error(tmp_path, make_sample, read, is_json):
+    sample = make_sample(tmp_path)
+    path = tmp_path / "input"
+    path.write_bytes(sample)
+    read(path)  # the unmutated sample is valid
+
+    @FUZZ
+    @given(hostile(sample, is_json))
+    def check(data):
+        path.write_bytes(data)
+        only_input_errors(lambda: read(path))
+
+    check()
+
+
+SET_SAMPLE = ("seed=3", "batch_size=16", "lr=0.001", "word.kernels=3,4,5", "char.convs=8x3p2,8x3", "char.one_hot=no")
+
+
+@FUZZ
+@given(st.integers(0, len(SET_SAMPLE) - 1), mutated("\n".join(SET_SAMPLE).encode()))
+def test_mutated_set_overrides_raise_only_input_error(keep, data):
+    # argv reaches Python as str, undecodable bytes as surrogate escapes
+    overrides = [*SET_SAMPLE[:keep], *data.decode("utf-8", "surrogateescape").split("\n")]
+    only_input_errors(lambda: _resolve_and_build(overrides=overrides))
+
+
+# --- forged checkpoints ---------------------------------------------------------
+
+
+def _checkpoint(tmp_path, kind: str) -> bytes:
+    if kind == "word":
+        config = tiny_word_config(vocab_size=8)
+        model = build_word_cnn(config, seed=0)
+        vocab = Vocabulary(["police", "met", "with", "w1", "w2", "w3"], [6, 5, 4, 3, 2, 1])
+        encoder = WordEncoder(vocab, config.length)
+    else:
+        config = tiny_char_config()
+        model = build_char_cnn(config, seed=0)
+        encoder = CharEncoder(Vocabulary(list("abcdef"), [6, 5, 4, 3, 2, 1]), config.length)
+    path = tmp_path / f"{kind}.ckpt"
+    save_checkpoint(model, path, encoder=encoder, quad_map_digest="0" * 64, metadata={"seed": 0})
+    return path.read_bytes()
+
+
+def sealed(blob: bytes, header: bytes) -> bytes:
+    """blob with its header replaced by `header`, length and sha256 made consistent."""
+    old_len = struct.unpack_from("<Q", blob, 8)[0]
+    body = blob[:8] + struct.pack("<Q", len(header)) + header + blob[16 + old_len : -32]
+    return body + hashlib.sha256(body).digest()
+
+
+def _header_bytes(blob: bytes) -> bytes:
+    return blob[16 : 16 + struct.unpack_from("<Q", blob, 8)[0]]
+
+
+def _paths(node, prefix=()):
+    """Every key path into a parsed header, containers included."""
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+FORGED_VALUES = (True, False, None, -1, 0, 1.5, 2**70, "x", "", [], [1], {}, ["a", None])
+REMOVED = object()
+
+
+def forged(header: dict):
+    """Strategy: header copies with one to three values replaced or keys removed."""
+    paths = sorted(_paths(header), key=repr)
+    edit = st.tuples(st.sampled_from(paths), st.sampled_from((*FORGED_VALUES, REMOVED)))
+
+    def apply(edits) -> bytes:
+        out = json.loads(json.dumps(header))
+        for path, value in edits:
+            node = out
+            try:
+                for key in path[:-1]:
+                    node = node[key]
+                if value is REMOVED:
+                    del node[path[-1]]
+                else:
+                    node[path[-1]] = copy.deepcopy(value)  # a shared list or dict could become a cycle
+            except (KeyError, IndexError, TypeError):
+                continue  # an earlier edit removed or replaced this path
+        return json.dumps(out, separators=(",", ":")).encode()
+
+    return st.lists(edit, min_size=1, max_size=3).map(apply)
+
+
+def _load_and_predict(path) -> None:
+    loaded = load_checkpoint(path)
+    if loaded.encoder is not None:  # without one, predict stops with an InputError
+        texts = ["Police met with protesters.", "", "w1 w2 w3 abc"]
+        predict(loaded.model, np.stack([loaded.encoder.encode(text) for text in texts]))
+
+
+@pytest.mark.parametrize("kind", ["word", "char"])
+def test_forged_checkpoint_header_raises_only_input_error(tmp_path, kind):
+    blob = _checkpoint(tmp_path, kind)
+    raw = _header_bytes(blob)
+    path = tmp_path / "forged.ckpt"
+
+    @FUZZ
+    @given(st.one_of(forged(json.loads(raw)), hostile(raw, is_json=True)))
+    def check(raw):
+        path.write_bytes(sealed(blob, raw))
+        only_input_errors(lambda: _load_and_predict(path))
+
+    check()
+
+
+@pytest.mark.parametrize("kind, pool_path", [("word", ["pool"]), ("char", ["convs", 0, 2])],
+                         ids=["word_pool", "char_conv_pool"])
+def test_predict_on_boolean_pool_exits_2(tmp_path, capsys, kind, pool_path):
+    blob = _checkpoint(tmp_path, kind)
+    header = json.loads(_header_bytes(blob))
+    node = header["config"]
+    for key in pool_path[:-1]:
+        node = node[key]
+    node[pool_path[-1]] = True
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(blob, json.dumps(header, separators=(",", ":")).encode()))
+    infile = tmp_path / "in.jsonl"
+    write_jsonl([SentenceRecord("a", "en", "Police met with protesters.")], infile)
+    code = main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "out.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+    assert "pool must be an integer >= 1, got True" in err

@@ -15,7 +15,6 @@ from quadcode.models import (
     CharCnnConfig,
     CheckpointError,
     ConvSpec,
-    DigestMismatchError,
     InvalidConfigError,
     WordCnnConfig,
     _config_from_obj,
@@ -114,13 +113,11 @@ class TestConfigValidation:
 
     def test_too_short_input_names_failing_layer(self):
         config = CharCnnConfig(alphabet_size=10, length=11)
-        with pytest.raises(InvalidConfigError) as err:
+        with pytest.raises(InvalidConfigError, match=r"^conv2: output length -1 < 1 \(kernel 3 too wide\)$"):
             char_stack_lengths(config)
-        assert err.value.layer is not None
         config = WordCnnConfig(vocab_size=10, length=4)
-        with pytest.raises(InvalidConfigError) as err:
+        with pytest.raises(InvalidConfigError, match=r"^branch_k5\.conv: output length 0 < 1 for input length 4$"):
             word_branch_lengths(config, 5)
-        assert err.value.layer == "branch_k5.conv"
 
 
 class TestConfigCodec:
@@ -459,7 +456,7 @@ class TestCheckpoints:
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
-        with pytest.raises(DigestMismatchError):
+        with pytest.raises(CheckpointError, match=r": integrity digest does not match contents$"):
             load_checkpoint(path)
 
     def test_truncated_file_detected(self, tmp_path):
@@ -528,7 +525,7 @@ class TestCheckpoints:
         assert blob[16:17] == b"{"
         blob[16] ^= 0xFF  # not UTF-8: a header parsed first would fail as unreadable
         path.write_bytes(bytes(blob))
-        with pytest.raises(DigestMismatchError):
+        with pytest.raises(CheckpointError, match=r": integrity digest does not match contents$"):
             load_checkpoint(path)
 
     def _sealed(self, body: bytes) -> bytes:
@@ -575,12 +572,12 @@ class TestCheckpoints:
         header_len = struct.unpack_from("<Q", data, 8)[0]
         body = data[:8] + struct.pack("<Q", header_len + delta) + data[16:-32]
         path.write_bytes(body + data[-32:])
-        with pytest.raises(DigestMismatchError):
+        with pytest.raises(CheckpointError, match=r": integrity digest does not match contents$"):
             load_checkpoint(path)
         path.write_bytes(self._sealed(body))
         with pytest.raises(CheckpointError) as err:
             load_checkpoint(path)
-        assert not isinstance(err.value, DigestMismatchError)
+        assert "integrity digest" not in str(err.value)
 
     @pytest.mark.parametrize("sealed", [False, True])
     def test_truncated_inside_parameter_block(self, tmp_path, capsys, sealed):

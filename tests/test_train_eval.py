@@ -14,11 +14,10 @@ import pytest
 import quadcode
 
 from quadcode import train_eval
-from quadcode.errors import QuadcodeError
+from quadcode.errors import InputError, QuadcodeError
 from quadcode.models import build_word_cnn, predict, tiny_word_config
 from quadcode.text_encoding import EncodedExample
 from quadcode.train_eval import (
-    EmptyDatasetError,
     EpochStats,
     Metrics,
     TrainConfig,
@@ -133,7 +132,7 @@ class TestEvaluate:
 
     def test_empty_set_rejected(self):
         model = build_word_cnn(tiny_word_config(), seed=0)
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(InputError, match=r"^test dataset has no examples$"):
             evaluate(model, [])
 
 
@@ -245,9 +244,9 @@ class TestTrainingLoop:
     def test_empty_sets_rejected(self):
         model = build_word_cnn(tiny_word_config(), seed=0)
         data = self._separable_examples(4)
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(InputError, match=r"^train dataset has no examples$"):
             train(model, [], data, TrainConfig())
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(InputError, match=r"^dev dataset has no examples$"):
             train(model, data, [], TrainConfig())
 
     def test_sgd_also_trains(self):
@@ -319,9 +318,13 @@ class TestHistoryFiles:
         assert path.read_text() == '{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n'
 
     def test_bad_line_reports_position(self, tmp_path):
-        from quadcode.errors import InputError
-
         path = tmp_path / "history.jsonl"
         path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n{"epoch":2}\n')
         with pytest.raises(InputError, match="line 2"):
+            read_history(path)
+
+    def test_over_deep_line_reports_position(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+        with pytest.raises(InputError, match=r"^history line 2: invalid JSON: nested too deeply$"):
             read_history(path)
