@@ -23,13 +23,13 @@ import numpy as np
 from . import config as config_mod
 from . import experiments
 from .corpus import (
-    JSONL_ENCODER,
     class_histogram,
     read_alignments,
     read_jsonl,
     record_to_obj,
     stratified_split,
     transfer_labels,
+    write_json_lines,
     write_jsonl,
 )
 from .errors import InputError, QuadcodeError
@@ -230,7 +230,8 @@ def _cmd_predict(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
     encoder = _require_encoder(loaded)
     records = read_jsonl(args.infile)
-    with open(args.out, "w", encoding="utf-8") as fh:
+
+    def annotated():
         for start in range(0, len(records), DEFAULT_BATCH_SIZE):
             chunk = records[start : start + DEFAULT_BATCH_SIZE]
             classes, probs = predict(loaded.model, np.stack([encoder.encode(r.text) for r in chunk]))
@@ -238,7 +239,9 @@ def _cmd_predict(args) -> int:
                 obj = record_to_obj(record)
                 obj["predicted"] = CLASSES[class_index].value
                 obj["probs"] = [float(p) for p in row]
-                fh.write(JSONL_ENCODER.encode(obj) + "\n")
+                yield obj
+
+    write_json_lines(annotated(), args.out)
     print(f"{len(records)} records annotated")
     _write_manifest(args.out, "predict", inputs=[args.checkpoint, args.infile], outputs=[args.out],
                     known_digests={str(args.checkpoint): loaded.sha256})

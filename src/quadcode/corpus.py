@@ -67,50 +67,50 @@ class LabelHistogram:
         return out
 
 
-def _validate_lang(lang: str, line_no: int) -> str:
+def _validate_lang(lang: str, where: str) -> str:
     if len(lang) != 2 or not lang.isascii() or not lang.isalpha() or not lang.islower():
-        raise CorpusError(f"line {line_no}: lang must be a 2-letter ISO 639-1 code, got {lang!r}")
+        raise CorpusError(f"{where}: lang must be a 2-letter ISO 639-1 code, got {lang!r}")
     return lang
 
 
-def record_from_obj(obj: dict, line_no: int, quad_map: QuadClassMap | None = None) -> SentenceRecord:
-    """Build a validated record from a parsed JSON object."""
+def record_from_obj(obj: dict, where: str, quad_map: QuadClassMap | None = None) -> SentenceRecord:
+    """Build a validated record from a parsed JSON object; errors start with where."""
     if not isinstance(obj, dict):
-        raise CorpusError(f"line {line_no}: record is not a JSON object")
+        raise CorpusError(f"{where}: record is not a JSON object")
     for key in ("id", "lang", "text"):
         if key not in obj:
-            raise CorpusError(f"line {line_no}: missing required key {key!r}")
+            raise CorpusError(f"{where}: missing required key {key!r}")
         if not isinstance(obj[key], str):
-            raise CorpusError(f"line {line_no}: key {key!r} must be a string")
+            raise CorpusError(f"{where}: key {key!r} must be a string")
     if not obj["id"]:
-        raise CorpusError(f"line {line_no}: id must be non-empty")
+        raise CorpusError(f"{where}: id must be non-empty")
     if not obj["text"]:
-        raise CorpusError(f"line {line_no}: text must be non-empty")
-    _validate_lang(obj["lang"], line_no)
+        raise CorpusError(f"{where}: text must be non-empty")
+    _validate_lang(obj["lang"], where)
 
     label = None
     if obj.get("label") is not None:
         try:
             label = QuadClass(obj["label"])
         except ValueError:
-            raise CorpusError(f"line {line_no}: unknown label {obj['label']!r}") from None
+            raise CorpusError(f"{where}: unknown label {obj['label']!r}") from None
     cameo = None
     if obj.get("cameo") is not None:
         if not isinstance(obj["cameo"], str):
-            raise CorpusError(f"line {line_no}: cameo must be a string")
+            raise CorpusError(f"{where}: cameo must be a string")
         try:
             cameo = parse_cameo_code(obj["cameo"])
         except OntologyError as exc:
-            raise CorpusError(f"line {line_no}: bad cameo code: {exc}") from None
+            raise CorpusError(f"{where}: bad cameo code: {exc}") from None
     if label is not None and cameo is not None and quad_map is not None:
         expected = quad_of(cameo, quad_map)
         if expected is not label:
             raise CorpusError(
-                f"line {line_no}: label {label.value} does not match cameo {cameo} (expected {expected.value})"
+                f"{where}: label {label.value} does not match cameo {cameo} (expected {expected.value})"
             )
     source = obj.get("source")
     if source is not None and not isinstance(source, str):
-        raise CorpusError(f"line {line_no}: source must be a string")
+        raise CorpusError(f"{where}: source must be a string")
     return SentenceRecord(obj["id"], obj["lang"], obj["text"], label, cameo, source)
 
 
@@ -130,24 +130,23 @@ def record_to_obj(record: SentenceRecord) -> dict:
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
 
-def dumps_record(record: SentenceRecord) -> str:
-    return JSONL_ENCODER.encode(record_to_obj(record))
-
-
-def _json_lines(path: str | Path) -> Iterator[tuple[int, object]]:
-    """(line number, parsed value) for each non-blank line of a JSONL file."""
+def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
+    """("<path>: line N", parsed value) for each non-blank line of a JSONL file."""
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
+                where = f"{path}: line {line_no}"
                 try:
                     obj = json.loads(line)
                 except json.JSONDecodeError as exc:
-                    raise CorpusError(f"line {line_no}: invalid JSON: {exc.msg}") from None
+                    raise CorpusError(f"{where}: invalid JSON: {exc.msg}") from None
                 except RecursionError:
-                    raise CorpusError(f"line {line_no}: invalid JSON: nested too deeply") from None
-                yield line_no, obj
+                    raise CorpusError(f"{where}: invalid JSON: nested too deeply") from None
+                except ValueError:  # an integer past Python's digit limit
+                    raise CorpusError(f"{where}: invalid JSON: integer too long") from None
+                yield where, obj
     except UnicodeDecodeError:
         # Decoding runs ahead of the line count; read_text names the bad line.
         read_text(path)
@@ -162,8 +161,8 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
     """
     records: list[SentenceRecord] = []
     seen: set[str] = set()
-    for line_no, obj in _json_lines(path):
-        record = record_from_obj(obj, line_no, quad_map)
+    for where, obj in json_lines(path):
+        record = record_from_obj(obj, where, quad_map)
         if record.id in seen:
             raise CorpusError(f"duplicate record id {record.id!r}")
         seen.add(record.id)
@@ -171,25 +170,28 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
     return records
 
 
-def write_jsonl(records: Iterable[SentenceRecord], path: str | Path) -> None:
+def write_json_lines(objs: Iterable[object], path: str | Path) -> None:
+    """Every JSONL file's writer: one compact raw-UTF-8 JSON value per line."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(dumps_record(record) + "\n" for record in records)
+        handle.writelines(JSONL_ENCODER.encode(obj) + "\n" for obj in objs)
+
+
+def write_jsonl(records: Iterable[SentenceRecord], path: str | Path) -> None:
+    write_json_lines(map(record_to_obj, records), path)
 
 
 def read_alignments(path: str | Path) -> list[AlignmentPair]:
     """Read an alignment JSONL file ({"src_id": ..., "tgt_id": ...} per line)."""
     pairs: list[AlignmentPair] = []
-    for line_no, obj in _json_lines(path):
+    for where, obj in json_lines(path):
         if not isinstance(obj, dict) or not isinstance(obj.get("src_id"), str) or not isinstance(obj.get("tgt_id"), str):
-            raise CorpusError(f"line {line_no}: alignment needs string keys 'src_id' and 'tgt_id'")
+            raise CorpusError(f"{where}: alignment needs string keys 'src_id' and 'tgt_id'")
         pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"]))
     return pairs
 
 
 def write_alignments(pairs: Iterable[AlignmentPair], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for pair in pairs:
-            handle.write(json.dumps({"src_id": pair.src_id, "tgt_id": pair.tgt_id}, separators=(",", ":")) + "\n")
+    write_json_lines(({"src_id": pair.src_id, "tgt_id": pair.tgt_id} for pair in pairs), path)
 
 
 @dataclass

@@ -302,7 +302,7 @@ class CharCnn:
         char_stack_lengths(config)  # validates before any allocation
         init = None if seed is None else rng.stream(seed, rng.INIT)
         if config.one_hot:
-            table = np.eye(config.alphabet_size, dtype=np.float64)
+            table = np.eye(config.alphabet_size)
         else:
             table = _init_embedding(seed, config.alphabet_size, config.embed_dim)
         self.embedding = Embedding(table, trainable=not config.one_hot)
@@ -570,7 +570,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
         raise CheckpointError(f"{path}: truncated header")
     try:
         header = json.loads(str(data[offset : offset + header_len], "utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON and overlong integers are all ValueErrors
         raise CheckpointError(f"{path}: unreadable header: {exc}") from None
     offset += header_len
     if not isinstance(header, dict):

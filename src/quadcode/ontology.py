@@ -25,7 +25,7 @@ class OntologyError(InputError):
 
 
 class QuadClass(Enum):
-    """The four event quadrants: valence x realm.
+    """The four event quadrants: cooperation/conflict x verbal/material.
 
     Declaration order is the canonical class-index order (0-3) used for
     labels, logits, and confusion matrices everywhere in the toolkit.
@@ -35,14 +35,6 @@ class QuadClass(Enum):
     MATERIAL_COOPERATION = "material_cooperation"
     VERBAL_CONFLICT = "verbal_conflict"
     MATERIAL_CONFLICT = "material_conflict"
-
-    @property
-    def valence(self) -> str:
-        return "cooperation" if self in (QuadClass.VERBAL_COOPERATION, QuadClass.MATERIAL_COOPERATION) else "conflict"
-
-    @property
-    def realm(self) -> str:
-        return "verbal" if self in (QuadClass.VERBAL_COOPERATION, QuadClass.VERBAL_CONFLICT) else "material"
 
     @property
     def index(self) -> int:

@@ -94,8 +94,8 @@ class _TrieNode:
 class PatternDictionary:
     """Immutable token trie supporting longest-match lookup at a position.
 
-    Construct through compile_dictionary(); lookup results depend only on
-    the pattern set, never on insertion order.
+    A token sequence defined twice is rejected. Lookup results depend only
+    on the pattern set, never on insertion order.
     """
 
     def __init__(self, patterns: Iterable[VerbPattern]):
@@ -124,11 +124,6 @@ class PatternDictionary:
             if node.code is not None:
                 best = (i - start + 1, node.code)
         return best
-
-
-def compile_dictionary(patterns: Iterable[VerbPattern]) -> PatternDictionary:
-    """Compile patterns into a lookup trie; duplicate sequences rejected."""
-    return PatternDictionary(patterns)
 
 
 def match_patterns(dictionary: PatternDictionary, tokens: Sequence[str]) -> list[MatchSpan]:
@@ -224,7 +219,7 @@ def parse_dictionary(text: str) -> list[VerbPattern]:
 
 
 def load_dictionary(path: str | Path) -> PatternDictionary:
-    return compile_dictionary(parse_dictionary(read_text(path)))
+    return PatternDictionary(parse_dictionary(read_text(path)))
 
 
 def load_actor_words(path: str | Path) -> frozenset[str]:

@@ -152,8 +152,6 @@ class MaxPool1d:
     params: list[Parameter] = []
 
     def __init__(self, width: int):
-        if width < 1:
-            raise QuadcodeError(f"pool width must be >= 1, got {width}")
         self.width = width
 
     def forward(self, x: np.ndarray, ctx: PassContext):
@@ -169,8 +167,6 @@ class Dropout:
     params: list[Parameter] = []
 
     def __init__(self, rate: float):
-        if not 0.0 <= rate < 1.0:
-            raise QuadcodeError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x: np.ndarray, ctx: PassContext):

@@ -1,9 +1,11 @@
-"""Forward/backward primitives on batch-major float64 numpy arrays.
+"""Forward/backward primitives on batch-major numpy arrays.
 
 No tape, no graph: every forward op has a hand-written backward op and the
 caller wires them together. Backward contracts are exact analytic gradients
 of the forward definitions; the finite-difference suite keeps them honest.
-All public forwards validate shapes and trap non-finite outputs.
+All public forwards validate shapes and trap non-finite outputs. Ops keep
+their inputs' dtype, which Parameter fixes at float64; only dropout, whose
+mask is float64, returns float64 whatever its input.
 
 Conventions: axis 0 is always the batch axis N, and a single example is
 just N=1. Feature maps are (N, channels, length), vectors are (N, n),
@@ -41,10 +43,6 @@ def _trap(name: str, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _f64(a) -> np.ndarray:
-    return np.asarray(a, dtype=np.float64)
-
-
 # --- convolution --------------------------------------------------------------
 
 
@@ -67,7 +65,6 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     x: (N, C, L), w: (F, C, K), b: (F,) -> (N, F, L-K+1) with
     out[n, f, t] = b[f] + sum_{c,k} x[n, c, t+k] * w[f, c, k].
     """
-    x, w, b = _f64(x), _f64(w), _f64(b)
     _require(x.ndim == 3, f"conv1d input must be (N, C, L), got {x.shape}")
     _require(w.ndim == 3, f"conv1d weights must be (F, C, K), got {w.shape}")
     frames, c_in, kernel = w.shape
@@ -90,7 +87,6 @@ def conv1d_backward(
     window's gradient, scattered back onto the positions it covered:
     grad_x[n,c,t+k] += sum_f grad_y[n,f,t] w[f,c,k].
     """
-    x, w, grad_y = _f64(x), _f64(w), _f64(grad_y)
     frames, c_in, kernel = w.shape
     n, _, length = x.shape
     steps = length - kernel + 1
@@ -99,7 +95,7 @@ def conv1d_backward(
     grad_w = (gy @ _im2col(x, kernel).T).reshape(w.shape)
     grad_b = grad_y.sum(axis=(0, 2))
     grad_cols = (w.reshape(frames, c_in * kernel).T @ gy).reshape(c_in, kernel, n, steps)
-    grad_x = np.zeros((n, c_in, length))
+    grad_x = np.zeros((n, c_in, length), dtype=grad_cols.dtype)
     for k in range(kernel):
         grad_x[:, :, k : k + steps] += grad_cols[:, k].transpose(1, 0, 2)
     return grad_x, grad_w, grad_b
@@ -119,7 +115,6 @@ def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
     np.maximum carries a NaN through to the output trap. (Of a window whose
     maximum is a zero of both signs, np.maximum picks which zero is output.)
     """
-    x = _f64(x)
     _require(x.ndim == 3, f"maxpool1d input must be (N, F, L), got {x.shape}")
     _require(width >= 1, f"maxpool1d width must be >= 1, got {width}")
     n, frames, length = x.shape
@@ -139,9 +134,8 @@ def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
 
 def maxpool1d_backward(grad_y: np.ndarray, argmax: np.ndarray, in_length: int) -> np.ndarray:
     """Route each window's gradient to its recorded argmax position."""
-    grad_y = _f64(grad_y)
     _require(grad_y.shape == argmax.shape, f"maxpool1d grad/argmax mismatch: {grad_y.shape} vs {argmax.shape}")
-    grad_x = np.zeros((*grad_y.shape[:2], in_length))
+    grad_x = np.zeros((*grad_y.shape[:2], in_length), dtype=grad_y.dtype)
     # windows are disjoint, so plain assignment cannot collide
     np.put_along_axis(grad_x, argmax, grad_y, axis=2)
     return grad_x
@@ -152,7 +146,6 @@ def maxpool1d_backward(grad_y: np.ndarray, argmax: np.ndarray, in_length: int) -
 
 def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Affine map x W^T + b with x (N, n), W (m, n), b (m,) -> (N, m)."""
-    x, w, b = _f64(x), _f64(w), _f64(b)
     _require(x.ndim == 2, f"dense input must be (N, n), got {x.shape}")
     _require(w.ndim == 2 and w.shape[1] == x.shape[1], f"dense weights {w.shape} do not match input {x.shape}")
     _require(b.shape == (w.shape[0],), f"dense bias must be ({w.shape[0]},), got {b.shape}")
@@ -164,18 +157,16 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 def dense_backward(
     x: np.ndarray, w: np.ndarray, grad_y: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x, w, grad_y = _f64(x), _f64(w), _f64(grad_y)
     _require(grad_y.shape == (x.shape[0], w.shape[0]),
              f"dense grad must be ({x.shape[0]}, {w.shape[0]}), got {grad_y.shape}")
     return grad_y @ w, grad_y.T @ x, grad_y.sum(axis=0)
 
 
 def relu(x: np.ndarray) -> np.ndarray:
-    return _trap("relu", np.maximum(_f64(x), 0.0))
+    return _trap("relu", np.maximum(x, 0.0))
 
 
 def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    x, grad_y = _f64(x), _f64(grad_y)
     _require(x.shape == grad_y.shape, f"relu grad shape {grad_y.shape} != input {x.shape}")
     return grad_y * (x > 0.0)
 
@@ -190,7 +181,6 @@ def dropout(
     grad * mask. Identity (mask of ones) when not training or rate is 0,
     consuming no randomness.
     """
-    x = _f64(x)
     if not 0.0 <= rate < 1.0:
         raise QuadcodeError(f"dropout rate must be in [0, 1), got {rate}")
     if not training or rate == 0.0:
@@ -203,13 +193,12 @@ def dropout(
 
 
 def dropout_backward(mask: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    return _f64(grad_y) * mask
+    return grad_y * mask
 
 
 def concat(parts: list[np.ndarray]) -> np.ndarray:
     """Join along the feature axis (axis 1); every other axis must agree."""
     _require(len(parts) >= 1, "concat needs at least one tensor")
-    parts = [_f64(p) for p in parts]
     first = parts[0]
     for p in parts:
         _require(p.ndim == first.ndim >= 2 and p.shape[0] == first.shape[0] and p.shape[2:] == first.shape[2:],
@@ -219,7 +208,6 @@ def concat(parts: list[np.ndarray]) -> np.ndarray:
 
 def concat_backward(sizes: list[int], grad_y: np.ndarray) -> list[np.ndarray]:
     """Split the gradient back into pieces of the given axis-1 sizes."""
-    grad_y = _f64(grad_y)
     _require(grad_y.ndim >= 2 and sum(sizes) == grad_y.shape[1],
              f"concat grad must have {sum(sizes)} features on axis 1, got shape {grad_y.shape}")
     return [np.ascontiguousarray(g) for g in np.split(grad_y, np.cumsum(sizes[:-1]), axis=1)]
@@ -227,12 +215,10 @@ def concat_backward(sizes: list[int], grad_y: np.ndarray) -> list[np.ndarray]:
 
 def flatten(x: np.ndarray) -> np.ndarray:
     """Row-major reshape of each example: (N, ...) -> (N, prod(...))."""
-    x = _f64(x)
     return x.reshape(x.shape[0], -1)
 
 
 def flatten_backward(shape: tuple[int, ...], grad_y: np.ndarray) -> np.ndarray:
-    grad_y = _f64(grad_y)
     _require(grad_y.size == int(np.prod(shape)), f"flatten grad size {grad_y.size} != prod{shape}")
     return grad_y.reshape(shape)
 
@@ -242,7 +228,6 @@ def flatten_backward(shape: tuple[int, ...], grad_y: np.ndarray) -> np.ndarray:
 
 def embedding_lookup(table: np.ndarray, indices: np.ndarray) -> np.ndarray:
     """Gather rows: (N, L) indices -> (N, d, L), channels first for conv."""
-    table = _f64(table)
     idx = np.asarray(indices)
     _require(table.ndim == 2, f"embedding table must be 2-d, got {table.shape}")
     _require(idx.ndim == 2 and np.issubdtype(idx.dtype, np.integer),
@@ -260,7 +245,6 @@ def embedding_backward(indices: np.ndarray, grad_y: np.ndarray, out: np.ndarray)
     add of all N*L rows, so repeated indices accumulate.
     """
     idx = np.asarray(indices)
-    grad_y = _f64(grad_y)
     _require(idx.ndim == 2 and grad_y.shape == (idx.shape[0], out.shape[1], idx.shape[1]),
              f"embedding grad must be (N, {out.shape[1]}, L) for {idx.shape} indices, got {grad_y.shape}")
     np.add.at(out, idx.reshape(-1), grad_y.transpose(0, 2, 1).reshape(-1, out.shape[1]))
@@ -271,14 +255,12 @@ def embedding_backward(indices: np.ndarray, grad_y: np.ndarray, out: np.ndarray)
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Shift-stabilized softmax over the last axis; rows sum to 1 within 1e-9."""
-    logits = _f64(logits)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     return _trap("softmax", e / e.sum(axis=-1, keepdims=True))
 
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(losses (N,), probs (N, C)) with losses[n] = -log softmax(logits[n])[labels[n]]."""
-    logits = _f64(logits)
     labels = np.asarray(labels)
     _require(logits.ndim == 2, f"softmax_cross_entropy expects (N, classes) logits, got {logits.shape}")
     _require(labels.shape == logits.shape[:1] and np.issubdtype(labels.dtype, np.integer),
@@ -295,6 +277,6 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray) -> tuple[np.nd
 
 def softmax_cross_entropy_backward(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Gradient of each example's loss w.r.t. its logits: probs - onehot(labels)."""
-    grad = _f64(probs).copy()
+    grad = probs.copy()
     grad[np.arange(grad.shape[0]), labels] -= 1.0
     return grad

@@ -9,8 +9,8 @@ consumes no randomness at all.
 
 from __future__ import annotations
 
-import json
 import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -18,7 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .errors import InputError, QuadcodeError, read_text
+from .corpus import json_lines, write_json_lines
+from .errors import InputError, QuadcodeError
 from .models import Model, batch_loss, predict
 from .tensor_nn.optim import make_optimizer
 from .text_encoding import EncodedExample
@@ -218,22 +219,21 @@ def train(
 
 def write_history(history: Sequence[EpochStats], path: str | Path) -> None:
     """JSONL, one epoch per line with fixed key order."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for h in history:
-            obj = {"epoch": h.epoch, "train_loss": h.train_loss, "dev_accuracy": h.dev_accuracy}
-            fh.write(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+    rows = ({"epoch": h.epoch, "train_loss": h.train_loss, "dev_accuracy": h.dev_accuracy} for h in history)
+    write_json_lines(rows, path)
 
 
 def read_history(path: str | Path) -> list[EpochStats]:
+    """Each line holds exactly an int epoch and a finite train_loss and
+    dev_accuracy; anything else is a line-numbered InputError."""
     out = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            obj = json.loads(raw)
-            out.append(EpochStats(obj["epoch"], obj["train_loss"], obj["dev_accuracy"]))
-        except (json.JSONDecodeError, KeyError, TypeError) as exc:
-            raise InputError(f"history line {line_no}: {exc}") from None
-        except RecursionError:
-            raise InputError(f"history line {line_no}: invalid JSON: nested too deeply") from None
+    for where, obj in json_lines(path):
+        if not isinstance(obj, dict) or obj.keys() != {"epoch", "train_loss", "dev_accuracy"}:
+            raise InputError(f"{where}: a history line holds exactly the keys 'epoch', 'train_loss' and 'dev_accuracy'")
+        if type(obj["epoch"]) is not int:
+            raise InputError(f"{where}: 'epoch' must be an integer")
+        for key in ("train_loss", "dev_accuracy"):
+            if type(obj[key]) not in (int, float) or not abs(obj[key]) <= sys.float_info.max:  # also false for nan
+                raise InputError(f"{where}: {key!r} must be a finite number")
+        out.append(EpochStats(obj["epoch"], float(obj["train_loss"]), float(obj["dev_accuracy"])))
     return out

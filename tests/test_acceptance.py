@@ -49,7 +49,7 @@ from quadcode.ontology import (
     parse_cameo_code,
     quad_of,
 )
-from quadcode.softlabel import VerbPattern, compile_dictionary, match_patterns
+from quadcode.softlabel import PatternDictionary, VerbPattern, match_patterns
 from quadcode.tensor_nn import layers, ops
 from quadcode.tensor_nn.gradcheck import finite_difference_check
 from quadcode.text_encoding import EncodedExample
@@ -227,7 +227,7 @@ def test_c4_matcher_oracle_equivalence():
             for seq in seqs
         ]
         sentence = [pool[j] for j in gen.integers(0, len(pool), size=int(gen.integers(0, 13)))]
-        got = match_patterns(compile_dictionary(patterns), sentence)
+        got = match_patterns(PatternDictionary(patterns), sentence)
         assert [(s.start, s.length, s.code.digits) for s in got] == naive_scan(patterns, sentence)
 
 

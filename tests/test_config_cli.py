@@ -227,6 +227,19 @@ class TestTransferCommand:
         labelled = read_jsonl(out)
         assert {r.id: r.label for r in labelled} == fx.expected_labels
 
+    def test_bad_target_line_names_the_target_file(self, tmp_path, capsys):
+        fx = make_transfer_fixture()
+        src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
+        write_jsonl(fx.source, src)
+        write_jsonl(fx.target[:1], tgt)
+        with open(tgt, "a", encoding="utf-8") as fh:
+            fh.write("{oops\n")
+        write_alignments(fx.pairs, align)
+        code = main(["transfer", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err.startswith(f"error: {tgt}: line 2: invalid JSON: ")
+
 
 class TestSplitCommand:
     def test_end_to_end(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,6 @@ from quadcode.corpus import (
     CorpusError,
     SentenceRecord,
     class_histogram,
-    dumps_record,
     read_alignments,
     read_jsonl,
     record_from_obj,
@@ -80,18 +80,18 @@ class TestRecordValidation:
         ],
     )
     def test_rejects(self, obj):
-        with pytest.raises(CorpusError, match=r"^line 5: "):
-            record_from_obj(obj, 5)
+        with pytest.raises(CorpusError, match=r"^in\.jsonl: line 5: "):
+            record_from_obj(obj, "in.jsonl: line 5")
 
     def test_error_carries_line_number(self):
-        with pytest.raises(CorpusError, match=r"^line 41: "):
-            record_from_obj({"id": "a"}, 41)
+        with pytest.raises(CorpusError, match=r"^in\.jsonl: line 41: "):
+            record_from_obj({"id": "a"}, "in.jsonl: line 41")
 
     def test_label_cameo_consistency_checked_with_map(self, quad_map):
         obj = {"id": "a", "lang": "en", "text": "hi", "label": "verbal_cooperation", "cameo": "190"}
-        record_from_obj(obj, 1)  # no map, accepted as-is
-        with pytest.raises(CorpusError, match=r"^line 1: label verbal_cooperation does not match cameo 190"):
-            record_from_obj(obj, 1, quad_map)
+        record_from_obj(obj, "in.jsonl: line 1")  # no map, accepted as-is
+        with pytest.raises(CorpusError, match=r"^in\.jsonl: line 1: label verbal_cooperation does not match cameo 190"):
+            record_from_obj(obj, "in.jsonl: line 1", quad_map)
 
     def test_consistent_pair_passes_with_map(self, quad_map):
         obj = {"id": "a", "lang": "en", "text": "hi", "label": "material_conflict", "cameo": "190"}
@@ -100,13 +100,16 @@ class TestRecordValidation:
 
 
 class TestJsonlRoundTrip:
-    def test_dumps_key_order_and_unicode(self):
+    def test_dumps_key_order_and_unicode(self, tmp_path):
         r = SentenceRecord(
             id="x1", lang="ar", text="قصفت القوات", label=QuadClass.MATERIAL_CONFLICT,
             cameo=parse_cameo_code("190"), source="fixture",
         )
-        line = dumps_record(r)
+        path = tmp_path / "x.jsonl"
+        write_jsonl([r], path)
+        line = path.read_text(encoding="utf-8")
         assert line.startswith('{"id":"x1","lang":"ar","text":"قصفت القوات"')
+        assert line.endswith("\n") and line.count("\n") == 1
         assert "\\u" not in line
 
     def test_file_round_trip_is_byte_identical(self, tmp_path):
@@ -130,7 +133,7 @@ class TestJsonlRoundTrip:
         path = tmp_path / "d.jsonl"
         for bad in ("{oops", "[" * 100_000 + "]" * 100_000):
             path.write_text('{"id":"a","lang":"en","text":"hi"}\n' + bad + "\n")
-            with pytest.raises(CorpusError, match=r"^line 2: invalid JSON: "):
+            with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: "):
                 read_jsonl(path)
 
     def test_invalid_utf8_line_number(self, tmp_path):
@@ -160,8 +163,15 @@ class TestJsonlRoundTrip:
     def test_alignment_bad_shape(self, tmp_path):
         path = tmp_path / "align.jsonl"
         path.write_text('{"src_id":"a"}\n')
-        with pytest.raises(CorpusError, match=r"^line 1: alignment needs string keys"):
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 1: alignment needs string keys"):
             read_alignments(path)
+
+    def test_alignment_ids_written_as_raw_utf8(self, tmp_path):
+        pairs = [AlignmentPair("en0", "سطر1"), AlignmentPair("en1", "ar1")]
+        path = tmp_path / "align.jsonl"
+        write_alignments(pairs, path)
+        assert path.read_bytes() == '{"src_id":"en0","tgt_id":"سطر1"}\n{"src_id":"en1","tgt_id":"ar1"}\n'.encode("utf-8")
+        assert read_alignments(path) == pairs
 
 
 class TestTransfer:

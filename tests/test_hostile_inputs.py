@@ -277,3 +277,29 @@ def test_predict_on_boolean_pool_exits_2(tmp_path, capsys, kind, pool_path):
     err = capsys.readouterr().err
     assert code == 2 and err.startswith("error:") and err.count("\n") == 1
     assert "pool must be an integer >= 1, got True" in err
+
+
+# json.loads raises a plain ValueError, not a JSONDecodeError, for an integer
+# literal longer than Python's int-to-str digit limit (4300 digits by default).
+HUGE_INT = "1" * 5_000
+
+
+def test_overlong_integer_in_jsonl_exits_2(tmp_path, capsys):
+    infile = tmp_path / "in.jsonl"
+    infile.write_text('{"id":"a","lang":"en","text":"t"}\n{"id":"b","lang":"en","text":"t","source":' + HUGE_INT + "}\n")
+    code = main(["split", "--in", str(infile), "--outdir", str(tmp_path / "split")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.count("\n") == 1
+    assert err.startswith(f"error: {infile}: line 2: ")
+
+
+def test_overlong_integer_in_checkpoint_header_exits_2(tmp_path, capsys):
+    blob = _checkpoint(tmp_path, "word")
+    raw = _header_bytes(blob)
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(blob, raw[:-1] + b',"x":' + HUGE_INT.encode() + b"}"))
+    infile = tmp_path / "in.jsonl"
+    write_jsonl([SentenceRecord("a", "en", "Police met with protesters.")], infile)
+    code = main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "out.jsonl")])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"error: {path}: unreadable header: ") and err.count("\n") == 1

@@ -71,12 +71,6 @@ class TestCameoCode:
 
 
 class TestQuadClass:
-    def test_axes(self):
-        assert QuadClass.VERBAL_COOPERATION.valence == "cooperation"
-        assert QuadClass.MATERIAL_CONFLICT.valence == "conflict"
-        assert QuadClass.VERBAL_CONFLICT.realm == "verbal"
-        assert QuadClass.MATERIAL_COOPERATION.realm == "material"
-
     def test_canonical_index_order(self):
         assert [c.index for c in CLASSES] == [0, 1, 2, 3]
         assert CLASSES[0] is QuadClass.VERBAL_COOPERATION

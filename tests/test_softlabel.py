@@ -16,7 +16,6 @@ from quadcode.softlabel import (
     SoftLabelError,
     VerbPattern,
     code_corpus,
-    compile_dictionary,
     label_sentence,
     load_actor_words,
     load_dictionary,
@@ -145,10 +144,10 @@ class TestPatternValidation:
             VerbPattern(("met", "with"), parse_cameo_code("05")),
         ]
         with pytest.raises(SoftLabelError, match=r"^pattern defined twice: 'met with'$"):
-            compile_dictionary(patterns)
+            PatternDictionary(patterns)
 
     def test_same_code_different_tokens_fine(self):
-        compile_dictionary([
+        PatternDictionary([
             VerbPattern(("met",), parse_cameo_code("04")),
             VerbPattern(("met", "with"), parse_cameo_code("04")),
         ])
@@ -156,7 +155,7 @@ class TestPatternValidation:
 
 class TestMatching:
     def _dict(self, *specs):
-        return compile_dictionary([VerbPattern(tuple(t.split()), parse_cameo_code(c)) for t, c in specs])
+        return PatternDictionary([VerbPattern(tuple(t.split()), parse_cameo_code(c)) for t, c in specs])
 
     def test_longest_wins_at_position(self):
         d = self._dict(("signed", "05"), ("signed agreement with", "057"))
@@ -214,7 +213,7 @@ class TestOracleEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_trie_equals_naive_scan(self, case):
         patterns, sentence = case
-        compiled = compile_dictionary(patterns)
+        compiled = PatternDictionary(patterns)
         assert _spans_as_tuples(match_patterns(compiled, sentence)) == naive_leftmost_longest(patterns, sentence)
 
     def test_seeded_bulk_trials(self):
@@ -230,7 +229,7 @@ class TestOracleEquivalence:
                 for seq in seqs
             ]
             sentence = [token_pool[i] for i in gen.integers(0, len(token_pool), size=int(gen.integers(0, 13)))]
-            compiled = compile_dictionary(patterns)
+            compiled = PatternDictionary(patterns)
             assert _spans_as_tuples(match_patterns(compiled, sentence)) == naive_leftmost_longest(patterns, sentence)
 
 
@@ -257,7 +256,7 @@ class TestLabelSentence:
         patterns, text = case
         quad_map = default_quad_map()
         spans = naive_leftmost_longest(patterns, naive_tokenize(text))
-        got = label_sentence(compile_dictionary(patterns), quad_map, text)
+        got = label_sentence(PatternDictionary(patterns), quad_map, text)
         if not spans:
             assert got is None
         else:
@@ -265,7 +264,7 @@ class TestLabelSentence:
             assert got is not None and got[1].digits == code.digits and got[0] is quad_of(code, quad_map)
 
     def _dict(self):
-        return compile_dictionary([
+        return PatternDictionary([
             VerbPattern(("met", "with"), parse_cameo_code("040")),
             VerbPattern(("attacked",), parse_cameo_code("190")),
         ])
@@ -326,7 +325,7 @@ class TestDictionaryFiles:
     def test_interior_punctuation_accepted(self):
         (pattern,) = parse_dictionary("U.S attacked -> 190\n")
         assert pattern.tokens == ("u.s", "attacked")
-        result = label_sentence(compile_dictionary([pattern]), default_quad_map(), "The U.S. attacked the base.")
+        result = label_sentence(PatternDictionary([pattern]), default_quad_map(), "The U.S. attacked the base.")
         assert result is not None and result[1].digits == "190"
 
     def test_pattern_token_must_be_tokenizer_output(self):
@@ -364,7 +363,7 @@ class TestCodeCorpus:
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
         write_jsonl(records, src)
-        dictionary = compile_dictionary([
+        dictionary = PatternDictionary([
             VerbPattern(("met", "with"), parse_cameo_code("040")),
             VerbPattern(("attacked",), parse_cameo_code("190")),
         ])
@@ -385,7 +384,7 @@ class TestCodeCorpus:
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
         write_jsonl(fx.records, src)
-        hist = code_corpus(compile_dictionary(fx.patterns), quad_map, src, dst)
+        hist = code_corpus(PatternDictionary(fx.patterns), quad_map, src, dst)
         expected_labelled = [e for e in fx.expected if e is not None]
         assert hist.total == 60
         assert hist.unlabelled == 60 - len(expected_labelled)
@@ -399,6 +398,6 @@ class TestCodeCorpus:
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
         src.write_text("")
-        hist = code_corpus(compile_dictionary([VerbPattern(("x",), parse_cameo_code("14"))]), quad_map, src, dst)
+        hist = code_corpus(PatternDictionary([VerbPattern(("x",), parse_cameo_code("14"))]), quad_map, src, dst)
         assert hist.total == 0
         assert dst.read_text() == ""

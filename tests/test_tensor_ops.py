@@ -533,6 +533,45 @@ class TestSoftmaxLoss:
             ops.softmax_cross_entropy(np.zeros((2, 4)), np.array([0]))  # one label per row
 
 
+class TestInputDtype:
+    """The ops compute in their inputs' dtype: float32 in, float32 out,
+    gradients included. Dropout is left out: its mask is float64."""
+
+    F32 = np.float32
+
+    def _rand(self, gen, *shape):
+        return gen.standard_normal(shape).astype(self.F32)
+
+    def test_conv_dense_relu_pool_and_backwards(self):
+        gen = np.random.default_rng(0)
+        x, w, b = self._rand(gen, 2, 3, 8), self._rand(gen, 4, 3, 3), self._rand(gen, 4)
+        y = ops.conv1d(x, w, b)
+        assert y.dtype == self.F32
+        assert all(g.dtype == self.F32 for g in ops.conv1d_backward(x, w, self._rand(gen, *y.shape)))
+        pooled, argmax = ops.maxpool1d_with_argmax(y, 2)
+        assert pooled.dtype == self.F32
+        assert ops.maxpool1d_backward(self._rand(gen, *pooled.shape), argmax, y.shape[2]).dtype == self.F32
+        r = ops.relu(pooled)
+        assert r.dtype == self.F32
+        assert ops.relu_backward(pooled, self._rand(gen, *r.shape)).dtype == self.F32
+        v, dw, db = self._rand(gen, 2, 5), self._rand(gen, 3, 5), self._rand(gen, 3)
+        assert ops.dense(v, dw, db).dtype == self.F32
+        assert all(g.dtype == self.F32 for g in ops.dense_backward(v, dw, self._rand(gen, 2, 3)))
+
+    def test_embedding_concat_softmax_and_loss(self):
+        gen = np.random.default_rng(1)
+        table = self._rand(gen, 6, 4)
+        looked_up = ops.embedding_lookup(table, np.array([[1, 2, 5], [0, 3, 3]]))
+        assert looked_up.dtype == self.F32
+        assert ops.concat([looked_up, looked_up]).dtype == self.F32
+        logits = self._rand(gen, 2, 4)
+        assert ops.softmax(logits).dtype == self.F32
+        labels = np.array([1, 3])
+        losses, probs = ops.softmax_cross_entropy(logits, labels)
+        assert losses.dtype == self.F32 and probs.dtype == self.F32
+        assert ops.softmax_cross_entropy_backward(probs, labels).dtype == self.F32
+
+
 class TestGlorot:
     def test_bound_and_spread(self):
         gen = np.random.default_rng(10)

@@ -3,6 +3,7 @@ learning behavior, determinism, and early stopping."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -326,5 +327,29 @@ class TestHistoryFiles:
     def test_over_deep_line_reports_position(self, tmp_path):
         path = tmp_path / "history.jsonl"
         path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + "[" * 100_000 + "]" * 100_000 + "\n")
-        with pytest.raises(InputError, match=r"^history line 2: invalid JSON: nested too deeply$"):
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: nested too deeply$"):
             read_history(path)
+
+    @pytest.mark.parametrize("line, fault", [
+        ('{"epoch":"x","train_loss":null,"dev_accuracy":[1]}', "'epoch' must be an integer"),
+        ('{"epoch":true,"train_loss":1.0,"dev_accuracy":0.5}', "'epoch' must be an integer"),
+        ('{"epoch":2,"train_loss":null,"dev_accuracy":0.5}', "'train_loss' must be a finite number"),
+        ('{"epoch":2,"train_loss":1.0,"dev_accuracy":[1]}', "'dev_accuracy' must be a finite number"),
+        ('{"epoch":2,"train_loss":false,"dev_accuracy":0.5}', "'train_loss' must be a finite number"),
+        ('{"epoch":2,"train_loss":NaN,"dev_accuracy":0.5}', "'train_loss' must be a finite number"),
+        ('{"epoch":2,"train_loss":1.0,"dev_accuracy":1' + "0" * 400 + "}", "'dev_accuracy' must be a finite number"),
+        ('{"epoch":2,"train_loss":1.0,"dev_accuracy":0.5,"extra":0}', "a history line holds exactly the keys"),
+        ('[2, 1.0, 0.5]', "a history line holds exactly the keys"),
+    ], ids=["found_example", "bool_epoch", "null_loss", "list_accuracy", "bool_loss", "nan_loss",
+            "huge_int_accuracy", "extra_key", "not_an_object"])
+    def test_mistyped_line_is_line_numbered_input_error(self, tmp_path, line, fault):
+        path = tmp_path / "history.jsonl"
+        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + line + "\n")
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 2: {re.escape(fault)}"):
+            read_history(path)
+
+    def test_integer_loss_and_accuracy_read_as_floats(self, tmp_path):
+        path = tmp_path / "history.jsonl"
+        path.write_text('{"epoch":1,"train_loss":2,"dev_accuracy":1}\n')
+        [stats] = read_history(path)
+        assert stats == EpochStats(1, 2.0, 1.0) and isinstance(stats.train_loss, float)
