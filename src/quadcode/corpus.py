@@ -37,10 +37,12 @@ class SentenceRecord:
 
 @dataclass(frozen=True)
 class AlignmentPair:
-    """Links a source-language sentence id to a target-language one."""
+    """Links a source-language sentence id to a target-language one; where
+    is the "<path>: line N" it was read from, for error messages."""
 
     src_id: str
     tgt_id: str
+    where: str = field(default="", compare=False)
 
 
 @dataclass
@@ -164,7 +166,7 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
     for where, obj in json_lines(path):
         record = record_from_obj(obj, where, quad_map)
         if record.id in seen:
-            raise CorpusError(f"duplicate record id {record.id!r}")
+            raise CorpusError(f"{where}: duplicate record id {record.id!r}")
         seen.add(record.id)
         records.append(record)
     return records
@@ -186,7 +188,7 @@ def read_alignments(path: str | Path) -> list[AlignmentPair]:
     for where, obj in json_lines(path):
         if not isinstance(obj, dict) or not isinstance(obj.get("src_id"), str) or not isinstance(obj.get("tgt_id"), str):
             raise CorpusError(f"{where}: alignment needs string keys 'src_id' and 'tgt_id'")
-        pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"]))
+        pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"], where))
     return pairs
 
 
@@ -231,9 +233,9 @@ def transfer_labels(
     for pair in pairs:
         source = src_by_id.get(pair.src_id)
         if source is None:
-            raise CorpusError(f"alignment references unknown id {pair.src_id!r}")
+            raise CorpusError(f"{pair.where}: alignment references unknown id {pair.src_id!r}")
         if pair.tgt_id not in tgt_ids:
-            raise CorpusError(f"alignment references unknown id {pair.tgt_id!r}")
+            raise CorpusError(f"{pair.where}: alignment references unknown id {pair.tgt_id!r}")
         if source.label is None:
             raise CorpusError(f"aligned source record {source.id!r} carries no label")
         if pair.tgt_id in assigned:

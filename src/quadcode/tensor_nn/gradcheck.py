@@ -7,7 +7,7 @@ parameter's coordinates by +/-epsilon and re-runs the forward. Evaluation
 mode matters: dropout must be the identity so the loss is a deterministic
 function of the parameters.
 
-Coordinates a parameter pins by construction (see Parameter.pinned) are
+Frozen parameters and pinned coordinates (see Parameter.pinned) are
 excluded; everything else is fair game, dead ReLU paths included (there the
 perturbed losses are bit-identical, so numeric and analytic agree at 0).
 """
@@ -50,9 +50,8 @@ def relative_error(a: float, n: float) -> float:
 
 
 def _candidate_coords(p: Parameter) -> np.ndarray:
-    if p.pinned is None:
-        return np.arange(p.size)
-    return np.flatnonzero(~p.pinned.reshape(-1))
+    free = np.ones(p.size, dtype=bool) if p.pinned is None else ~p.pinned.reshape(-1)
+    return np.flatnonzero(free & (not p.frozen))  # a frozen parameter's backward writes no gradient
 
 
 def finite_difference_check(
@@ -70,12 +69,8 @@ def finite_difference_check(
     if not examples:
         raise QuadcodeError("gradient check needs at least one example")
     params = model.parameters()
-    for p in params:
-        p.zero_grad()
     batch_loss(model, examples, accumulate=True)
     analytic = [p.grad.copy().reshape(-1) for p in params]
-    for p in params:
-        p.zero_grad()
 
     checks = []
     for index, (p, grads) in enumerate(zip(params, analytic)):

@@ -3,8 +3,9 @@
 Every layer works on a whole batch: inputs and outputs carry the batch axis
 first, (N, C, L) for feature maps and (N, D) for vectors, and a single
 example is a batch of one. forward(x, ctx) returns (output, cache);
-backward(cache, grad) accumulates the batch's summed parameter gradient
-into Parameter.grad and returns the gradient w.r.t. the layer input.
+backward(cache, grad) writes the batch's summed parameter gradient over
+Parameter.grad, never accumulating (a caller that wants a sum over several
+backwards sums copies), and returns the gradient w.r.t. the layer input.
 Caches live with the caller, so evaluation-mode forwards are pure: they
 read the parameters and write nothing.
 
@@ -27,7 +28,7 @@ from . import ops
 
 @dataclass
 class Parameter:
-    """A trainable array and its gradient accumulator.
+    """A trainable array and its gradient buffer, which each backward writes over.
 
     pinned marks coordinates held at a fixed value by construction (the PAD
     embedding row); their analytic gradient is defined as zero and gradient
@@ -93,9 +94,10 @@ class Embedding:
         return ops.embedding_lookup(self.param.value, indices), indices
 
     def backward(self, cache, grad: np.ndarray) -> None:
-        ops.embedding_backward(cache, grad, self.param.grad)
-        self.param.grad[0, :] = 0.0
-        return None  # indices are discrete; nothing flows further back
+        if not self.param.frozen:  # a frozen table's gradient is never read
+            self.param.grad[...] = 0.0
+            ops.embedding_backward(cache, grad, self.param.grad)
+            self.param.grad[0, :] = 0.0
 
 
 class Conv1d:
@@ -113,10 +115,7 @@ class Conv1d:
         return ops.conv1d(x, self.w.value, self.b.value), x
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = ops.conv1d_backward(cache, self.w.value, grad)
-        self.w.grad += grad_w
-        self.b.grad += grad_b
-        return grad_x
+        return ops.conv1d_backward(cache, self.w.value, grad, self.w.grad, self.b.grad)
 
 
 class Dense:
@@ -132,10 +131,7 @@ class Dense:
         return ops.dense(x, self.w.value, self.b.value), x
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
-        grad_x, grad_w, grad_b = ops.dense_backward(cache, self.w.value, grad)
-        self.w.grad += grad_w
-        self.b.grad += grad_b
-        return grad_x
+        return ops.dense_backward(cache, self.w.value, grad, self.w.grad, self.b.grad)
 
 
 class ReLU:
@@ -195,13 +191,13 @@ def batch_loss(
     dropout_rngs: Sequence[np.random.Generator] | None = None,
     accumulate: bool = False,
 ) -> float:
-    """Mean cross entropy over examples in one batched pass, optionally
-    accumulating its gradient into Parameter.grad.
+    """Mean cross entropy over examples in one batched pass; accumulate=True
+    also writes the batch's mean-loss gradient over each trainable Parameter.grad.
 
     A model is anything with forward_logits(indices, ctx) and
     backward_from_logits(caches, grad); examples carry .indices (one
     length for the whole batch) and .label. dropout_rngs[j] draws example
-    j's dropout masks. The loss gradient is scaled by 1/n, so accumulated
+    j's dropout masks. The loss gradient is scaled by 1/n, so the written
     grads are the mean-loss gradient whatever the batch size.
     """
     if not examples:

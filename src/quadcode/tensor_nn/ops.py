@@ -10,8 +10,9 @@ mask is float64, returns float64 whatever its input.
 Conventions: axis 0 is always the batch axis N, and a single example is
 just N=1. Feature maps are (N, channels, length), vectors are (N, n),
 logits are (N, classes) and labels (N,). Weights are (out, in) for dense
-and (frames, in_channels, kernel) for conv. Backward ops return the
-gradient summed over the batch for weights and per example for inputs.
+and (frames, in_channels, kernel) for conv. Backward ops write the
+gradient summed over the batch for weights and biases into caller-given
+buffers, overwriting them, and return the gradient per example for inputs.
 """
 
 from __future__ import annotations
@@ -78,27 +79,28 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conv1d_backward(
-    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gradients (grad_x, grad_w, grad_b) of sum(grad_y * conv1d(x, w, b)).
+    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray
+) -> np.ndarray:
+    """grad_x of sum(grad_y * conv1d(x, w, b)), writing grad_w and grad_b.
 
     grad_w[f,c,k] = sum_{n,t} grad_y[n,f,t] x[n,c,t+k] is one GEMM against
-    the rebuilt windows; grad_x comes from a second GEMM giving each
-    window's gradient, scattered back onto the positions it covered:
-    grad_x[n,c,t+k] += sum_f grad_y[n,f,t] w[f,c,k].
+    the rebuilt windows, written into grad_w; grad_x comes from a
+    second GEMM giving each window's gradient, scattered back onto the
+    positions it covered: grad_x[n,c,t+k] += sum_f grad_y[n,f,t] w[f,c,k].
     """
     frames, c_in, kernel = w.shape
     n, _, length = x.shape
     steps = length - kernel + 1
     _require(grad_y.shape == (n, frames, steps), f"conv1d grad must be ({n}, {frames}, {steps}), got {grad_y.shape}")
+    _require(grad_w.shape == w.shape and grad_w.flags.c_contiguous, "conv1d grad_w must be a contiguous array of w's shape")
     gy = grad_y.transpose(1, 0, 2).reshape(frames, n * steps)
-    grad_w = (gy @ _im2col(x, kernel).T).reshape(w.shape)
-    grad_b = grad_y.sum(axis=(0, 2))
+    np.matmul(gy, _im2col(x, kernel).T, out=grad_w.reshape(frames, c_in * kernel))
+    np.sum(grad_y, axis=(0, 2), out=grad_b)
     grad_cols = (w.reshape(frames, c_in * kernel).T @ gy).reshape(c_in, kernel, n, steps)
     grad_x = np.zeros((n, c_in, length), dtype=grad_cols.dtype)
     for k in range(kernel):
         grad_x[:, :, k : k + steps] += grad_cols[:, k].transpose(1, 0, 2)
-    return grad_x, grad_w, grad_b
+    return grad_x
 
 
 # --- pooling ------------------------------------------------------------------
@@ -155,11 +157,13 @@ def dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def dense_backward(
-    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray
+) -> np.ndarray:
     _require(grad_y.shape == (x.shape[0], w.shape[0]),
              f"dense grad must be ({x.shape[0]}, {w.shape[0]}), got {grad_y.shape}")
-    return grad_y @ w, grad_y.T @ x, grad_y.sum(axis=0)
+    np.matmul(grad_y.T, x, out=grad_w)
+    np.sum(grad_y, axis=0, out=grad_b)
+    return grad_y @ w
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
 """SGD with momentum and Adam over Parameter lists.
 
-step() applies the update to every unfrozen parameter, then zeroes every
-gradient (frozen ones included, since they may have accumulated). Non-finite
-gradients abort before any parameter is touched.
+step() applies the update to every unfrozen parameter and zeroes no
+gradient: each backward writes its own over the last, and frozen ones are
+never read. Non-finite gradients abort before any parameter is touched.
 
 Updates run in place with `out=` arithmetic: the gradient array doubles as
 scratch space once it has been read, plus one scratch buffer per step. Adam
@@ -38,7 +38,12 @@ def _check_finite(params: list[Parameter]) -> None:
 
 
 class Sgd:
-    """v <- momentum*v + g; w <- w - lr*v."""
+    """v <- momentum*v + g; w <- w - lr*v.
+
+    A written -0.0 gradient entry (+0.0 once added into zeros) can leave a
+    momentum-0 velocity entry at -0.0, not +0.0; w - lr*v is then the same
+    bits unless w is -0.0, which no update makes from a value that is not.
+    """
 
     def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.0):
         if lr <= 0.0:
@@ -57,7 +62,6 @@ class Sgd:
                 v *= self.momentum
                 v += p.grad
                 p.value -= np.multiply(v, self.lr, out=p.grad)
-            p.zero_grad()
 
 
 class Adam:
@@ -91,7 +95,6 @@ class Adam:
         scratch = np.empty(min(_SLICE, max((p.size for p in self.params), default=0)))
         for p, m, v in zip(self.params, self._m, self._v):
             if p.frozen:
-                p.zero_grad()
                 continue
             flat = [a.reshape(-1) for a in (p.value, p.grad, m, v)]  # views: all are contiguous
             for start in range(0, p.size, _SLICE):
@@ -99,7 +102,7 @@ class Adam:
                 self._update(value, g, m_s, v_s, scratch[: value.size], bc1, bc2)
 
     def _update(self, value, g, m, v, tmp, bc1: float, bc2: float) -> None:
-        """value -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates; zeroes g."""
+        """value -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates; g is scratch."""
         np.multiply(g, 1.0 - self.beta1, out=tmp)
         m *= self.beta1
         m += tmp
@@ -114,7 +117,6 @@ class Adam:
         g *= self.lr
         g /= tmp
         value -= g
-        g[...] = 0.0
 
 
 def make_optimizer(

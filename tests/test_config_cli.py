@@ -20,7 +20,7 @@ from quadcode.config import (
     parse_overrides,
     resolve_settings,
 )
-from quadcode.corpus import read_jsonl, write_alignments, write_jsonl
+from quadcode.corpus import AlignmentPair, read_jsonl, write_alignments, write_jsonl
 from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture, make_transfer_fixture
 from quadcode.models import CharCnnConfig, ConvSpec, WordCnnConfig
 from quadcode.ontology import default_quad_map, dumps_quad_map
@@ -240,6 +240,28 @@ class TestTransferCommand:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith(f"error: {tgt}: line 2: invalid JSON: ")
 
+    def test_duplicate_target_id_names_the_target_file(self, tmp_path, capsys):
+        fx = make_transfer_fixture()
+        src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
+        write_jsonl(fx.source, src)
+        write_jsonl([*fx.target, fx.target[0]], tgt)
+        write_alignments(fx.pairs, align)
+        code = main(["transfer", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2 and err.count("\n") == 1
+        assert err == f"error: {tgt}: line {len(fx.target) + 1}: duplicate record id {fx.target[0].id!r}\n"
+
+    def test_unknown_alignment_id_names_the_alignment_line(self, tmp_path, capsys):
+        fx = make_transfer_fixture()
+        src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
+        write_jsonl(fx.source, src)
+        write_jsonl(fx.target, tgt)
+        write_alignments([*fx.pairs, AlignmentPair(fx.source[0].id, "ghost")], align)
+        code = main(["transfer", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {align}: line {len(fx.pairs) + 1}: alignment references unknown id 'ghost'\n"
+
 
 class TestSplitCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -422,9 +444,10 @@ class TestGradcheckCommand:
 
         true_backward = ops.dense_backward
 
-        def corrupted(x, w, grad_y):
-            gx, gw, gb = true_backward(x, w, grad_y)
-            return gx, gw * 1.25, gb
+        def corrupted(x, w, grad_y, grad_w, grad_b):
+            gx = true_backward(x, w, grad_y, grad_w, grad_b)
+            grad_w *= 1.25
+            return gx
 
         monkeypatch.setattr(layers.ops, "dense_backward", corrupted)
         assert main(["gradcheck", "--model", "word", "--seed", "0"]) == 1

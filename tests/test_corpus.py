@@ -151,7 +151,7 @@ class TestJsonlRoundTrip:
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "e.jsonl"
         path.write_text('{"id":"a","lang":"en","text":"hi"}\n{"id":"a","lang":"en","text":"yo"}\n')
-        with pytest.raises(CorpusError, match=r"^duplicate record id 'a'$"):
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: duplicate record id 'a'$"):
             read_jsonl(path)
 
     def test_alignment_round_trip(self, tmp_path):
@@ -211,13 +211,13 @@ class TestTransfer:
         assert report.dropped_targets == 1
 
     def test_unknown_source_id(self):
-        with pytest.raises(CorpusError, match=r"^alignment references unknown id 'ghost'$"):
-            transfer_labels([], [_rec(0, lang="ar")], [AlignmentPair("ghost", "ar0")])
+        with pytest.raises(CorpusError, match=r"^a\.jsonl: line 3: alignment references unknown id 'ghost'$"):
+            transfer_labels([], [_rec(0, lang="ar")], [AlignmentPair("ghost", "ar0", "a.jsonl: line 3")])
 
     def test_unknown_target_id(self):
         src = [_rec(0, label=QuadClass.VERBAL_CONFLICT)]
-        with pytest.raises(CorpusError, match=r"^alignment references unknown id 'ghost'$"):
-            transfer_labels(src, [], [AlignmentPair("en0", "ghost")])
+        with pytest.raises(CorpusError, match=r"^a\.jsonl: line 1: alignment references unknown id 'ghost'$"):
+            transfer_labels(src, [], [AlignmentPair("en0", "ghost", "a.jsonl: line 1")])
 
     def test_unlabelled_source_rejected(self):
         with pytest.raises(CorpusError, match=r"^aligned source record 'en0' carries no label$"):

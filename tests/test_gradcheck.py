@@ -1,6 +1,8 @@
 """The package's own gradient checker: passes on healthy models, catches a
 deliberately corrupted backward pass, and reports deterministically."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,14 @@ class TestHealthyModels:
         report = finite_difference_check(model, examples, seed=0)
         assert report.max_rel_error < 1e-4
 
+    def test_frozen_embedding_skipped(self):
+        # a frozen table's backward writes no gradient, so there is nothing to check
+        model = build_word_cnn(replace(tiny_word_config(), embeddings_trainable=False), seed=0)
+        examples = make_gradcheck_examples(model, count=2, seed=0)
+        report = finite_difference_check(model, examples, seed=0)
+        assert report.max_rel_error < 1e-4
+        assert [c.name for c in report.checks if c.coords_checked == 0] == ["embedding"]
+
     def test_every_parameter_reported(self):
         model = build_word_cnn(tiny_word_config(), seed=1)
         examples = make_gradcheck_examples(model, count=1, seed=1)
@@ -82,9 +92,10 @@ class TestNegativeControl:
 
         true_backward = ops.conv1d_backward
 
-        def corrupted(x, w, grad_y):
-            grad_x, grad_w, grad_b = true_backward(x, w, grad_y)
-            return grad_x, grad_w * 1.1, grad_b
+        def corrupted(x, w, grad_y, grad_w, grad_b):
+            grad_x = true_backward(x, w, grad_y, grad_w, grad_b)
+            grad_w *= 1.1
+            return grad_x
 
         model = build_word_cnn(tiny_word_config(), seed=0)
         examples = make_gradcheck_examples(model, count=2, seed=0)

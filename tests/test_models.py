@@ -317,13 +317,14 @@ class TestBatchLoss:
         gens = lambda: [np.random.default_rng([8, j]) for j in range(5)]  # noqa: E731
         whole = batch_loss(model, examples, training=training, dropout_rngs=gens(), accumulate=True)
         batched = [p.grad.copy() for p in model.parameters()]
-        for p in model.parameters():
-            p.zero_grad()
+        summed = [np.zeros_like(p.grad) for p in model.parameters()]
         singles = 0.0
         for e, gen in zip(examples, gens()):
             singles += batch_loss(model, [e], training=training, dropout_rngs=[gen], accumulate=True) / 5
-        for p, want in zip(model.parameters(), batched):
-            assert np.abs(p.grad / 5 - want).max() <= 1e-12, p.name
+            for p, total in zip(model.parameters(), summed):
+                total += p.grad  # each backward writes its own gradient; the sum is ours to keep
+        for p, total, want in zip(model.parameters(), summed, batched):
+            assert np.abs(total / 5 - want).max() <= 1e-12, p.name
         assert abs(whole - singles) <= 1e-12
 
     def test_empty_batch_rejected(self):
@@ -332,6 +333,19 @@ class TestBatchLoss:
         model = build_word_cnn(tiny_word_config(), seed=0)
         with pytest.raises(QuadcodeError):
             batch_loss(model, [])
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_backward_leaves_only_the_last_batch_gradient(self, kind):
+        def build():
+            return build_word_cnn(tiny_word_config(), seed=4) if kind == "word" else build_char_cnn(tiny_char_config(), seed=4)
+
+        model, fresh = build(), build()
+        examples = make_gradcheck_examples(model, count=4, seed=4)
+        batch_loss(model, examples[:2], accumulate=True)
+        batch_loss(model, examples[2:], accumulate=True)
+        batch_loss(fresh, examples[2:], accumulate=True)
+        for p, q in zip(model.parameters(), fresh.parameters()):
+            assert p.grad.tobytes() == q.grad.tobytes(), p.name
 
     def test_pad_embedding_row_gets_no_gradient(self):
         model = build_word_cnn(tiny_word_config(), seed=7)
@@ -392,6 +406,29 @@ class TestBuildDeterminism:
         want = np.eye(8)
         want[0] = 0.0
         assert (embed.value == want).all()
+
+
+class TestFrozenEmbedding:
+    # sha256 of the checkpoint below, as training wrote it when every
+    # backward still scattered into the frozen table
+    GOLDEN = "3c3f1bd145cec93d4f6a27dd3ad8070b4f586026fa948811b4328deb427ec9c1"
+
+    def test_one_hot_table_takes_no_gradient(self, tmp_path):
+        config = CharCnnConfig(alphabet_size=8, embed_dim=8, length=32,
+                               convs=tiny_char_config().convs, hidden=(16, 16), one_hot=True)
+        model = build_char_cnn(config, seed=5)
+        embed = model.embedding.param
+        adam = Adam(model.parameters(), lr=0.01)
+        examples = make_gradcheck_examples(model, count=4, seed=5)
+        for step in range(2):
+            gens = [np.random.default_rng([step, j]) for j in range(2)]
+            batch_loss(model, examples[2 * step : 2 * step + 2], training=True, dropout_rngs=gens, accumulate=True)
+            assert not embed.grad.any()
+            adam.step()
+            assert not embed.grad.any()
+        path = tmp_path / "one_hot.ckpt"
+        save_checkpoint(model, path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN
 
 
 class TestCheckpoints:

@@ -9,12 +9,14 @@ reference: plain loops over one example at a time, written from the
 definitions, that the batch-major ops must match for every batch size.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from quadcode.errors import QuadcodeError
 from quadcode.tensor_nn import ops
-from quadcode.tensor_nn.layers import Parameter, glorot_uniform
+from quadcode.tensor_nn.layers import EVAL, Dense, Parameter, ReLU, glorot_uniform
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd, make_optimizer
 
 EPS = 1e-6
@@ -130,7 +132,8 @@ class TestBatchedAgainstPerExample:
         b = gen.normal(size=4)
         grad_y = gen.normal(size=(n, 4, 9))
         y = ops.conv1d(x, w, b)
-        grad_x, grad_w, grad_b = ops.conv1d_backward(x, w, grad_y)
+        grad_w, grad_b = np.full_like(w, np.nan), np.full(4, np.nan)  # every entry must be written
+        grad_x = ops.conv1d_backward(x, w, grad_y, grad_w, grad_b)
         want_w, want_b = np.zeros_like(w), np.zeros(4)
         for j in range(n):
             assert_close(y[j], naive_conv(x[j], w, b), ORACLE_TOL)
@@ -160,7 +163,8 @@ class TestBatchedAgainstPerExample:
         b = gen.normal(size=5)
         grad_y = gen.normal(size=(n, 5))
         y = ops.dense(x, w, b)
-        grad_x, grad_w, grad_b = ops.dense_backward(x, w, grad_y)
+        grad_w, grad_b = np.full_like(w, np.nan), np.full(5, np.nan)  # every entry must be written
+        grad_x = ops.dense_backward(x, w, grad_y, grad_w, grad_b)
         want_w, want_b = np.zeros_like(w), np.zeros(5)
         for j in range(n):
             assert_close(y[j], naive_dense(x[j], w, b), ORACLE_TOL)
@@ -265,7 +269,8 @@ class TestConvBackward:
         def loss_b(b_):
             return float((ops.conv1d(x, w, b_) * proj).sum())
 
-        grad_x, grad_w, grad_b = ops.conv1d_backward(x, w, proj)
+        grad_w, grad_b = np.empty_like(w), np.empty_like(b)
+        grad_x = ops.conv1d_backward(x, w, proj, grad_w, grad_b)
         assert_close(grad_x, numeric_grad(loss_x, x), tol=1e-6)
         assert_close(grad_w, numeric_grad(loss_w, w), tol=1e-6)
         assert_close(grad_b, numeric_grad(loss_b, b), tol=1e-6)
@@ -275,14 +280,21 @@ class TestConvBackward:
         x = gen.normal(size=(2, 2, 5))
         w = gen.normal(size=(3, 2, 5))  # single output step
         proj = gen.normal(size=(2, 3, 1))
-        grad_x, _, _ = ops.conv1d_backward(x, w, proj)
+        grad_x = ops.conv1d_backward(x, w, proj, np.empty_like(w), np.empty(3))
         assert_close(grad_x, numeric_grad(lambda x_: float((ops.conv1d(x_, w, np.zeros(3)) * proj).sum()), x), tol=1e-6)
 
     def test_grad_shape_guard(self):
         with pytest.raises(ops.ShapeMismatchError):
-            ops.conv1d_backward(np.zeros((1, 1, 5)), np.zeros((1, 1, 2)), np.zeros((1, 1, 5)))
+            ops.conv1d_backward(np.zeros((1, 1, 5)), np.zeros((1, 1, 2)), np.zeros((1, 1, 5)), np.zeros((1, 1, 2)), np.zeros(1))
         with pytest.raises(ops.ShapeMismatchError):
-            ops.conv1d_backward(np.zeros((2, 1, 5)), np.zeros((1, 1, 2)), np.zeros((1, 1, 4)))
+            ops.conv1d_backward(np.zeros((2, 1, 5)), np.zeros((1, 1, 2)), np.zeros((1, 1, 4)), np.zeros((1, 1, 2)), np.zeros(1))
+
+    def test_weight_gradient_buffer_guard(self):
+        # a reshape of a strided buffer would copy, and the written gradient would be lost
+        x, w, grad_y = np.zeros((1, 2, 5)), np.zeros((3, 2, 2)), np.zeros((1, 3, 4))
+        for grad_w in (np.zeros((3, 2, 3)), np.zeros((3, 2, 4))[:, :, ::2]):
+            with pytest.raises(ops.ShapeMismatchError):
+                ops.conv1d_backward(x, w, grad_y, grad_w, np.zeros(3))
 
 
 class TestMaxPool:
@@ -363,7 +375,8 @@ class TestDense:
         def loss(x_, w_, b_):
             return float((ops.dense(x_, w_, b_) * proj).sum())
 
-        grad_x, grad_w, grad_b = ops.dense_backward(x, w, proj)
+        grad_w, grad_b = np.empty_like(w), np.empty_like(b)
+        grad_x = ops.dense_backward(x, w, proj, grad_w, grad_b)
         assert_close(grad_x, numeric_grad(lambda x_: loss(x_, w, b), x), tol=1e-6)
         assert_close(grad_w, numeric_grad(lambda w_: loss(x, w_, b), w), tol=1e-6)
         assert_close(grad_b, numeric_grad(lambda b_: loss(x, w, b_), b), tol=1e-6)
@@ -374,7 +387,7 @@ class TestDense:
         with pytest.raises(ops.ShapeMismatchError):
             ops.dense(np.zeros(4), np.zeros((2, 4)), np.zeros(2))  # no batch axis
         with pytest.raises(ops.ShapeMismatchError):
-            ops.dense_backward(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((1, 2)))
+            ops.dense_backward(np.zeros((3, 4)), np.zeros((2, 4)), np.zeros((1, 2)), np.zeros((2, 4)), np.zeros(2))
 
 
 class TestReluDropout:
@@ -547,7 +560,8 @@ class TestInputDtype:
         x, w, b = self._rand(gen, 2, 3, 8), self._rand(gen, 4, 3, 3), self._rand(gen, 4)
         y = ops.conv1d(x, w, b)
         assert y.dtype == self.F32
-        assert all(g.dtype == self.F32 for g in ops.conv1d_backward(x, w, self._rand(gen, *y.shape)))
+        gw, gb = np.empty_like(w), np.empty_like(b)  # the caller's buffers fix the parameter gradients' dtype
+        assert ops.conv1d_backward(x, w, self._rand(gen, *y.shape), gw, gb).dtype == self.F32
         pooled, argmax = ops.maxpool1d_with_argmax(y, 2)
         assert pooled.dtype == self.F32
         assert ops.maxpool1d_backward(self._rand(gen, *pooled.shape), argmax, y.shape[2]).dtype == self.F32
@@ -556,7 +570,7 @@ class TestInputDtype:
         assert ops.relu_backward(pooled, self._rand(gen, *r.shape)).dtype == self.F32
         v, dw, db = self._rand(gen, 2, 5), self._rand(gen, 3, 5), self._rand(gen, 3)
         assert ops.dense(v, dw, db).dtype == self.F32
-        assert all(g.dtype == self.F32 for g in ops.dense_backward(v, dw, self._rand(gen, 2, 3)))
+        assert ops.dense_backward(v, dw, self._rand(gen, 2, 3), np.empty_like(dw), np.empty_like(db)).dtype == self.F32
 
     def test_embedding_concat_softmax_and_loss(self):
         gen = np.random.default_rng(1)
@@ -590,10 +604,15 @@ def _param(name, value, frozen=False):
 class TestOptimizers:
     def test_sgd_hand_step(self):
         p = _param("w", [1.0])
+        grad = p.grad
+        opt = Sgd([p], lr=0.1)
         p.grad[:] = 0.5
-        Sgd([p], lr=0.1).step()
+        opt.step()
         assert p.value.tolist() == [0.95]
-        assert p.grad.tolist() == [0.0]
+        p.grad[:] = 0.25  # the next backward writes over what the step left in the buffer
+        opt.step()
+        assert p.value.tolist() == [0.95 - 0.025]
+        assert p.grad is grad
 
     def test_sgd_momentum_accumulates(self):
         p = _param("w", [0.0])
@@ -616,7 +635,7 @@ class TestOptimizers:
         p = _param("w", gen.normal(size=(3, 4)))
         opt = Adam([p], lr=0.01)
         value, m, v = p.value.copy(), np.zeros((3, 4)), np.zeros((3, 4))
-        arrays = (p.value, opt._m[0], opt._v[0])
+        arrays = (p.value, p.grad, opt._m[0], opt._v[0])
         for t in range(1, 4):
             g = gen.normal(size=(3, 4))
             p.grad[...] = g
@@ -625,22 +644,23 @@ class TestOptimizers:
             v = 0.999 * v + (1 - 0.999) * np.square(g)
             value = value - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert (p.value == value).all()  # same operations, same order: bit-identical
-        assert all(a is b for a, b in zip(arrays, (p.value, opt._m[0], opt._v[0])))
-        assert (p.grad == 0.0).all()
+        assert all(a is b for a, b in zip(arrays, (p.value, p.grad, opt._m[0], opt._v[0])))
 
     def test_adam_defaults(self):
         opt = Adam([_param("w", [0.0])])
         assert opt.lr == 1e-3 and opt.beta1 == 0.9 and opt.beta2 == 0.999 and opt.eps == 1e-8
 
-    def test_frozen_param_untouched_but_grad_cleared(self):
+    def test_frozen_param_and_grad_untouched(self):
         p = _param("frozen", [2.0], frozen=True)
         q = _param("live", [2.0])
         p.grad[:] = 100.0
         q.grad[:] = 100.0
-        Sgd([p, q], lr=0.01).step()
-        assert p.value.tolist() == [2.0]
-        assert q.value.tolist() != [2.0]
-        assert p.grad.tolist() == [0.0] and q.grad.tolist() == [0.0]
+        for opt in (Sgd([p, q], lr=0.01), Adam([p, q], lr=0.01)):
+            q.grad[:] = 100.0
+            opt.step()
+            assert p.value.tolist() == [2.0]
+            assert q.value.tolist() != [2.0]
+            assert p.grad.tolist() == [100.0]  # a frozen gradient is neither read nor cleared
 
     def test_nonfinite_gradient_trapped(self):
         p = _param("w", [1.0])
@@ -677,3 +697,89 @@ class TestOptimizers:
             Sgd([p], lr=0.1, momentum=1.0)
         with pytest.raises(QuadcodeError):
             Adam([p], lr=-1.0)
+
+
+class TestGradientWrite:
+    """Backward writes the weight gradient into Parameter.grad, never adds to it."""
+
+    def test_dense_backward_allocates_no_weight_sized_array(self):
+        gen = np.random.default_rng(12)
+        layer = Dense(4096, 512, gen, "fc")
+        _, cache = layer.forward(gen.normal(size=(4, 4096)), EVAL)
+        grad_y = gen.normal(size=(4, 512))
+        tracemalloc.start()
+        try:
+            layer.backward(cache, grad_y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < layer.w.value.nbytes, peak
+
+
+def _dead_unit_gradients() -> list[np.ndarray]:
+    """Dense -> ReLU with unit 1 dead on the whole batch and a negative
+    upstream gradient, so the ReLU passes -0.0 back for that unit; returns
+    the weight and bias gradients the Dense backward writes."""
+    gen = np.random.default_rng(13)
+    dense, relu = Dense(3, 2, gen, "fc"), ReLU()
+    dense.w.value[1] = -1.0
+    dense.b.value[1] = -1.0
+    y, cache = dense.forward(np.abs(gen.normal(size=(4, 3))), EVAL)
+    h, relu_cache = relu.forward(y, EVAL)
+    grad = relu.backward(relu_cache, -np.abs(gen.normal(size=h.shape)))
+    assert (grad[:, 1] == 0.0).all() and np.signbit(grad[:, 1]).all()
+    dense.backward(cache, grad)
+    return [dense.w.grad.copy(), dense.b.grad.copy()]
+
+
+class TestSignedZeroGradients:
+    """A write keeps a -0.0 gradient entry, where adding it into a zeroed
+    buffer gave +0.0. Whichever sign the ops give a dead unit's summed
+    gradient, the worst case is forced here: every zero entry written as
+    -0.0. Neither optimizer lets that reach a parameter bit or an Adam
+    moment bit."""
+
+    @staticmethod
+    def _run(make, steps):
+        gen = np.random.default_rng(14)
+        params = [_param(f"p{i}", gen.normal(size=g.shape)) for i, g in enumerate(steps[0])]
+        opt = make(params)
+        for step in steps:
+            for p, g in zip(params, step):
+                p.grad[...] = g
+            opt.step()
+        return params, opt
+
+    def _steps(self):
+        """Dead-unit gradients between random ones, so each zero entry
+        follows a step that moved its velocity and moments."""
+        dead = _dead_unit_gradients()
+        gen = np.random.default_rng(15)
+        signed = [np.where(g == 0.0, -0.0, g) for g in dead]
+        assert any(np.signbit(g[g == 0.0]).any() for g in signed)
+        added = [np.zeros_like(g) + g for g in signed]  # the old arithmetic: add into a zeroed buffer
+        assert not any(np.signbit(g[g == 0.0]).any() for g in added)
+        randoms = [[gen.normal(size=g.shape) for g in dead] for _ in range(2)]
+        return [signed, randoms[0], signed, randoms[1], signed], [added, randoms[0], added, randoms[1], added]
+
+    def test_adam_bits_unchanged(self):
+        written, added = self._steps()
+        new_params, new = self._run(lambda ps: Adam(ps, lr=0.01), written)
+        old_params, old = self._run(lambda ps: Adam(ps, lr=0.01), added)
+        for a, b in zip(new_params, old_params):
+            assert a.value.tobytes() == b.value.tobytes()
+        for a, b in zip(new._m + new._v, old._m + old._v):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_sgd_parameter_bits_unchanged(self, momentum):
+        written, added = self._steps()
+        new_params, new = self._run(lambda ps: Sgd(ps, lr=0.1, momentum=momentum), written)
+        old_params, old = self._run(lambda ps: Sgd(ps, lr=0.1, momentum=momentum), added)
+        for a, b in zip(new_params, old_params):
+            assert a.value.tobytes() == b.value.tobytes()
+        for a, b in zip(new._velocity, old._velocity):
+            assert (a == b).all()
+        # with momentum 0 a velocity can differ from the old one in the sign of a zero, and only there
+        signs_differ = any((np.signbit(a) != np.signbit(b)).any() for a, b in zip(new._velocity, old._velocity))
+        assert signs_differ == (momentum == 0.0)
