@@ -48,7 +48,7 @@ from .tensor_nn.layers import (
     ReLU,
     batch_loss,  # noqa: F401  (the training loss is public as models.batch_loss)
 )
-from .text_encoding import CharEncoder, EncodedExample, WordEncoder, encoder_from_json_obj
+from .text_encoding import CharEncoder, EncodedExample, TextEncodingError, Vocabulary, WordEncoder
 
 
 class InvalidConfigError(InputError):
@@ -426,10 +426,13 @@ def make_gradcheck_examples(model: Model, count: int = 2, seed: int = 0) -> list
 # header | float64-LE parameter blobs in declaration order | probe inputs
 # (int64-LE) | probe logits (float64-LE) | sha256 of everything before it.
 # The header carries config, encoder, quad-map digest, and run metadata, so
-# a checkpoint alone suffices to restore and verify the model.
+# a checkpoint alone suffices to restore and verify the model. Version 2
+# stores the encoder as its Vocabulary's two columns, {"tokens", "counts"};
+# its kind is the model's and its length config.length. Version 1 stored
+# {"kind", "length", "entries": [{"token", "index", "count"}, ...]}.
 
 _MAGIC = b"QCNN"
-_VERSION = 1
+_VERSION = 2
 _PROBE_COUNT = 4
 
 
@@ -455,15 +458,66 @@ def _input_size(config: WordCnnConfig | CharCnnConfig) -> int:
     return config.vocab_size if isinstance(config, WordCnnConfig) else config.alphabet_size
 
 
+_ENCODER_CLASSES = {"word": WordEncoder, "char": CharEncoder}
+
+
+def _vocabulary(encoder: WordEncoder | CharEncoder) -> Vocabulary:
+    return encoder.vocab if isinstance(encoder, WordEncoder) else encoder.alphabet
+
+
 def _check_encoder_fits(path, kind: str, config: WordCnnConfig | CharCnnConfig, encoder) -> None:
     """An encoder must emit indices the model can look up, at the model's length."""
-    want = WordEncoder if kind == "word" else CharEncoder
-    size = encoder.vocab.size if isinstance(encoder, WordEncoder) else encoder.alphabet.size
+    want = _ENCODER_CLASSES[kind]
+    size = _vocabulary(encoder).size
     if not isinstance(encoder, want) or size != _input_size(config) or encoder.length != config.length:
         raise CheckpointError(
             f"{path}: encoder ({type(encoder).__name__}, {size} entries, length {encoder.length}) does not fit "
             f"the {kind} model (input size {_input_size(config)}, length {config.length})"
         )
+
+
+def _v1_encoder_columns(path, obj) -> tuple[str, int, dict]:
+    """A version-1 encoder as (kind, length, the version-2 columns); each
+    entry's index must be its id, so the columns lose nothing."""
+    v1 = obj if isinstance(obj, dict) else {}
+    kind, length, entries = v1.get("kind"), v1.get("length"), v1.get("entries")
+    if kind not in ("word", "char") or type(length) is not int or not isinstance(entries, list):
+        raise CheckpointError(
+            f'{path}: bad version 1 encoder: want a "kind" of "word" or "char", an integer "length" and an "entries" list'
+        )
+    for entry_no, entry in enumerate(entries, start=1):
+        if not isinstance(entry, dict):
+            raise TextEncodingError(f"vocabulary entry {entry_no}: expected a JSON object")
+        if missing := [key for key in ("token", "index", "count") if key not in entry]:
+            raise TextEncodingError(f"vocabulary entry {entry_no}: missing key {missing[0]!r}")
+        if type(entry["index"]) is not int or entry["index"] != entry_no + 1:
+            raise TextEncodingError(
+                f"vocabulary entry {entry_no}: index {entry['index']!r} is not dense, expected {entry_no + 1}"
+            )
+    return kind, length, {"tokens": [e["token"] for e in entries], "counts": [e["count"] for e in entries]}
+
+
+def _encoder_from_obj(path, version: int, kind: str, config: WordCnnConfig | CharCnnConfig, obj):
+    """The header's "encoder" back into the encoder it was written from, in
+    one validating pass, checked to fit the model."""
+    if obj is None:
+        return None
+    encoder_kind, length = kind, config.length
+    if version == 1:
+        encoder_kind, length, obj = _v1_encoder_columns(path, obj)
+    if not isinstance(obj, dict) or obj.keys() != {"tokens", "counts"}:
+        raise CheckpointError(f'{path}: encoder must hold exactly the keys "counts" and "tokens"')
+    tokens, counts = obj["tokens"], obj["counts"]
+    if not isinstance(tokens, list) or not isinstance(counts, list) or len(tokens) != len(counts):
+        raise CheckpointError(f"{path}: encoder tokens and counts must be two lists of equal length")
+    for entry_no, (token, count) in enumerate(zip(tokens, counts), start=1):
+        if type(token) is not str or type(count) is not int:  # a JSON true is a bool, not an int
+            raise TextEncodingError(f"vocabulary entry {entry_no}: bad field types")
+        if count < 0:
+            raise TextEncodingError(f"vocabulary entry {entry_no}: negative count {count}")
+    encoder = _ENCODER_CLASSES[encoder_kind](Vocabulary(tokens, counts), length)
+    _check_encoder_fits(path, kind, config, encoder)
+    return encoder
 
 
 def _probe_inputs(model: Model, probe_seed: int) -> np.ndarray:
@@ -487,16 +541,20 @@ def save_checkpoint(
 ) -> None:
     """Write the binary checkpoint; byte-identical for identical state.
 
-    Each piece goes to the file and the digest straight from its array's
-    memory, so the save holds no copy of the file.
+    An encoder that does not fit the model is refused before the file is
+    opened. Each piece goes to the file and the digest straight from its
+    array's memory, so the save holds no copy of the file.
     """
+    if encoder is not None:
+        _check_encoder_fits(path, model.kind, model.config, encoder)
+    vocab = None if encoder is None else _vocabulary(encoder)
     params = model.parameters()
     probe_in = _probe_inputs(model, probe_seed)
     probe_logits = model.forward_logits(probe_in, EVAL)[0]
     header = {
         "kind": model.kind,
         "config": asdict(model.config),
-        "encoder": None if encoder is None else encoder.to_json_obj(),
+        "encoder": None if vocab is None else {"tokens": vocab.tokens, "counts": vocab.counts},
         "quadmap_digest": quad_map_digest,
         "metadata": metadata or {},
         "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
@@ -546,20 +604,22 @@ def _read_aligned(path: str | Path) -> np.ndarray:
 def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> LoadedCheckpoint:
     """Restore a model and verify digest plus bit-exact probe predictions.
 
-    Checks run in file order: magic, version, the digest before the header
-    is parsed, the header, that the encoder fits the model, and the file
-    size against the header before the model is allocated. The file is
-    read once into one aligned buffer and hashed once; every parameter of
-    the returned model is a writable float64 view into that buffer, so the
-    load makes no second copy of the parameters and draws no init.
+    Checks run in file order: magic, version (1 or 2), the digest before
+    the header is parsed, the header, the encoder's tokens and counts (a
+    version-1 encoder's entries are first turned into those two columns)
+    and that the encoder fits the model, and the file size against the
+    header before the model is allocated. The file is read once into one
+    aligned buffer and hashed once; every parameter of the returned model
+    is a writable float64 view into that buffer, so the load makes no
+    second copy of the parameters and draws no init.
     """
     buf = _read_aligned(path)
     data = memoryview(buf)
     if len(data) < 16 + 32 or data[:4] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad or truncated magic)")
     version = struct.unpack_from("<I", data, 4)[0]
-    if version != _VERSION:
-        raise CheckpointError(f"checkpoint format version {version}, this build reads {_VERSION}")
+    if version not in (1, _VERSION):
+        raise CheckpointError(f"checkpoint format version {version}, this build reads versions 1 and {_VERSION}")
     digest = hashlib.sha256(data[:-32])
     if digest.digest() != data[-32:]:
         raise CheckpointError(f"{path}: integrity digest does not match contents")
@@ -580,10 +640,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     if expected_kind is not None and kind != expected_kind:
         raise InvalidConfigError(f"checkpoint holds a {kind!r} model, expected {expected_kind!r}")
     config = _config_from_obj(kind, header.get("config"))
-    encoder_obj = header.get("encoder")
-    encoder = None if encoder_obj is None else encoder_from_json_obj(encoder_obj)
-    if encoder is not None:
-        _check_encoder_fits(path, kind, config, encoder)
+    encoder = _encoder_from_obj(path, version, kind, config, header.get("encoder"))
     probe = header.get("probe")
     count = probe.get("count") if isinstance(probe, dict) else None
     if not isinstance(count, int) or count < 1:

@@ -156,41 +156,6 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, table: np.ndarray) -> N
         table[vocab.index_of(token)] = row
 
 
-# --- serialization -----------------------------------------------------------
-#
-# Entries travel inside checkpoint headers as {"token", "index", "count"}
-# objects in index order.
-
-
-def _entry_objs(vocab: Vocabulary) -> list[dict]:
-    return [
-        {"token": token, "index": index, "count": count}
-        for index, (token, count) in enumerate(zip(vocab.tokens, vocab.counts), start=_RESERVED)
-    ]
-
-
-def _vocab_from_objs(objs: list) -> Vocabulary:
-    """One validating pass over the entry objects; entry numbers count from 1."""
-    tokens: list[str] = []
-    counts: list[int] = []
-    for entry_no, obj in enumerate(objs, start=1):
-        if not isinstance(obj, dict):
-            raise TextEncodingError(f"vocabulary entry {entry_no}: expected a JSON object")
-        try:
-            token, index, count = obj["token"], obj["index"], obj["count"]
-        except KeyError as exc:
-            raise TextEncodingError(f"vocabulary entry {entry_no}: missing key {exc.args[0]!r}") from None
-        if not isinstance(token, str) or not isinstance(index, int) or not isinstance(count, int):
-            raise TextEncodingError(f"vocabulary entry {entry_no}: bad field types")
-        if index != entry_no - 1 + _RESERVED:
-            raise TextEncodingError(
-                f"vocabulary entry {entry_no}: index {index} is not dense, expected {entry_no - 1 + _RESERVED}"
-            )
-        tokens.append(token)
-        counts.append(count)
-    return Vocabulary(tokens, counts)
-
-
 # --- encoder bundles ---------------------------------------------------------
 #
 # Thin (table, length) pairs that checkpoints can embed and restore, so a
@@ -204,13 +169,6 @@ class WordEncoder:
 
     def encode(self, text: str) -> np.ndarray:
         return encode_words(self.vocab, tokenize(text), self.length)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "word",
-            "length": self.length,
-            "entries": _entry_objs(self.vocab),
-        }
 
 
 @dataclass(frozen=True)
@@ -228,25 +186,3 @@ class CharEncoder:
     def encode(self, text: str) -> np.ndarray:
         return encode_chars(self.alphabet, text, self.length)
 
-    def to_json_obj(self) -> dict:
-        return {
-            "kind": "char",
-            "length": self.length,
-            "entries": _entry_objs(self.alphabet),
-        }
-
-
-def encoder_from_json_obj(obj: object) -> WordEncoder | CharEncoder:
-    if not isinstance(obj, dict):
-        raise TextEncodingError("encoder is not a JSON object")
-    try:
-        kind, length, raw_entries = obj["kind"], obj["length"], obj["entries"]
-    except KeyError as exc:
-        raise TextEncodingError(f"encoder object missing key {exc.args[0]!r}") from None
-    if not isinstance(length, int) or not isinstance(raw_entries, list):
-        raise TextEncodingError("encoder object has bad field types")
-    if kind == "word":
-        return WordEncoder(_vocab_from_objs(raw_entries), length)
-    if kind == "char":
-        return CharEncoder(_vocab_from_objs(raw_entries), length)
-    raise TextEncodingError(f"unknown encoder kind {kind!r}")

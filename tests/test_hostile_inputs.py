@@ -2,9 +2,10 @@
 
 Each reader gets a valid sample, then derandomised hypothesis mutations of it:
 truncation, flipped and inserted bytes, and JSON nested too deeply to parse.
-Checkpoints are forged with a correct sha256, so the digest check cannot
-catch them: header values are replaced by booleans, nulls, negatives, strings
-and lists, keys are removed, and the raw header bytes are mutated. Whatever
+Checkpoints, as the writer emits them and as format version 1 wrote them,
+are forged with a correct sha256, so the digest check cannot catch them:
+header values are replaced by booleans, nulls, negatives, strings and lists,
+keys are removed, and the raw header bytes are mutated. Whatever
 a reader does with such input, the only exception that may escape is an
 InputError, which the CLI turns into exit code 2 with a one-line `error:`.
 """
@@ -13,6 +14,7 @@ import copy
 import hashlib
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -192,6 +194,14 @@ def _checkpoint(tmp_path, kind: str) -> bytes:
     return path.read_bytes()
 
 
+# Version-1 checkpoints of a tiny word and char model
+DATA = Path(__file__).parent / "data"
+
+
+def _blob(tmp_path, name: str) -> bytes:
+    return (DATA / f"{name}.ckpt").read_bytes() if name.startswith("v1_") else _checkpoint(tmp_path, name)
+
+
 def sealed(blob: bytes, header: bytes) -> bytes:
     """blob with its header replaced by `header`, length and sha256 made consistent."""
     old_len = struct.unpack_from("<Q", blob, 8)[0]
@@ -245,9 +255,9 @@ def _load_and_predict(path) -> None:
         predict(loaded.model, np.stack([loaded.encoder.encode(text) for text in texts]))
 
 
-@pytest.mark.parametrize("kind", ["word", "char"])
+@pytest.mark.parametrize("kind", ["word", "char", "v1_word", "v1_char"])
 def test_forged_checkpoint_header_raises_only_input_error(tmp_path, kind):
-    blob = _checkpoint(tmp_path, kind)
+    blob = _blob(tmp_path, kind)
     raw = _header_bytes(blob)
     path = tmp_path / "forged.ckpt"
 
@@ -303,3 +313,58 @@ def test_overlong_integer_in_checkpoint_header_exits_2(tmp_path, capsys):
     code = main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "out.jsonl")])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {path}: unreadable header: ") and err.count("\n") == 1
+
+
+def _cli_exits_2(tmp_path, capsys, path) -> list[str]:
+    """`predict` and `eval` on the checkpoint at path; each must exit 2 with one `error:` line."""
+    infile = tmp_path / "in.jsonl"
+    write_jsonl([SentenceRecord("a", "en", "Police met with protesters.", QuadClass.VERBAL_COOPERATION)], infile)
+    errors = []
+    for argv in (["predict", "--in", str(infile), "--out", str(tmp_path / "out.jsonl")],
+                 ["eval", "--test", str(infile), "--report", str(tmp_path / "report.json")]):
+        code = main([argv[0], "--checkpoint", str(path), *argv[1:]])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        errors.append(err)
+    return errors
+
+
+def _at(items: list, i: int, value) -> list:
+    return [*items[:i], value, *items[i + 1 :]]
+
+
+# forgeries of a version-2 encoder, {"tokens": [...], "counts": [...]}
+V2_FORGERIES = {
+    "encoder_list": lambda e: [e["tokens"]],
+    "encoder_kind_key": lambda e: {**e, "kind": "word"},
+    "counts_missing": lambda e: {"tokens": e["tokens"]},
+    "counts_short": lambda e: {**e, "counts": e["counts"][:-1]},
+    "tokens_str": lambda e: {**e, "tokens": "police"},
+    "token_int": lambda e: {**e, "tokens": _at(e["tokens"], 2, 7)},
+    "count_bool": lambda e: {**e, "counts": _at(e["counts"], 0, True)},
+    "count_negative": lambda e: {**e, "counts": _at(e["counts"], 1, -5)},
+    "count_float": lambda e: {**e, "counts": _at(e["counts"], 1, 5.0)},
+    "token_duplicate": lambda e: {**e, "tokens": _at(e["tokens"], 1, e["tokens"][0])},
+    "vocab_one_short": lambda e: {"tokens": e["tokens"][:-1], "counts": e["counts"][:-1]},
+    "vocab_one_long": lambda e: {"tokens": [*e["tokens"], "extra"], "counts": [*e["counts"], 1]},
+}
+
+
+@pytest.mark.parametrize("forge", V2_FORGERIES.values(), ids=V2_FORGERIES.keys())
+def test_forged_version_2_encoder_exits_2(tmp_path, capsys, forge):
+    blob = _checkpoint(tmp_path, "word")
+    assert struct.unpack_from("<I", blob, 4)[0] == 2
+    path = tmp_path / "forged.ckpt"
+    header = json.loads(_header_bytes(blob))
+    path.write_bytes(sealed(blob, json.dumps({**header, "encoder": forge(header["encoder"])}).encode()))
+    _cli_exits_2(tmp_path, capsys, path)
+
+
+@pytest.mark.parametrize("version", [0, 3])
+def test_unreadable_format_version_exits_2(tmp_path, capsys, version):
+    blob = bytearray(_checkpoint(tmp_path, "word"))
+    struct.pack_into("<I", blob, 4, version)
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(bytes(blob), _header_bytes(blob)))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: checkpoint format version {version}, this build reads versions 1 and 2\n"

@@ -6,6 +6,7 @@ import hashlib
 import json
 import struct
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,6 +45,10 @@ from quadcode.text_encoding import (
 )
 from quadcode.corpus import SentenceRecord
 from quadcode.tensor_nn.optim import Adam
+
+# Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
+# before format version 2
+DATA = Path(__file__).parent / "data"
 
 # --- oracles ------------------------------------------------------------------
 
@@ -409,9 +414,10 @@ class TestBuildDeterminism:
 
 
 class TestFrozenEmbedding:
-    # sha256 of the checkpoint below, as training wrote it when every
-    # backward still scattered into the frozen table
-    GOLDEN = "3c3f1bd145cec93d4f6a27dd3ad8070b4f586026fa948811b4328deb427ec9c1"
+    # sha256 of the checkpoint below in format version 2; its parameter and
+    # probe bytes are those training wrote when every backward still
+    # scattered into the frozen table
+    GOLDEN = "eedf75c7c22c1f0a8339614b3519ebdc651e7be243d48f70673c5efe26c102d4"
 
     def test_one_hot_table_takes_no_gradient(self, tmp_path):
         config = CharCnnConfig(alphabet_size=8, embed_dim=8, length=32,
@@ -519,9 +525,15 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError):
             load_checkpoint(path)
 
-    # sha256 of the files _golden_checkpoint writes, as the format stood
-    # before the writer streamed its pieces: any drift in layout fails here.
+    # sha256 of the files _golden_checkpoint writes in format version 2:
+    # any drift in layout fails here. Their parameter and probe bytes are
+    # those of tests/data/v1_*.ckpt, the same checkpoints as version 1 wrote
+    # them (V1_GOLDEN).
     GOLDEN = {
+        "word": "a721c86db7757535cd4ec34d744294b28f937dfbdc54244092e555de448bbae6",
+        "char": "a94dd08693807413c79929d71f0ad5f904533e5b5f01d1dffde39fda4cd84b8f",
+    }
+    V1_GOLDEN = {
         "word": "54b1a245394188c5123ec20bee50fe46788821b32e7e48ae4a9bfae4758259fa",
         "char": "96175c71d79dfe621d8584978d9390f4a5f3bfed2f2ce70dc82d6e131cadf391",
     }
@@ -728,30 +740,32 @@ class TestCheckpoints:
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and "config" in err
 
     @pytest.mark.parametrize(
-        "kind, forge",
+        "kind, version, forge",
         [
-            ("word", lambda h: {**h, "encoder": {**h["encoder"], "entries": h["encoder"]["entries"] + [
-                {"token": f"extra{i}", "index": 50 + i, "count": 1} for i in range(32)]}}),
-            ("word", lambda h: {**h, "encoder": {**h["encoder"], "kind": "char", "entries": [
-                {**e, "token": chr(0x41 + i)} for i, e in enumerate(h["encoder"]["entries"])]}}),
-            ("word", lambda h: {**h, "encoder": {**h["encoder"], "length": 17}}),
-            ("char", lambda h: {**h, "encoder": {**h["encoder"], "entries": h["encoder"]["entries"][:5]}}),
+            ("word", 2, lambda e: {"tokens": e["tokens"] + [f"extra{i}" for i in range(32)],
+                                   "counts": e["counts"] + [1] * 32}),
+            ("word", 1, lambda e: {**e, "kind": "char", "entries": [
+                {**x, "token": chr(0x41 + i)} for i, x in enumerate(e["entries"])]}),
+            ("word", 1, lambda e: {**e, "length": 17}),
+            ("char", 2, lambda e: {"tokens": e["tokens"][:5], "counts": e["counts"][:5]}),
         ],
         ids=["word_vocab_larger", "word_char_encoder", "word_length", "char_alphabet_smaller"],
     )
-    def test_encoder_that_does_not_fit_the_model(self, tmp_path, capsys, kind, forge):
-        if kind == "word":
+    def test_encoder_that_does_not_fit_the_model(self, tmp_path, capsys, kind, version, forge):
+        path = tmp_path / "model.ckpt"
+        if version == 1:  # only a version-1 encoder stores its own kind and length
+            path.write_bytes((DATA / f"v1_{kind}.ckpt").read_bytes())
+        elif kind == "word":
             encoder = WordEncoder(Vocabulary([f"w{i}" for i in range(2, 50)], [1] * 48), 16)
-            model = build_word_cnn(tiny_word_config(vocab_size=50), seed=0)
+            save_checkpoint(build_word_cnn(tiny_word_config(vocab_size=50), seed=0), path, encoder=encoder)
         else:
             encoder = CharEncoder(Vocabulary([chr(0x61 + i) for i in range(2, 8)], [1] * 6), 32)
-            model = build_char_cnn(tiny_char_config(alphabet_size=8), seed=0)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path, encoder=encoder)
+            save_checkpoint(build_char_cnn(tiny_char_config(alphabet_size=8), seed=0), path, encoder=encoder)
         load_checkpoint(path)  # the honest checkpoint loads
         data = path.read_bytes()
         header_len = struct.unpack_from("<Q", data, 8)[0]
-        raw = json.dumps(forge(json.loads(data[16 : 16 + header_len]))).encode("utf-8")
+        header = json.loads(data[16 : 16 + header_len])
+        raw = json.dumps({**header, "encoder": forge(header["encoder"])}).encode("utf-8")
         body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CheckpointError):
@@ -761,6 +775,53 @@ class TestCheckpoints:
         code = cli.main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and "does not fit" in err
+
+    @pytest.mark.parametrize(
+        "encoder",
+        [
+            CharEncoder(Vocabulary([chr(0x100 + i) for i in range(48)], [1] * 48), 7),
+            WordEncoder(Vocabulary([f"w{i}" for i in range(47)], [1] * 47), 16),
+            WordEncoder(Vocabulary([f"w{i}" for i in range(48)], [1] * 48), 17),
+        ],
+        ids=["char_encoder", "vocab_one_short", "wrong_length"],
+    )
+    def test_save_refuses_an_encoder_that_does_not_fit(self, tmp_path, encoder):
+        model, path = self._model_and_path(tmp_path)  # vocab_size 50, length 16
+        with pytest.raises(CheckpointError, match=r"does not fit the word model \(input size 50, length 16\)$"):
+            save_checkpoint(model, path, encoder=encoder)
+        assert not path.exists()
+
+    def _resaved_v1(self, tmp_path, kind):
+        """(version-1 fixture bytes, its load, the bytes of that load saved again)."""
+        v1 = (DATA / f"v1_{kind}.ckpt").read_bytes()
+        loaded = load_checkpoint(DATA / f"v1_{kind}.ckpt", expected_kind=kind)  # replays the probes bit-exactly
+        assert loaded.sha256 == self.V1_GOLDEN[kind]
+        probe_seed = json.loads(v1[16 : 16 + struct.unpack_from("<Q", v1, 8)[0]])["probe"]["seed"]
+        path = tmp_path / "resaved.ckpt"
+        save_checkpoint(loaded.model, path, encoder=loaded.encoder, quad_map_digest=loaded.quad_map_digest,
+                        metadata=loaded.metadata, probe_seed=probe_seed)
+        return v1, loaded, path.read_bytes()
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_version_1_file_predicts_like_its_version_2_resave(self, tmp_path, kind):
+        _, loaded, _ = self._resaved_v1(tmp_path, kind)
+        resaved = load_checkpoint(tmp_path / "resaved.ckpt", expected_kind=kind)
+        assert type(resaved.encoder) is type(loaded.encoder) and resaved.encoder.length == loaded.encoder.length
+        texts = ["alpha beta gamma", "Delta, ALPHA!", "", "nothing known here"]
+        indices = np.stack([loaded.encoder.encode(t) for t in texts])
+        assert (np.stack([resaved.encoder.encode(t) for t in texts]) == indices).all()
+        (classes_1, probs_1), (classes_2, probs_2) = predict(loaded.model, indices), predict(resaved.model, indices)
+        assert (classes_1 == classes_2).all() and (probs_1 == probs_2).all()
+        assert (resaved.quad_map_digest, resaved.metadata) == (loaded.quad_map_digest, loaded.metadata)
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_version_2_resave_keeps_the_bytes_after_the_header(self, tmp_path, kind):
+        v1, _, v2 = self._resaved_v1(tmp_path, kind)
+        assert struct.unpack_from("<I", v1, 4)[0] == 1 and struct.unpack_from("<I", v2, 4)[0] == 2
+        v1_len, v2_len = struct.unpack_from("<Q", v1, 8)[0], struct.unpack_from("<Q", v2, 8)[0]
+        assert v2[16 + v2_len : -32] == v1[16 + v1_len : -32]  # parameter blobs and probe block
+        assert json.loads(v2[16 : 16 + v2_len])["encoder"].keys() == {"tokens", "counts"}
+        assert hashlib.sha256(v2).hexdigest() == self.GOLDEN[kind]  # what _golden_checkpoint writes now
 
 
 class TestGradcheckExamples:

@@ -1,6 +1,9 @@
 """Vocabulary ranking, fixed-length id encoding, pre-trained embeddings."""
 
+import hashlib
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +11,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadcode.corpus import SentenceRecord
+from quadcode.models import (
+    CheckpointError,
+    build_char_cnn,
+    build_word_cnn,
+    load_checkpoint,
+    save_checkpoint,
+    tiny_char_config,
+    tiny_word_config,
+)
 from quadcode.text_encoding import (
     PAD,
     UNK,
@@ -20,13 +32,40 @@ from quadcode.text_encoding import (
     build_vocab,
     encode_chars,
     encode_words,
-    encoder_from_json_obj,
     load_embeddings,
 )
+
+# Version-1 checkpoints of a word model (6 vocabulary rows) and a char model
+DATA = Path(__file__).parent / "data"
 
 
 def _recs(*texts):
     return [SentenceRecord(id=f"r{i}", lang="en", text=t) for i, t in enumerate(texts)]
+
+
+def _saved(path, kind: str, vocab: Vocabulary) -> Path:
+    """A tiny model of kind, saved with an encoder over vocab that fits it."""
+    if kind == "word":
+        config = tiny_word_config(vocab_size=vocab.size)
+        model, encoder = build_word_cnn(config, seed=0), WordEncoder(vocab, config.length)
+    else:
+        config = tiny_char_config(alphabet_size=vocab.size)
+        model, encoder = build_char_cnn(config, seed=0), CharEncoder(vocab, config.length)
+    save_checkpoint(model, path, encoder=encoder)
+    return path
+
+
+def _header(data: bytes) -> dict:
+    return json.loads(data[16 : 16 + struct.unpack_from("<Q", data, 8)[0]])
+
+
+def _with_encoder(source: Path, path: Path, encoder_obj) -> Path:
+    """source with its header's encoder replaced, written to path with a consistent length and sha256."""
+    data = source.read_bytes()
+    raw = json.dumps({**_header(data), "encoder": encoder_obj}).encode("utf-8")
+    body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + struct.unpack_from("<Q", data, 8)[0] : -32]
+    path.write_bytes(body + hashlib.sha256(body).digest())
+    return path
 
 
 class TestBuildVocab:
@@ -210,26 +249,26 @@ class TestEmbeddingTables:
 
 
 class TestSerialization:
-    def test_jsonl_shape(self):
-        encoder = WordEncoder(Vocabulary(["a"], [9]), 4)
-        text = json.dumps(encoder.to_json_obj()["entries"], separators=(",", ":"))
-        assert text == '[{"token":"a","index":2,"count":9}]'
+    """The encoder inside a checkpoint header: version 2 columns, version 1 entries."""
 
-    def test_char_alphabet_round_trip(self):
+    def test_jsonl_shape(self, tmp_path):
+        data = _saved(tmp_path / "m.ckpt", "word", Vocabulary(["a"], [9])).read_bytes()
+        assert b'"encoder":{"counts":[9],"tokens":["a"]}' in data[16 : 16 + struct.unpack_from("<Q", data, 8)[0]]
+
+    def test_char_alphabet_round_trip(self, tmp_path):
         alphabet = build_char_alphabet(_recs("قصفت القوات"))
-        obj = json.loads(json.dumps(CharEncoder(alphabet, 8).to_json_obj(), ensure_ascii=False))
-        again = encoder_from_json_obj(obj).alphabet
+        again = load_checkpoint(_saved(tmp_path / "m.ckpt", "char", alphabet)).encoder.alphabet
         assert (again.tokens, again.counts) == (alphabet.tokens, alphabet.counts)
 
-    def test_parse_errors(self):
+    def test_parse_errors(self, tmp_path):
         obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 2}]}
         with pytest.raises(TextEncodingError, match=r"^vocabulary entry 1: missing key 'count'$"):
-            encoder_from_json_obj(obj)
+            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
 
-    def test_non_dense_indices_rejected(self):
+    def test_non_dense_indices_rejected(self, tmp_path):
         obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 5, "count": 1}]}
         with pytest.raises(TextEncodingError, match=r"^vocabulary entry 1: index 5 is not dense, expected 2$"):
-            encoder_from_json_obj(obj)
+            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(TextEncodingError, match=r"^vocabulary entry 2: duplicate token 'a'$"):
@@ -245,46 +284,65 @@ class TestSerialization:
             ("word", {"token": "a", "index": 5, "count": 1}, "not dense"),
             ("word", {"token": "x", "index": 4, "count": 1}, "duplicate token 'x'"),
             ("char", {"token": "yz", "index": 4, "count": 1}, "single codepoint"),
+            ("word", {"token": "a", "index": 4, "count": True}, "bad field types"),
+            ("word", {"token": "a", "index": 4, "count": -5}, "negative count -5"),
+            ("word", {"token": "a", "index": True, "count": 1}, "index True is not dense"),
         ],
-        ids=["not_object", "missing_key", "count_str", "token_int", "non_dense", "duplicate", "multi_codepoint"],
+        ids=["not_object", "missing_key", "count_str", "token_int", "non_dense", "duplicate", "multi_codepoint",
+             "count_bool", "count_negative", "index_bool"],
     )
-    def test_rejection_names_its_entry(self, kind, bad, reason):
+    def test_rejection_names_its_entry(self, tmp_path, kind, bad, reason):
         good = [{"token": "x", "index": 2, "count": 3}, {"token": "y", "index": 3, "count": 2}]
         obj = {"kind": kind, "length": 4, "entries": [*good, bad, {"token": "z", "index": 5, "count": 1}]}
         with pytest.raises(TextEncodingError, match=reason) as err:
-            encoder_from_json_obj(obj)
+            load_checkpoint(_with_encoder(DATA / f"v1_{kind}.ckpt", tmp_path / "m.ckpt", obj))
+        assert str(err.value).startswith("vocabulary entry 3: ")
+
+    @pytest.mark.parametrize(
+        "kind, token, count, reason",
+        [
+            ("word", 7, 1, "bad field types"),
+            ("word", None, 1, "bad field types"),
+            ("word", "a", "1", "bad field types"),
+            ("word", "a", 1.0, "bad field types"),
+            ("word", "a", True, "bad field types"),
+            ("word", "a", -5, "negative count -5"),
+            ("word", "x", 1, "duplicate token 'x'"),
+            ("char", "yz", 1, "single codepoint"),
+        ],
+        ids=["token_int", "token_null", "count_str", "count_float", "count_bool", "count_negative", "duplicate",
+             "multi_codepoint"],
+    )
+    def test_column_rejection_names_its_entry(self, tmp_path, kind, token, count, reason):
+        source = _saved(tmp_path / "honest.ckpt", kind, Vocabulary(["x", "y", "q", "z"], [3, 2, 2, 1]))
+        obj = {"tokens": ["x", "y", token, "z"], "counts": [3, 2, count, 1]}
+        with pytest.raises(TextEncodingError, match=reason) as err:
+            load_checkpoint(_with_encoder(source, tmp_path / "m.ckpt", obj))
         assert str(err.value).startswith("vocabulary entry 3: ")
 
     @pytest.mark.parametrize("kind", ["word", "char"])
-    def test_json_round_trip_byte_identical(self, kind):
+    def test_json_round_trip_byte_identical(self, tmp_path, kind):
         records = _recs("قصفت القوات the cat sat", "the cat ran")
-        if kind == "word":
-            encoder = WordEncoder(build_vocab(records), 6)
-        else:
-            encoder = CharEncoder(build_char_alphabet(records), 9)
-        text = json.dumps(encoder.to_json_obj(), ensure_ascii=False, separators=(",", ":"), sort_keys=True)
-        again = encoder_from_json_obj(json.loads(text))
-        assert type(again) is type(encoder)
-        assert json.dumps(again.to_json_obj(), ensure_ascii=False, separators=(",", ":"), sort_keys=True) == text
-        entries = json.loads(text)["entries"]
-        assert [e["index"] for e in entries] == list(range(2, 2 + len(entries)))
-        assert all(set(e) == {"token", "index", "count"} for e in entries)
+        vocab = build_vocab(records) if kind == "word" else build_char_alphabet(records)
+        first = _saved(tmp_path / "first.ckpt", kind, vocab)
+        loaded = load_checkpoint(first)
+        save_checkpoint(loaded.model, tmp_path / "again.ckpt", encoder=loaded.encoder)
+        assert (tmp_path / "again.ckpt").read_bytes() == first.read_bytes()
+        assert _header(first.read_bytes())["encoder"] == {"tokens": vocab.tokens, "counts": vocab.counts}
 
 
 class TestEncoderBundles:
-    def test_word_encoder_json_round_trip(self):
+    def test_word_encoder_json_round_trip(self, tmp_path):
         vocab = build_vocab(_recs("the cat sat"))
-        encoder = WordEncoder(vocab, 6)
-        again = encoder_from_json_obj(encoder.to_json_obj())
+        again = load_checkpoint(_saved(tmp_path / "m.ckpt", "word", vocab)).encoder
         assert isinstance(again, WordEncoder)
-        assert (again.encode("The cat!") == encoder.encode("The cat!")).all()
+        assert (again.encode("The cat!") == WordEncoder(vocab, again.length).encode("The cat!")).all()
 
-    def test_char_encoder_json_round_trip(self):
+    def test_char_encoder_json_round_trip(self, tmp_path):
         alphabet = build_char_alphabet(_recs("abc"))
-        encoder = CharEncoder(alphabet, 5)
-        again = encoder_from_json_obj(encoder.to_json_obj())
+        again = load_checkpoint(_saved(tmp_path / "m.ckpt", "char", alphabet)).encoder
         assert isinstance(again, CharEncoder)
-        assert (again.encode("CAB") == encoder.encode("CAB")).all()
+        assert (again.encode("CAB") == CharEncoder(alphabet, again.length).encode("CAB")).all()
 
     def test_word_encoder_applies_tokenizer(self):
         vocab = build_vocab(_recs("u.s forces"))
@@ -292,11 +350,33 @@ class TestEncoderBundles:
         assert out[0] == vocab.index_of("u.s")
         assert out[1] == vocab.index_of("forces")
 
-    def test_unknown_kind(self):
-        with pytest.raises(TextEncodingError):
-            encoder_from_json_obj({"kind": "bytes", "length": 3, "entries": []})
+    def test_unknown_kind(self, tmp_path):
+        obj = {"kind": "bytes", "length": 3, "entries": []}
+        with pytest.raises(CheckpointError, match="bad version 1 encoder"):
+            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
 
-    @pytest.mark.parametrize("obj", [["word"], {"kind": "word", "length": "3", "entries": []}])
-    def test_malformed_encoder_object(self, obj):
-        with pytest.raises(TextEncodingError):
-            encoder_from_json_obj(obj)
+    @pytest.mark.parametrize("obj", [
+        ["word"],
+        {"kind": "word", "length": "3", "entries": []},
+        {"kind": "word", "length": True, "entries": []},
+        {"kind": "word", "length": 16},
+    ])
+    def test_malformed_encoder_object(self, tmp_path, obj):
+        with pytest.raises(CheckpointError, match="bad version 1 encoder"):
+            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
+
+    @pytest.mark.parametrize(
+        "obj, reason",
+        [
+            (["x"], "exactly the keys"),
+            ({"tokens": ["x"], "counts": [1], "kind": "word"}, "exactly the keys"),
+            ({"tokens": ["x"]}, "exactly the keys"),
+            ({"tokens": "x", "counts": [1]}, "two lists of equal length"),
+            ({"tokens": ["x", "y"], "counts": [1]}, "two lists of equal length"),
+        ],
+        ids=["not_object", "extra_key", "missing_key", "tokens_str", "unequal_lengths"],
+    )
+    def test_malformed_columns(self, tmp_path, obj, reason):
+        source = _saved(tmp_path / "honest.ckpt", "word", Vocabulary(["x"], [1]))
+        with pytest.raises(CheckpointError, match=reason):
+            load_checkpoint(_with_encoder(source, tmp_path / "m.ckpt", obj))
