@@ -211,8 +211,7 @@ def _cmd_eval(args) -> int:
     records = read_jsonl(args.test)
     encoded = experiments.encode_labelled(records, encoder)
     metrics = evaluate(loaded.model, encoded)
-    names = [q.value for q in CLASSES]
-    for line in metrics.lines(names):
+    for line in metrics.lines():
         print(line)
     report = {
         "checkpoint": str(args.checkpoint),

@@ -237,7 +237,7 @@ def transfer_labels(
         if pair.tgt_id not in tgt_ids:
             raise CorpusError(f"{pair.where}: alignment references unknown id {pair.tgt_id!r}")
         if source.label is None:
-            raise CorpusError(f"aligned source record {source.id!r} carries no label")
+            raise CorpusError(f"{pair.where}: aligned source record {source.id!r} carries no label")
         if pair.tgt_id in assigned:
             report.conflicts += 1
             continue

@@ -358,19 +358,19 @@ def build_char_cnn(config: CharCnnConfig, seed: int = 0) -> CharCnn:
     return CharCnn(config, seed)
 
 
-def tiny_word_config(vocab_size: int = 50) -> WordCnnConfig:
+def tiny_word_config() -> WordCnnConfig:
     """Gradient-check scale: every layer present, every tensor small."""
-    return WordCnnConfig(vocab_size=vocab_size, embed_dim=16, length=16, frames=8,
+    return WordCnnConfig(vocab_size=50, embed_dim=16, length=16, frames=8,
                          kernels=(3, 4, 5), pool=2, hidden=12, dropout=0.5)
 
 
-def tiny_char_config(alphabet_size: int = 8) -> CharCnnConfig:
+def tiny_char_config() -> CharCnnConfig:
     """Same four-conv topology as the full stack, shrunk to length 32.
 
     The full-scale pools of 3 are narrowed to 2 because kernel 7 plus two
     pool-3 stages needs at least 33 input positions.
     """
-    return CharCnnConfig(alphabet_size=alphabet_size, embed_dim=8, length=32,
+    return CharCnnConfig(alphabet_size=8, embed_dim=8, length=32,
                          convs=(ConvSpec(6, 7, 2), ConvSpec(6, 3), ConvSpec(6, 3), ConvSpec(6, 3, 2)),
                          hidden=(16, 16), dropout=0.5)
 
@@ -392,12 +392,10 @@ def predict(model: Model, indices: np.ndarray):
     return (int(classes[0]), probs[0]) if single else (classes, probs)
 
 
-def shape_trace(model: Model, indices: np.ndarray | None = None) -> list[tuple[str, tuple[int, ...]]]:
-    """(layer name, per-example output shape) per layer from an evaluation forward of one (L,) input."""
-    if indices is None:
-        indices = np.zeros(model.config.length, dtype=np.int64)
+def shape_trace(model: Model) -> list[tuple[str, tuple[int, ...]]]:
+    """(layer name, per-example output shape) per layer from an evaluation forward of one all-PAD input."""
     trace: list[tuple[str, tuple[int, ...]]] = []
-    model.forward_logits(np.asarray(indices)[None], EVAL, trace=trace)
+    model.forward_logits(np.zeros((1, model.config.length), dtype=np.int64), EVAL, trace=trace)
     return [(name, shape[1:]) for name, shape in trace]
 
 
@@ -601,11 +599,12 @@ def _read_aligned(path: str | Path) -> np.ndarray:
     return data[:got]
 
 
-def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> LoadedCheckpoint:
+def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Restore a model and verify digest plus bit-exact probe predictions.
 
     Checks run in file order: magic, version (1 or 2), the digest before
-    the header is parsed, the header, the encoder's tokens and counts (a
+    the header is parsed, the header (its metadata an object, its quad-map
+    digest a string or null), the encoder's tokens and counts (a
     version-1 encoder's entries are first turned into those two columns)
     and that the encoder fits the model, and the file size against the
     header before the model is allocated. The file is read once into one
@@ -635,10 +634,14 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     offset += header_len
     if not isinstance(header, dict):
         raise CheckpointError(f"{path}: header is not a JSON object")
+    metadata = header.get("metadata", {})
+    quad_map_digest = header.get("quadmap_digest")
+    if not isinstance(metadata, dict):
+        raise CheckpointError(f"{path}: header metadata is not a JSON object")
+    if not (quad_map_digest is None or isinstance(quad_map_digest, str)):
+        raise CheckpointError(f"{path}: header quadmap_digest is neither a string nor null")
 
     kind = header.get("kind")
-    if expected_kind is not None and kind != expected_kind:
-        raise InvalidConfigError(f"checkpoint holds a {kind!r} model, expected {expected_kind!r}")
     config = _config_from_obj(kind, header.get("config"))
     encoder = _encoder_from_obj(path, version, kind, config, header.get("encoder"))
     probe = header.get("probe")
@@ -675,7 +678,7 @@ def load_checkpoint(path: str | Path, expected_kind: str | None = None) -> Loade
     return LoadedCheckpoint(
         model=model,
         encoder=encoder,
-        quad_map_digest=header.get("quadmap_digest"),
-        metadata=header.get("metadata", {}),
+        quad_map_digest=quad_map_digest,
+        metadata=metadata,
         sha256=digest.hexdigest(),
     )

@@ -100,7 +100,6 @@ class PatternDictionary:
 
     def __init__(self, patterns: Iterable[VerbPattern]):
         self._root = _TrieNode()
-        self._size = 0
         for pattern in patterns:
             node = self._root
             for token in pattern.tokens:
@@ -108,10 +107,6 @@ class PatternDictionary:
             if node.code is not None:
                 raise SoftLabelError(f"pattern defined twice: {' '.join(pattern.tokens)!r}")
             node.code = pattern.code
-            self._size += 1
-
-    def __len__(self) -> int:
-        return self._size
 
     def longest_match_at(self, tokens: Sequence[str], start: int) -> tuple[int, CameoCode] | None:
         """Longest pattern matching tokens[start:]; O(max pattern length)."""

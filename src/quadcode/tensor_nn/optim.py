@@ -117,19 +117,3 @@ class Adam:
         g *= self.lr
         g /= tmp
         value -= g
-
-
-def make_optimizer(
-    params: list[Parameter],
-    name: str,
-    lr: float,
-    momentum: float = 0.0,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    if name == "sgd":
-        return Sgd(params, lr=lr, momentum=momentum)
-    if name == "adam":
-        return Adam(params, lr=lr, beta1=beta1, beta2=beta2, eps=eps)
-    raise QuadcodeError(f"unknown optimizer {name!r} (want 'sgd' or 'adam')")

@@ -84,14 +84,12 @@ def build_vocab(
     return _ranked(counts, max_size, min_count)
 
 
-def build_char_alphabet(
-    records: Iterable[SentenceRecord], max_size: int | None = 256, min_count: int = 1
-) -> Vocabulary:
+def build_char_alphabet(records: Iterable[SentenceRecord], max_size: int | None = 256) -> Vocabulary:
     """Most frequent codepoints of the lowercased texts, ties by codepoint."""
     counts: Counter = Counter()
     for record in records:
         counts.update(record.text.lower())
-    return _ranked(counts, max_size, min_count)
+    return _ranked(counts, max_size, 1)
 
 
 def _fit(indices: list[int], length: int) -> np.ndarray:

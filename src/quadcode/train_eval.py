@@ -21,7 +21,8 @@ from . import rng
 from .corpus import json_lines, write_json_lines
 from .errors import InputError, QuadcodeError
 from .models import Model, batch_loss, predict
-from .tensor_nn.optim import make_optimizer
+from .ontology import CLASSES
+from .tensor_nn.optim import Adam, Sgd
 from .text_encoding import EncodedExample
 
 
@@ -124,8 +125,8 @@ class Metrics:
             "total": self.total,
         }
 
-    def lines(self, class_names: Sequence[str] | None = None) -> list[str]:
-        names = list(class_names) if class_names is not None else [f"class{i}" for i in range(4)]
+    def lines(self) -> list[str]:
+        names = [q.value for q in CLASSES]
         width = max(len(n) for n in names)
         out = [f"accuracy {self.accuracy:.4f} over {self.total} examples"]
         for i, name in enumerate(names):
@@ -173,10 +174,10 @@ def train(
     train_set = list(train_set)
     dev_set = list(dev_set)
     params = model.parameters()
-    optimizer = make_optimizer(
-        params, config.optimizer, lr=config.lr, momentum=config.momentum,
-        beta1=config.beta1, beta2=config.beta2, eps=config.eps,
-    )
+    if config.optimizer == "adam":
+        optimizer = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+    else:
+        optimizer = Sgd(params, config.lr, config.momentum)
     n = len(train_set)
     history: list[EpochStats] = []
     best_accuracy = -1.0

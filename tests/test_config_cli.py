@@ -6,7 +6,7 @@ produced files can all be asserted cheaply.
 
 import hashlib
 import json
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +21,7 @@ from quadcode.config import (
     resolve_settings,
 )
 from quadcode.corpus import AlignmentPair, read_jsonl, write_alignments, write_jsonl
-from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture, make_transfer_fixture
+from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture
 from quadcode.models import CharCnnConfig, ConvSpec, WordCnnConfig
 from quadcode.ontology import default_quad_map, dumps_quad_map
 from quadcode.train_eval import TrainConfig
@@ -214,8 +214,8 @@ class TestSoftlabelCommand:
 
 
 class TestTransferCommand:
-    def test_end_to_end(self, tmp_path, capsys):
-        fx = make_transfer_fixture()
+    def test_end_to_end(self, tmp_path, capsys, transfer_fixture):
+        fx = transfer_fixture
         src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
         write_jsonl(fx.source, src)
         write_jsonl(fx.target, tgt)
@@ -227,8 +227,8 @@ class TestTransferCommand:
         labelled = read_jsonl(out)
         assert {r.id: r.label for r in labelled} == fx.expected_labels
 
-    def test_bad_target_line_names_the_target_file(self, tmp_path, capsys):
-        fx = make_transfer_fixture()
+    def test_bad_target_line_names_the_target_file(self, tmp_path, capsys, transfer_fixture):
+        fx = transfer_fixture
         src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
         write_jsonl(fx.source, src)
         write_jsonl(fx.target[:1], tgt)
@@ -240,8 +240,8 @@ class TestTransferCommand:
         assert code == 2 and err.count("\n") == 1
         assert err.startswith(f"error: {tgt}: line 2: invalid JSON: ")
 
-    def test_duplicate_target_id_names_the_target_file(self, tmp_path, capsys):
-        fx = make_transfer_fixture()
+    def test_duplicate_target_id_names_the_target_file(self, tmp_path, capsys, transfer_fixture):
+        fx = transfer_fixture
         src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
         write_jsonl(fx.source, src)
         write_jsonl([*fx.target, fx.target[0]], tgt)
@@ -251,8 +251,8 @@ class TestTransferCommand:
         assert code == 2 and err.count("\n") == 1
         assert err == f"error: {tgt}: line {len(fx.target) + 1}: duplicate record id {fx.target[0].id!r}\n"
 
-    def test_unknown_alignment_id_names_the_alignment_line(self, tmp_path, capsys):
-        fx = make_transfer_fixture()
+    def test_unknown_alignment_id_names_the_alignment_line(self, tmp_path, capsys, transfer_fixture):
+        fx = transfer_fixture
         src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
         write_jsonl(fx.source, src)
         write_jsonl(fx.target, tgt)
@@ -261,6 +261,17 @@ class TestTransferCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert err == f"error: {align}: line {len(fx.pairs) + 1}: alignment references unknown id 'ghost'\n"
+
+    def test_unlabelled_source_names_the_alignment_line(self, tmp_path, capsys, transfer_fixture):
+        fx = transfer_fixture
+        src, tgt, align, out = (tmp_path / n for n in ("src.jsonl", "tgt.jsonl", "align.jsonl", "out.jsonl"))
+        write_jsonl([fx.source[0], replace(fx.source[1], label=None), *fx.source[2:]], src)
+        write_jsonl(fx.target, tgt)
+        write_alignments(fx.pairs, align)
+        code = main(["transfer", "--src", str(src), "--tgt", str(tgt), "--align", str(align), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {align}: line 3: aligned source record 's1' carries no label\n"
 
 
 class TestSplitCommand:
@@ -341,7 +352,8 @@ class TestTrainCommand:
         from quadcode.models import load_checkpoint
 
         _, ckpt, _ = trained
-        loaded = load_checkpoint(ckpt, expected_kind="word")
+        loaded = load_checkpoint(ckpt)
+        assert loaded.model.kind == "word"
         assert loaded.metadata["seed"] == 1
         assert loaded.metadata["epochs_run"] == 2
         assert loaded.encoder is not None
@@ -480,11 +492,11 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
 
 
 @pytest.fixture(scope="module")
-def valid_inputs(trained, tmp_path_factory):
+def valid_inputs(trained, tmp_path_factory, transfer_fixture):
     """A valid value for every file flag of every subcommand."""
     _, ckpt, dev_path = trained
     d = tmp_path_factory.mktemp("inputs")
-    fx = make_transfer_fixture()
+    fx = transfer_fixture
     write_jsonl(fx.source, d / "src.jsonl")
     write_jsonl(fx.target, d / "tgt.jsonl")
     write_alignments(fx.pairs, d / "align.jsonl")

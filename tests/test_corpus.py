@@ -220,13 +220,11 @@ class TestTransfer:
             transfer_labels(src, [], [AlignmentPair("en0", "ghost", "a.jsonl: line 1")])
 
     def test_unlabelled_source_rejected(self):
-        with pytest.raises(CorpusError, match=r"^aligned source record 'en0' carries no label$"):
-            transfer_labels([_rec(0)], [_rec(0, lang="ar")], [AlignmentPair("en0", "ar0")])
+        with pytest.raises(CorpusError, match=r"^a\.jsonl: line 2: aligned source record 'en0' carries no label$"):
+            transfer_labels([_rec(0)], [_rec(0, lang="ar")], [AlignmentPair("en0", "ar0", "a.jsonl: line 2")])
 
-    def test_fixture_graph(self):
-        from quadcode.fixtures import make_transfer_fixture
-
-        fx = make_transfer_fixture()
+    def test_fixture_graph(self, transfer_fixture):
+        fx = transfer_fixture
         out, report = transfer_labels(fx.source, fx.target, fx.pairs)
         assert report.conflicts == fx.expected_conflicts
         assert report.dropped_targets == fx.expected_dropped

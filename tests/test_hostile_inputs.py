@@ -8,12 +8,15 @@ header values are replaced by booleans, nulls, negatives, strings and lists,
 keys are removed, and the raw header bytes are mutated. Whatever
 a reader does with such input, the only exception that may escape is an
 InputError, which the CLI turns into exit code 2 with a one-line `error:`.
+A few such files also go through the subcommand that reads them, which
+must exit 0 or 2 and never raise.
 """
 
 import copy
 import hashlib
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from quadcode.cli import main
 from quadcode.config import resolve_settings
 from quadcode.corpus import AlignmentPair, SentenceRecord, read_alignments, read_jsonl, write_alignments, write_jsonl
 from quadcode.errors import InputError
+from quadcode.fixtures import make_separable_corpus
 from quadcode.models import (
     build_char_cnn,
     build_word_cnn,
@@ -181,7 +185,7 @@ def test_mutated_set_overrides_raise_only_input_error(keep, data):
 
 def _checkpoint(tmp_path, kind: str) -> bytes:
     if kind == "word":
-        config = tiny_word_config(vocab_size=8)
+        config = replace(tiny_word_config(), vocab_size=8)
         model = build_word_cnn(config, seed=0)
         vocab = Vocabulary(["police", "met", "with", "w1", "w2", "w3"], [6, 5, 4, 3, 2, 1])
         encoder = WordEncoder(vocab, config.length)
@@ -368,3 +372,74 @@ def test_unreadable_format_version_exits_2(tmp_path, capsys, version):
     path.write_bytes(sealed(bytes(blob), _header_bytes(blob)))
     for err in _cli_exits_2(tmp_path, capsys, path):
         assert err == f"error: checkpoint format version {version}, this build reads versions 1 and 2\n"
+
+
+# --- the same files through the CLI -----------------------------------------------
+
+# Tiny word training: --model and --set beat whatever a mutated config file holds,
+# so a mutation cannot scale the run up.
+TINY_TRAIN = ["--model", "word", "--seed", "0", "--set", "epochs=1", "--set", "batch_size=8", "--set", "patience=0",
+              "--set", "word.embed_dim=3", "--set", "word.length=8", "--set", "word.frames=2", "--set", "word.hidden=4"]
+
+
+def _cli_argv(tmp_path) -> dict[str, list]:
+    """A valid argv for each subcommand; every input flag names a file under tmp_path."""
+    files = {
+        "verbs.txt": DICTIONARY_SAMPLE, "quad.txt": QUADMAP_SAMPLE, "actors.txt": ACTORS_SAMPLE,
+        "records.jsonl": _jsonl_sample(tmp_path), "align.jsonl": _alignment_sample(tmp_path),
+        "run.conf": CONFIG_SAMPLE, "vecs.txt": b"sonar 0.5 -1 2e-3\ntenor 1 2 3\nunknown 4 5 6\n",
+        "model.ckpt": _checkpoint(tmp_path, "word"),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    write_jsonl([SentenceRecord("x", "ar", "التقى الوفد"), SentenceRecord("y", "ar", "قصفت القوات")], tmp_path / "tgt.jsonl")
+    for name in ("labelled.jsonl", "dev.jsonl"):
+        write_jsonl(make_separable_corpus(12, seed=0), tmp_path / name)
+    f = {name: str(tmp_path / name) for name in (*files, "tgt.jsonl", "labelled.jsonl", "dev.jsonl")}
+    out = str(tmp_path / "out")
+    return {
+        "softlabel": ["--dict", f["verbs.txt"], "--quadmap", f["quad.txt"], "--actors", f["actors.txt"],
+                      "--in", f["records.jsonl"], "--out", out],
+        "transfer": ["--src", f["records.jsonl"], "--tgt", f["tgt.jsonl"], "--align", f["align.jsonl"], "--out", out],
+        "split": ["--in", f["labelled.jsonl"], "--outdir", out],
+        "train": ["--train", f["labelled.jsonl"], "--dev", f["dev.jsonl"], "--config", f["run.conf"],
+                  "--embeddings", f["vecs.txt"], "--out-checkpoint", out, *TINY_TRAIN],
+        "eval": ["--checkpoint", f["model.ckpt"], "--test", f["labelled.jsonl"], "--report", out],
+        "predict": ["--checkpoint", f["model.ckpt"], "--in", f["labelled.jsonl"], "--out", out],
+    }
+
+
+CLI_INPUTS = [
+    ("softlabel", "--dict", False), ("softlabel", "--actors", False), ("softlabel", "--quadmap", False),
+    ("softlabel", "--in", True),
+    ("transfer", "--src", True), ("transfer", "--tgt", True), ("transfer", "--align", True),
+    ("split", "--in", True),
+    ("train", "--train", True), ("train", "--dev", True), ("train", "--config", False), ("train", "--embeddings", False),
+    ("eval", "--checkpoint", None), ("eval", "--test", True),
+    ("predict", "--checkpoint", None), ("predict", "--in", True),
+]
+
+
+@pytest.mark.parametrize("command, flag, is_json", CLI_INPUTS, ids=[f"{c}{f}" for c, f, _ in CLI_INPUTS])
+def test_mutated_file_through_the_cli_exits_0_or_2(tmp_path, capsys, command, flag, is_json):
+    argv = [command, *_cli_argv(tmp_path)[command]]
+    path = Path(argv[argv.index(flag) + 1])
+    sample = path.read_bytes()
+    assert main(argv) == 0  # the unmutated inputs are valid
+    capsys.readouterr()
+    if is_json is None:  # a checkpoint: raw byte damage, or a forged header under a correct digest
+        raw = _header_bytes(sample)
+        strategy = st.one_of(mutated(sample), forged(json.loads(raw)).map(lambda header: sealed(sample, header)))
+    else:
+        strategy = hostile(sample, is_json)
+
+    @settings(FUZZ, max_examples=10)
+    @given(strategy)
+    def check(data):
+        path.write_bytes(data)
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 2), err
+        assert code == 0 or (err.startswith("error:") and err.count("\n") == 1)
+
+    check()

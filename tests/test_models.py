@@ -4,8 +4,9 @@ and the checkpoint container."""
 
 import hashlib
 import json
+import re
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -387,7 +388,7 @@ class TestBuildDeterminism:
 
     def test_pretrained_embeddings_installed(self, tmp_path):
         vocab = build_vocab([SentenceRecord(id="a", lang="en", text="alpha beta")])
-        config = tiny_word_config(vocab_size=vocab.size)
+        config = replace(tiny_word_config(), vocab_size=vocab.size)
         model = build_word_cnn(config, seed=0)
         embed = next(p for p in model.parameters() if p.name == "embedding")
         before = embed.value.copy()
@@ -464,7 +465,7 @@ class TestCheckpoints:
     def test_encoder_and_metadata_round_trip(self, tmp_path):
         records = [SentenceRecord(id="a", lang="en", text="alpha beta gamma")]
         encoder = WordEncoder(build_vocab(records), 16)
-        model = build_word_cnn(tiny_word_config(vocab_size=encoder.vocab.size), seed=0)
+        model = build_word_cnn(replace(tiny_word_config(), vocab_size=encoder.vocab.size), seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path, encoder=encoder, quad_map_digest="abc123", metadata={"seed": 7})
         loaded = load_checkpoint(path)
@@ -483,15 +484,10 @@ class TestCheckpoints:
         model = build_char_cnn(tiny_char_config(), seed=2)
         path = tmp_path / "char.ckpt"
         save_checkpoint(model, path)
-        loaded = load_checkpoint(path, expected_kind="char")
+        loaded = load_checkpoint(path)
+        assert loaded.model.kind == "char"
         for pa, pb in zip(model.parameters(), loaded.model.parameters()):
             assert (pa.value == pb.value).all()
-
-    def test_kind_mismatch(self, tmp_path):
-        model, path = self._model_and_path(tmp_path)
-        save_checkpoint(model, path)
-        with pytest.raises(InvalidConfigError):
-            load_checkpoint(path, expected_kind="char")
 
     def test_flipped_byte_detected(self, tmp_path):
         model, path = self._model_and_path(tmp_path)
@@ -543,11 +539,11 @@ class TestCheckpoints:
                    SentenceRecord(id="b", lang="en", text="delta alpha")]
         if kind == "word":
             encoder = WordEncoder(build_vocab(records), 16)
-            model = build_word_cnn(tiny_word_config(vocab_size=encoder.vocab.size), seed=11)
+            model = build_word_cnn(replace(tiny_word_config(), vocab_size=encoder.vocab.size), seed=11)
         else:
             alphabet = build_char_alphabet(records)
             encoder = CharEncoder(alphabet, 32)
-            model = build_char_cnn(tiny_char_config(alphabet_size=alphabet.size), seed=12)
+            model = build_char_cnn(replace(tiny_char_config(), alphabet_size=alphabet.size), seed=12)
         # Multiples of 1/8 keep every probe sum exact, so the stored logits do
         # not depend on the order in which the BLAS build adds.
         for p in model.parameters():
@@ -560,7 +556,8 @@ class TestCheckpoints:
         path = tmp_path / f"{kind}.ckpt"
         self._golden_checkpoint(kind, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN[kind]
-        assert load_checkpoint(path, expected_kind=kind).sha256 == self.GOLDEN[kind]
+        loaded = load_checkpoint(path)
+        assert loaded.model.kind == kind and loaded.sha256 == self.GOLDEN[kind]
 
     def test_loaded_sha256_is_the_file_digest(self, tmp_path):
         model, path = self._model_and_path(tmp_path, seed=5)
@@ -710,6 +707,37 @@ class TestCheckpoints:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "forge, field",
+        [
+            (lambda h: {**h, "metadata": 5}, "metadata"),
+            (lambda h: {**h, "metadata": [["seed", 1]]}, "metadata"),
+            (lambda h: {**h, "quadmap_digest": [1, 2]}, "quadmap_digest"),
+            (lambda h: {**h, "quadmap_digest": 7}, "quadmap_digest"),
+        ],
+        ids=["metadata_int", "metadata_list", "digest_list", "digest_int"],
+    )
+    def test_metadata_and_quad_map_digest_types(self, tmp_path, forge, field):
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path, quad_map_digest="ab" * 32, metadata={"seed": 1})
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        raw = json.dumps(forge(json.loads(data[16 : 16 + header_len]))).encode("utf-8")
+        path.write_bytes(self._sealed(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]))
+        with pytest.raises(CheckpointError, match=rf"^{re.escape(str(path))}: header {field} "):
+            load_checkpoint(path)
+
+    def test_missing_metadata_and_quad_map_digest_read_as_empty(self, tmp_path):
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path, quad_map_digest="ab" * 32, metadata={"seed": 1})
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + header_len])
+        del header["metadata"], header["quadmap_digest"]
+        raw = json.dumps(header).encode("utf-8")
+        path.write_bytes(self._sealed(data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]))
+        loaded = load_checkpoint(path)
+        assert loaded.metadata == {} and loaded.quad_map_digest is None
 
     @pytest.mark.parametrize("kind", ["word", "char"])
     @pytest.mark.parametrize(
@@ -757,10 +785,10 @@ class TestCheckpoints:
             path.write_bytes((DATA / f"v1_{kind}.ckpt").read_bytes())
         elif kind == "word":
             encoder = WordEncoder(Vocabulary([f"w{i}" for i in range(2, 50)], [1] * 48), 16)
-            save_checkpoint(build_word_cnn(tiny_word_config(vocab_size=50), seed=0), path, encoder=encoder)
+            save_checkpoint(build_word_cnn(tiny_word_config(), seed=0), path, encoder=encoder)
         else:
             encoder = CharEncoder(Vocabulary([chr(0x61 + i) for i in range(2, 8)], [1] * 6), 32)
-            save_checkpoint(build_char_cnn(tiny_char_config(alphabet_size=8), seed=0), path, encoder=encoder)
+            save_checkpoint(build_char_cnn(tiny_char_config(), seed=0), path, encoder=encoder)
         load_checkpoint(path)  # the honest checkpoint loads
         data = path.read_bytes()
         header_len = struct.unpack_from("<Q", data, 8)[0]
@@ -794,8 +822,8 @@ class TestCheckpoints:
     def _resaved_v1(self, tmp_path, kind):
         """(version-1 fixture bytes, its load, the bytes of that load saved again)."""
         v1 = (DATA / f"v1_{kind}.ckpt").read_bytes()
-        loaded = load_checkpoint(DATA / f"v1_{kind}.ckpt", expected_kind=kind)  # replays the probes bit-exactly
-        assert loaded.sha256 == self.V1_GOLDEN[kind]
+        loaded = load_checkpoint(DATA / f"v1_{kind}.ckpt")  # replays the probes bit-exactly
+        assert loaded.model.kind == kind and loaded.sha256 == self.V1_GOLDEN[kind]
         probe_seed = json.loads(v1[16 : 16 + struct.unpack_from("<Q", v1, 8)[0]])["probe"]["seed"]
         path = tmp_path / "resaved.ckpt"
         save_checkpoint(loaded.model, path, encoder=loaded.encoder, quad_map_digest=loaded.quad_map_digest,
@@ -805,7 +833,8 @@ class TestCheckpoints:
     @pytest.mark.parametrize("kind", ["word", "char"])
     def test_version_1_file_predicts_like_its_version_2_resave(self, tmp_path, kind):
         _, loaded, _ = self._resaved_v1(tmp_path, kind)
-        resaved = load_checkpoint(tmp_path / "resaved.ckpt", expected_kind=kind)
+        resaved = load_checkpoint(tmp_path / "resaved.ckpt")
+        assert resaved.model.kind == kind
         assert type(resaved.encoder) is type(loaded.encoder) and resaved.encoder.length == loaded.encoder.length
         texts = ["alpha beta gamma", "Delta, ALPHA!", "", "nothing known here"]
         indices = np.stack([loaded.encoder.encode(t) for t in texts])

@@ -350,7 +350,8 @@ class TestDictionaryFiles:
 
         path = resources.files("quadcode.data") / "sample_verb_dict.txt"
         dictionary = load_dictionary(path)
-        assert len(dictionary) > 10
+        tokens = tokenize("Officials signed agreement with the rebels.")
+        assert match_patterns(dictionary, tokens) == [MatchSpan(1, 3, parse_cameo_code("057"))]
 
 
 class TestCodeCorpus:

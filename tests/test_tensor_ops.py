@@ -17,7 +17,7 @@ import pytest
 from quadcode.errors import QuadcodeError
 from quadcode.tensor_nn import ops
 from quadcode.tensor_nn.layers import EVAL, Dense, Parameter, ReLU, glorot_uniform
-from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd, make_optimizer
+from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 EPS = 1e-6
 ORACLE_TOL = 1e-12
@@ -681,13 +681,6 @@ class TestOptimizers:
             p.grad[:] = 2.0 * p.value  # d/dw w^2
             opt.step()
         assert abs(float(p.value[0])) < 1e-2
-
-    def test_factory(self):
-        p = _param("w", [1.0])
-        assert isinstance(make_optimizer([p], "sgd", 0.1, momentum=0.2), Sgd)
-        assert isinstance(make_optimizer([p], "adam", 0.1), Adam)
-        with pytest.raises(QuadcodeError):
-            make_optimizer([p], "rmsprop", 0.1)
 
     def test_bad_hyperparameters(self):
         p = _param("w", [1.0])

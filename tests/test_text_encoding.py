@@ -3,6 +3,7 @@
 import hashlib
 import json
 import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -46,10 +47,10 @@ def _recs(*texts):
 def _saved(path, kind: str, vocab: Vocabulary) -> Path:
     """A tiny model of kind, saved with an encoder over vocab that fits it."""
     if kind == "word":
-        config = tiny_word_config(vocab_size=vocab.size)
+        config = replace(tiny_word_config(), vocab_size=vocab.size)
         model, encoder = build_word_cnn(config, seed=0), WordEncoder(vocab, config.length)
     else:
-        config = tiny_char_config(alphabet_size=vocab.size)
+        config = replace(tiny_char_config(), alphabet_size=vocab.size)
         model, encoder = build_char_cnn(config, seed=0), CharEncoder(vocab, config.length)
     save_checkpoint(model, path, encoder=encoder)
     return path

@@ -17,6 +17,8 @@ import quadcode
 from quadcode import train_eval
 from quadcode.errors import InputError, QuadcodeError
 from quadcode.models import build_word_cnn, predict, tiny_word_config
+from quadcode.ontology import CLASSES
+from quadcode.tensor_nn.optim import Adam, Sgd
 from quadcode.text_encoding import EncodedExample
 from quadcode.train_eval import (
     EpochStats,
@@ -97,8 +99,9 @@ class TestMetrics:
 
     def test_lines_render_with_names(self):
         metrics = Metrics(np.eye(4, dtype=np.int64))
-        text = "\n".join(metrics.lines(["a", "b", "c", "d"]))
+        text = "\n".join(metrics.lines())
         assert "accuracy 1.0000" in text and "confusion" in text
+        assert all(f"  {q.value} " in text for q in CLASSES)
 
     def test_rejects_bad_shape(self):
         with pytest.raises(QuadcodeError):
@@ -249,6 +252,20 @@ class TestTrainingLoop:
             train(model, [], data, TrainConfig())
         with pytest.raises(InputError, match=r"^dev dataset has no examples$"):
             train(model, data, [], TrainConfig())
+
+    @pytest.mark.parametrize("config, cls, attrs", [
+        (TrainConfig(epochs=1, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-6), Adam,
+         {"lr": 0.01, "beta1": 0.8, "beta2": 0.99, "eps": 1e-6}),
+        (TrainConfig(epochs=1, optimizer="sgd", lr=0.05, momentum=0.5), Sgd, {"lr": 0.05, "momentum": 0.5}),
+    ], ids=["adam", "sgd"])
+    def test_builds_the_configured_optimizer(self, monkeypatch, config, cls, attrs):
+        stepped = []
+        for optimizer_cls in (Adam, Sgd):
+            monkeypatch.setattr(optimizer_cls, "step", lambda opt: stepped.append(opt))
+        data = self._separable_examples(4)
+        train(build_word_cnn(tiny_word_config(), seed=0), data, data, config)
+        assert stepped and all(type(opt) is cls for opt in stepped)
+        assert {name: getattr(stepped[0], name) for name in attrs} == attrs
 
     def test_sgd_also_trains(self):
         model = build_word_cnn(tiny_word_config(), seed=4)
