@@ -69,41 +69,53 @@ class LabelHistogram:
         return out
 
 
-def _validate_lang(lang: str, where: str) -> str:
-    if len(lang) != 2 or not lang.isascii() or not lang.isalpha() or not lang.islower():
-        raise CorpusError(f"{where}: lang must be a 2-letter ISO 639-1 code, got {lang!r}")
-    return lang
+_LABELS = {c.value: c for c in CLASSES}
+
+# One CameoCode per distinct code string. Only successful parses of already
+# stripped text are kept, so a bad code fails on every line it appears on and
+# the cache holds at most the 2220 valid codes.
+_CAMEO_CODES: dict[str, CameoCode] = {}
+
+
+def _cameo_code(text: str, where: str) -> CameoCode:
+    try:
+        code = parse_cameo_code(text)
+    except OntologyError as exc:
+        raise CorpusError(f"{where}: bad cameo code: {exc}") from None
+    if code.digits == text:
+        _CAMEO_CODES[text] = code
+    return code
 
 
 def record_from_obj(obj: dict, where: str, quad_map: QuadClassMap | None = None) -> SentenceRecord:
     """Build a validated record from a parsed JSON object; errors start with where."""
     if not isinstance(obj, dict):
         raise CorpusError(f"{where}: record is not a JSON object")
-    for key in ("id", "lang", "text"):
-        if key not in obj:
-            raise CorpusError(f"{where}: missing required key {key!r}")
-        if not isinstance(obj[key], str):
-            raise CorpusError(f"{where}: key {key!r} must be a string")
-    if not obj["id"]:
+    id_, lang, text = obj.get("id"), obj.get("lang"), obj.get("text")
+    if type(id_) is not str or type(lang) is not str or type(text) is not str:
+        for key in ("id", "lang", "text"):
+            if key not in obj:
+                raise CorpusError(f"{where}: missing required key {key!r}")
+            if not isinstance(obj[key], str):
+                raise CorpusError(f"{where}: key {key!r} must be a string")
+    if not id_:
         raise CorpusError(f"{where}: id must be non-empty")
-    if not obj["text"]:
+    if not text:
         raise CorpusError(f"{where}: text must be non-empty")
-    _validate_lang(obj["lang"], where)
+    if len(lang) != 2 or not lang.isascii() or not lang.isalpha() or not lang.islower():
+        raise CorpusError(f"{where}: lang must be a 2-letter ISO 639-1 code, got {lang!r}")
 
-    label = None
-    if obj.get("label") is not None:
+    label = obj.get("label")
+    if label is not None:
         try:
-            label = QuadClass(obj["label"])
-        except ValueError:
-            raise CorpusError(f"{where}: unknown label {obj['label']!r}") from None
-    cameo = None
-    if obj.get("cameo") is not None:
-        if not isinstance(obj["cameo"], str):
+            label = _LABELS[label]
+        except (KeyError, TypeError):  # TypeError: an unhashable label such as [1]
+            raise CorpusError(f"{where}: unknown label {label!r}") from None
+    cameo = obj.get("cameo")
+    if cameo is not None:
+        if not isinstance(cameo, str):
             raise CorpusError(f"{where}: cameo must be a string")
-        try:
-            cameo = parse_cameo_code(obj["cameo"])
-        except OntologyError as exc:
-            raise CorpusError(f"{where}: bad cameo code: {exc}") from None
+        cameo = _CAMEO_CODES.get(cameo) or _cameo_code(cameo, where)
     if label is not None and cameo is not None and quad_map is not None:
         expected = quad_of(cameo, quad_map)
         if expected is not label:
@@ -113,7 +125,7 @@ def record_from_obj(obj: dict, where: str, quad_map: QuadClassMap | None = None)
     source = obj.get("source")
     if source is not None and not isinstance(source, str):
         raise CorpusError(f"{where}: source must be a string")
-    return SentenceRecord(obj["id"], obj["lang"], obj["text"], label, cameo, source)
+    return SentenceRecord(id_, lang, text, label, cameo, source)
 
 
 def record_to_obj(record: SentenceRecord) -> dict:
@@ -131,19 +143,35 @@ def record_to_obj(record: SentenceRecord) -> dict:
 # One encoder for every JSONL line; json.dumps would build one per call.
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
 
+# Its twin for reading: json.loads would go through the decode wrapper and its
+# keyword checks on every line.
+_JSONL_DECODER = json.JSONDecoder()
+_JSON_WHITESPACE = " \t\n\r"
+_BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+
 
 def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
-    """("<path>: line N", parsed value) for each non-blank line of a JSONL file."""
+    """("<path>: line N", parsed value) for each non-blank line of a JSONL file.
+
+    Each line decodes exactly as json.loads would decode it: the same value,
+    or the same error message.
+    """
+    decode = _JSONL_DECODER.raw_decode
+    skip_whitespace = json.decoder.WHITESPACE.match
     try:
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
-                if not line.strip():
+                if line.isspace():  # the same test as `not line.strip()`, without the copy
                     continue
                 where = f"{path}: line {line_no}"
                 try:
-                    obj = json.loads(line)
+                    obj, end = decode(line, skip_whitespace(line, 0).end())
+                    if line[end:].strip(_JSON_WHITESPACE):
+                        raise json.JSONDecodeError("Extra data", line, end)
                 except json.JSONDecodeError as exc:
-                    raise CorpusError(f"{where}: invalid JSON: {exc.msg}") from None
+                    # json.loads rejects a leading BOM before it decodes anything.
+                    msg = _BOM_MESSAGE if line.startswith("\ufeff") else exc.msg
+                    raise CorpusError(f"{where}: invalid JSON: {msg}") from None
                 except RecursionError:
                     raise CorpusError(f"{where}: invalid JSON: nested too deeply") from None
                 except ValueError:  # an integer past Python's digit limit
@@ -186,9 +214,13 @@ def read_alignments(path: str | Path) -> list[AlignmentPair]:
     """Read an alignment JSONL file ({"src_id": ..., "tgt_id": ...} per line)."""
     pairs: list[AlignmentPair] = []
     for where, obj in json_lines(path):
-        if not isinstance(obj, dict) or not isinstance(obj.get("src_id"), str) or not isinstance(obj.get("tgt_id"), str):
+        if (
+            not isinstance(obj, dict)
+            or not isinstance(src_id := obj.get("src_id"), str)
+            or not isinstance(tgt_id := obj.get("tgt_id"), str)
+        ):
             raise CorpusError(f"{where}: alignment needs string keys 'src_id' and 'tgt_id'")
-        pairs.append(AlignmentPair(obj["src_id"], obj["tgt_id"], where))
+        pairs.append(AlignmentPair(src_id, tgt_id, where))
     return pairs
 
 

@@ -437,19 +437,19 @@ _PROBE_COUNT = 4
 _CONFIG_CLASSES = {"word": WordCnnConfig, "char": CharCnnConfig}
 
 
-def _config_from_obj(kind: str, obj: dict):
+def _config_from_obj(path, kind: str, obj: dict):
     """The header's "config" object back into the config it was written from:
     exactly the config class's fields, by name."""
     cls = _CONFIG_CLASSES.get(kind) if isinstance(kind, str) else None
     if cls is None:
-        raise CheckpointError(f"unknown model kind {kind!r}")
+        raise CheckpointError(f"{path}: unknown model kind {kind!r}")
     names = {f.name for f in fields(cls)}
     if not isinstance(obj, dict) or obj.keys() != names:
-        raise CheckpointError(f"bad {kind} config in checkpoint header: want exactly the keys {sorted(names)}")
+        raise CheckpointError(f"{path}: bad {kind} config in checkpoint header: want exactly the keys {sorted(names)}")
     try:
         return cls(**obj)
     except (TypeError, ValueError, InvalidConfigError) as exc:
-        raise CheckpointError(f"bad {kind} config in checkpoint header: {exc}") from None
+        raise CheckpointError(f"{path}: bad {kind} config in checkpoint header: {exc}") from None
 
 
 def _input_size(config: WordCnnConfig | CharCnnConfig) -> int:
@@ -618,7 +618,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: not a checkpoint file (bad or truncated magic)")
     version = struct.unpack_from("<I", data, 4)[0]
     if version not in (1, _VERSION):
-        raise CheckpointError(f"checkpoint format version {version}, this build reads versions 1 and {_VERSION}")
+        raise CheckpointError(f"{path}: checkpoint format version {version}, this build reads versions 1 and {_VERSION}")
     digest = hashlib.sha256(data[:-32])
     if digest.digest() != data[-32:]:
         raise CheckpointError(f"{path}: integrity digest does not match contents")
@@ -642,7 +642,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: header quadmap_digest is neither a string nor null")
 
     kind = header.get("kind")
-    config = _config_from_obj(kind, header.get("config"))
+    config = _config_from_obj(path, kind, header.get("config"))
     encoder = _encoder_from_obj(path, version, kind, config, header.get("encoder"))
     probe = header.get("probe")
     count = probe.get("count") if isinstance(probe, dict) else None

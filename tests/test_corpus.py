@@ -5,7 +5,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from quadcode.corpus import (
@@ -13,6 +13,7 @@ from quadcode.corpus import (
     CorpusError,
     SentenceRecord,
     class_histogram,
+    json_lines,
     read_alignments,
     read_jsonl,
     record_from_obj,
@@ -97,6 +98,173 @@ class TestRecordValidation:
         obj = {"id": "a", "lang": "en", "text": "hi", "label": "material_conflict", "cameo": "190"}
         r = record_from_obj(obj, 1, quad_map)
         assert r.label is QuadClass.MATERIAL_CONFLICT
+
+
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"lang": "en", "text": "hi"}, "missing required key 'id'"),
+            ({"id": "a", "text": "hi"}, "missing required key 'lang'"),
+            ({"id": "a", "lang": "en"}, "missing required key 'text'"),
+            ({"text": 1}, "missing required key 'id'"),
+            ({"id": 3, "lang": "en", "text": "hi"}, "key 'id' must be a string"),
+            ({"id": None, "lang": 5}, "key 'id' must be a string"),
+            ({"id": "a", "lang": None, "text": "hi"}, "key 'lang' must be a string"),
+            ({"id": "a", "lang": "en", "text": ["hi"]}, "key 'text' must be a string"),
+            ({"id": "a", "lang": "en", "text": True}, "key 'text' must be a string"),
+        ],
+    )
+    def test_required_key_messages(self, obj, message):
+        with pytest.raises(CorpusError, match=rf"^in\.jsonl: line 5: {re.escape(message)}$"):
+            record_from_obj(obj, "in.jsonl: line 5")
+
+    def test_str_subclass_fields_accepted(self):
+        class Text(str):
+            pass
+
+        r = record_from_obj({"id": Text("a"), "lang": Text("en"), "text": Text("hi")}, "in.jsonl: line 1")
+        assert (r.id, r.lang, r.text) == ("a", "en", "hi")
+
+    @pytest.mark.parametrize("label", [[1], {"a": 1}, 3, True, 1.5, "Verbal_Cooperation", ""])
+    def test_unknown_label_names_the_line(self, tmp_path, label):
+        path = tmp_path / "l.jsonl"
+        bad = {"id": "b", "lang": "en", "text": "yo", "label": label}
+        path.write_text('{"id":"a","lang":"en","text":"hi","label":"verbal_conflict"}\n' + json.dumps(bad) + "\n")
+        message = f"{path}: line 2: unknown label {label!r}"
+        with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
+            read_jsonl(path)
+
+    def test_same_cameo_string_reads_back_equal_codes(self, tmp_path):
+        path = tmp_path / "c.jsonl"
+        codes = ["040", "040", " 040", "19"]
+        path.write_text("".join(json.dumps({"id": str(i), "lang": "en", "text": "hi", "cameo": code}) + "\n"
+                                for i, code in enumerate(codes)))
+        read_back = [r.cameo for r in read_jsonl(path)]
+        assert read_back == [parse_cameo_code("040")] * 3 + [parse_cameo_code("19")]
+        assert [r.cameo for r in read_jsonl(path)] == read_back
+
+    @pytest.mark.parametrize(
+        "code, message",
+        [
+            ("99", "top-level category must be 01-20: '99'"),
+            ("0400x", "CAMEO code must have 2-4 digits: '0400x'"),
+            ("04a", "CAMEO code must be all digits: '04a'"),
+            ("", "CAMEO code must have 2-4 digits: ''"),
+            (" 21 ", "top-level category must be 01-20: '21'"),
+        ],
+    )
+    def test_bad_cameo_fails_on_every_line(self, tmp_path, code, message):
+        good = '{"id":"a","lang":"en","text":"hi","cameo":"040"}\n'
+        bad = json.dumps({"id": "b", "lang": "en", "text": "yo", "cameo": code}) + "\n"
+        for line_no, content in [(1, bad), (2, good + bad), (3, good + "\n" + bad + bad)]:
+            path = tmp_path / f"bad{line_no}.jsonl"
+            path.write_text(content)
+            want = f"{path}: line {line_no}: bad cameo code: {message}"
+            with pytest.raises(CorpusError, match=f"^{re.escape(want)}$"):
+                read_jsonl(path)
+        with pytest.raises(CorpusError, match=rf"^in\.jsonl: line 9: bad cameo code: {re.escape(message)}$"):
+            record_from_obj(json.loads(bad), "in.jsonl: line 9")
+
+
+# --- json_lines against json.loads --------------------------------------------
+# Every non-blank line must decode exactly as json.loads decodes it: the same
+# value, or an error whose message after "invalid JSON: " is json.loads's.
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# No line breaks (they would end the line) and no lone surrogates (not UTF-8).
+LINE_TEXT = st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n\r"), max_size=12)
+JSON_SPACE = st.text(" \t", max_size=3)
+OTHER_SPACE = st.sampled_from(["", "\x0b", "\x0c", "\x85", "\xa0", "\u2028", "\u3000"])
+
+
+@st.composite
+def json_line_texts(draw):
+    core = draw(st.one_of(
+        JSON_VALUES.flatmap(
+            lambda v: st.sampled_from([json.dumps(v), json.dumps(v, ensure_ascii=False, separators=(",", ":"))])
+        ),
+        st.sampled_from(["NaN", "-NaN", "Infinity", "-Infinity", "nan", "inf", "1e400", "-0", "01", "1.", ".5", "tru",
+                         '"\\ud800"', '"open', '{"a":1,}', "[1,]", "{'a':1}", '{"a"}', "[]]", "", "\x00"]),
+        st.integers(4290, 4310).map(lambda n: "7" * n) | st.integers(4290, 4310).map(lambda n: "-" + "7" * n),
+        st.sampled_from([10, 100_000]).flatmap(
+            lambda depth: st.sampled_from(["[" * depth + "]" * depth, '{"a":' * depth + "1" + "}" * depth])
+        ),
+        LINE_TEXT,
+    ))
+    lead = draw(st.sampled_from(["", "\ufeff"])) + draw(JSON_SPACE) + draw(OTHER_SPACE)
+    trail = draw(JSON_SPACE) + draw(st.sampled_from(["", "x", "1", "]", "{}", " 2", "\ufeff"])) + draw(OTHER_SPACE)
+    return lead + core + trail + draw(st.sampled_from(["\n", ""]))
+
+
+def loads_outcome(text):
+    """("ok", value as JSON text) or ("error", message) from json.loads."""
+    try:
+        return "ok", json.dumps(json.loads(text))
+    except json.JSONDecodeError as exc:
+        return "error", exc.msg
+    except RecursionError:
+        return "error", "nested too deeply"
+    except ValueError as exc:
+        assert "digit" in str(exc)  # the only other ValueError: an integer past the digit limit
+        return "error", "integer too long"
+
+
+class TestJsonLinesParity:
+    @given(json_line_texts())
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_decodes_as_json_loads(self, tmp_path, text):
+        if not text.strip():
+            return  # blank: skipped, see test_blank_means_nothing_but_str_whitespace
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        try:
+            got = [(where, json.dumps(value)) for where, value in json_lines(path)]
+            outcome = "ok", got[0][1]
+            assert got == [(f"{path}: line 1", got[0][1])]
+        except CorpusError as exc:
+            prefix = f"{path}: line 1: invalid JSON: "
+            assert str(exc).startswith(prefix)
+            outcome = "error", str(exc)[len(prefix):]
+        assert outcome == loads_outcome(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ('\ufeff{"a":1}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+        (' \ufeff{"a":1}', "Expecting value"),
+        ('{"a":1} x', "Extra data"),
+        ('{"a":1}\xa0', "Extra data"),
+        ("7" * 4301, "integer too long"),
+        ("[" * 100_000 + "]" * 100_000, "nested too deeply"),
+    ])
+    def test_named_cases(self, tmp_path, line, message):
+        path = tmp_path / "n.jsonl"
+        path.write_text("[]\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: {re.escape(message)}$"):
+            list(json_lines(path))
+        assert loads_outcome(line) == ("error", message)
+
+    @pytest.mark.parametrize("value", ["NaN", "-Infinity", ' \t{"a":[1,2.5,null]} \t', "  true"])
+    def test_accepts_what_json_loads_accepts(self, tmp_path, value):
+        path = tmp_path / "a.jsonl"
+        path.write_text(value + "\n", encoding="utf-8")
+        [(_, got)] = json_lines(path)
+        assert json.dumps(got) == json.dumps(json.loads(value))
+
+    @given(st.text(" \t\x0b\x0c\x1c\x1f\x85\xa0\u2028\u3000\ufeffx", min_size=1, max_size=6))
+    @settings(max_examples=200, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_blank_means_nothing_but_str_whitespace(self, tmp_path, text):
+        path = tmp_path / "b.jsonl"
+        path.write_text(text + "\n", encoding="utf-8")
+        try:
+            yielded = list(json_lines(path))
+        except CorpusError:
+            yielded = None
+        assert (yielded == []) == (not text.strip())
 
 
 class TestJsonlRoundTrip:

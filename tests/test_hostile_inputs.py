@@ -337,6 +337,25 @@ def _at(items: list, i: int, value) -> list:
     return [*items[:i], value, *items[i + 1 :]]
 
 
+# forged kinds and configs, each with the message that follows "<path>: "
+KIND_CONFIG_FORGERIES = {
+    "kind_unknown": (lambda h: {**h, "kind": "sentence"}, "unknown model kind 'sentence'"),
+    "kind_list": (lambda h: {**h, "kind": ["word"]}, "unknown model kind ['word']"),
+    "config_null": (lambda h: {**h, "config": None}, "bad word config in checkpoint header: want exactly the keys"),
+    "config_length_negative": (lambda h: {**h, "config": {**h["config"], "length": -1}},
+                               "bad word config in checkpoint header: "),
+}
+
+
+@pytest.mark.parametrize("forge, message", KIND_CONFIG_FORGERIES.values(), ids=KIND_CONFIG_FORGERIES.keys())
+def test_forged_kind_or_config_names_the_checkpoint(tmp_path, capsys, forge, message):
+    blob = _checkpoint(tmp_path, "word")
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(blob, json.dumps(forge(json.loads(_header_bytes(blob)))).encode()))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err.startswith(f"error: {path}: {message}")
+
+
 # forgeries of a version-2 encoder, {"tokens": [...], "counts": [...]}
 V2_FORGERIES = {
     "encoder_list": lambda e: [e["tokens"]],
@@ -371,7 +390,7 @@ def test_unreadable_format_version_exits_2(tmp_path, capsys, version):
     path = tmp_path / "forged.ckpt"
     path.write_bytes(sealed(bytes(blob), _header_bytes(blob)))
     for err in _cli_exits_2(tmp_path, capsys, path):
-        assert err == f"error: checkpoint format version {version}, this build reads versions 1 and 2\n"
+        assert err == f"error: {path}: checkpoint format version {version}, this build reads versions 1 and 2\n"
 
 
 # --- the same files through the CLI -----------------------------------------------

@@ -135,8 +135,8 @@ class TestConfigCodec:
     @pytest.mark.parametrize("config", CONFIGS, ids=["word_tiny", "word_full", "char_tiny", "char_full"])
     def test_round_trip(self, config):
         kind = "word" if isinstance(config, WordCnnConfig) else "char"
-        assert _config_from_obj(kind, asdict(config)) == config
-        assert _config_from_obj(kind, json.loads(json.dumps(asdict(config)))) == config
+        assert _config_from_obj("x.ckpt", kind, asdict(config)) == config
+        assert _config_from_obj("x.ckpt", kind, json.loads(json.dumps(asdict(config)))) == config
 
 
 class TestParameterCounts:
