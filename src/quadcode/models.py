@@ -37,6 +37,7 @@ from .errors import InputError
 from .tensor_nn import ops
 from .tensor_nn.layers import (
     EVAL,
+    INFER,
     Conv1d,
     Dense,
     Dropout,
@@ -379,14 +380,14 @@ def tiny_char_config() -> CharCnnConfig:
 
 
 def predict(model: Model, indices: np.ndarray):
-    """Evaluation-mode forward. Ties take the lowest class index.
+    """Inference forward (dropout off, no caches). Ties take the lowest class index.
 
     (L,) indices give (class, probs of shape (4,)); an (N, L) batch gives
     (classes of shape (N,), probs of shape (N, 4)) from one batched pass.
     """
     indices = np.asarray(indices)
     single = indices.ndim == 1
-    logits, _ = model.forward_logits(indices[None] if single else indices, EVAL)
+    logits, _ = model.forward_logits(indices[None] if single else indices, INFER)
     probs = ops.softmax(logits)
     classes = np.argmax(probs, axis=1)
     return (int(classes[0]), probs[0]) if single else (classes, probs)
@@ -485,12 +486,12 @@ def _v1_encoder_columns(path, obj) -> tuple[str, int, dict]:
         )
     for entry_no, entry in enumerate(entries, start=1):
         if not isinstance(entry, dict):
-            raise TextEncodingError(f"vocabulary entry {entry_no}: expected a JSON object")
+            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: expected a JSON object")
         if missing := [key for key in ("token", "index", "count") if key not in entry]:
-            raise TextEncodingError(f"vocabulary entry {entry_no}: missing key {missing[0]!r}")
+            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: missing key {missing[0]!r}")
         if type(entry["index"]) is not int or entry["index"] != entry_no + 1:
             raise TextEncodingError(
-                f"vocabulary entry {entry_no}: index {entry['index']!r} is not dense, expected {entry_no + 1}"
+                f"{path}: vocabulary entry {entry_no}: index {entry['index']!r} is not dense, expected {entry_no + 1}"
             )
     return kind, length, {"tokens": [e["token"] for e in entries], "counts": [e["count"] for e in entries]}
 
@@ -510,10 +511,13 @@ def _encoder_from_obj(path, version: int, kind: str, config: WordCnnConfig | Cha
         raise CheckpointError(f"{path}: encoder tokens and counts must be two lists of equal length")
     for entry_no, (token, count) in enumerate(zip(tokens, counts), start=1):
         if type(token) is not str or type(count) is not int:  # a JSON true is a bool, not an int
-            raise TextEncodingError(f"vocabulary entry {entry_no}: bad field types")
+            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: bad field types")
         if count < 0:
-            raise TextEncodingError(f"vocabulary entry {entry_no}: negative count {count}")
-    encoder = _ENCODER_CLASSES[encoder_kind](Vocabulary(tokens, counts), length)
+            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: negative count {count}")
+    try:  # a duplicate token or a multi-codepoint alphabet entry
+        encoder = _ENCODER_CLASSES[encoder_kind](Vocabulary(tokens, counts), length)
+    except TextEncodingError as exc:
+        raise TextEncodingError(f"{path}: {exc}") from None
     _check_encoder_fits(path, kind, config, encoder)
     return encoder
 
@@ -548,7 +552,7 @@ def save_checkpoint(
     vocab = None if encoder is None else _vocabulary(encoder)
     params = model.parameters()
     probe_in = _probe_inputs(model, probe_seed)
-    probe_logits = model.forward_logits(probe_in, EVAL)[0]
+    probe_logits = model.forward_logits(probe_in, INFER)[0]
     header = {
         "kind": model.kind,
         "config": asdict(model.config),
@@ -671,7 +675,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     probe_in = take("<i8", (count, length))
     want = take("<f8", (count, config.classes))
-    got = model.forward_logits(probe_in, EVAL)[0]
+    got = model.forward_logits(probe_in, INFER)[0]
     if not np.array_equal(got, want):
         raise CheckpointError(f"{path}: restored model disagrees with stored probe logits")
 

@@ -6,8 +6,19 @@ example is a batch of one. forward(x, ctx) returns (output, cache);
 backward(cache, grad) writes the batch's summed parameter gradient over
 Parameter.grad, never accumulating (a caller that wants a sum over several
 backwards sums copies), and returns the gradient w.r.t. the layer input.
-Caches live with the caller, so evaluation-mode forwards are pure: they
-read the parameters and write nothing.
+Caches live with the caller, so EVAL forwards are pure: they read the
+parameters and their input and write nothing.
+
+An inference forward (INFER: no backward follows) builds nothing that
+only a backward reads: pools track no argmax, dropout draws no mask of
+ones, a conv returns its GEMM output as a strided view instead of a
+contiguous copy, and ReLU rectifies its own fresh input in place and keeps
+no cache. That input is always the output of the Conv1d or Dense in front
+of it, which nothing else reads. The logits are bit-identical to an EVAL
+forward's.
+
+Parameter.grad belongs to the backward that writes it: nothing else writes
+it (zero_grad aside), which lets Embedding re-zero only the rows it wrote.
 
 Layers reach ops through the module attribute (`ops.conv1d` etc.), which is
 what lets the gradcheck negative-control test swap a backward out from under
@@ -55,13 +66,16 @@ class Parameter:
 
 @dataclass(frozen=True)
 class PassContext:
-    """Per-forward switches: training flag and one dropout generator per example."""
+    """Per-forward switches: training flag, one dropout generator per example,
+    and whether a backward will follow (if not, layers keep no caches)."""
 
     training: bool = False
     rngs: Sequence[np.random.Generator] | None = None
+    backward_follows: bool = True
 
 
 EVAL = PassContext(training=False, rngs=None)
+INFER = PassContext(training=False, rngs=None, backward_follows=False)
 
 
 def glorot_uniform(gen: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -77,7 +91,11 @@ class Embedding:
 
     The PAD row (index 0) is zeroed here and takes no gradient, so it stays
     exactly zero through any number of updates. The parameter is named
-    "embedding", as checkpoint headers record it.
+    "embedding", as checkpoint headers record it. A backward re-zeroes only
+    the rows the previous one scattered into (the whole table when that
+    batch held at least as many indices as the table has rows, which is
+    cheaper), so the gradient outside them must still be zero, as zero_grad
+    leaves it.
     """
 
     def __init__(self, table: np.ndarray, trainable: bool = True):
@@ -85,6 +103,7 @@ class Embedding:
         pinned[0, :] = True
         self.param = Parameter("embedding", table, frozen=not trainable, pinned=pinned)
         self.param.value[0, :] = 0.0
+        self._written = np.zeros(0, dtype=np.int64)  # the rows the last backward wrote, or ... for all
 
     @property
     def params(self) -> list[Parameter]:
@@ -95,9 +114,11 @@ class Embedding:
 
     def backward(self, cache, grad: np.ndarray) -> None:
         if not self.param.frozen:  # a frozen table's gradient is never read
-            self.param.grad[...] = 0.0
+            self.param.grad[self._written] = 0.0
             ops.embedding_backward(cache, grad, self.param.grad)
             self.param.grad[0, :] = 0.0
+            rows = np.array(cache).reshape(-1)  # a copy: the caller may reuse its index array
+            self._written = rows if rows.size < len(self.param.grad) else ...
 
 
 class Conv1d:
@@ -112,7 +133,10 @@ class Conv1d:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
-        return ops.conv1d(x, self.w.value, self.b.value), x
+        y = ops.conv1d(x, self.w.value, self.b.value)
+        if not ctx.backward_follows:
+            return y, None
+        return np.ascontiguousarray(y), x
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         return ops.conv1d_backward(cache, self.w.value, grad, self.w.grad, self.b.grad)
@@ -138,6 +162,8 @@ class ReLU:
     params: list[Parameter] = []
 
     def forward(self, x: np.ndarray, ctx: PassContext):
+        if not ctx.backward_follows:  # x is the fresh output of the layer in front
+            return ops.relu(x, out=x), None
         return ops.relu(x), x
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
@@ -151,6 +177,8 @@ class MaxPool1d:
         self.width = width
 
     def forward(self, x: np.ndarray, ctx: PassContext):
+        if not ctx.backward_follows:
+            return ops.maxpool1d(x, self.width), None
         y, argmax = ops.maxpool1d_with_argmax(x, self.width)
         return y, (argmax, x.shape[2])
 
@@ -166,6 +194,8 @@ class Dropout:
         self.rate = rate
 
     def forward(self, x: np.ndarray, ctx: PassContext):
+        if not (ctx.training or ctx.backward_follows):
+            return x, None
         y, mask = ops.dropout(x, self.rate, ctx.rngs, ctx.training)
         return y, mask
 

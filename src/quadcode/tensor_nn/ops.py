@@ -65,6 +65,8 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
     x: (N, C, L), w: (F, C, K), b: (F,) -> (N, F, L-K+1) with
     out[n, f, t] = b[f] + sum_{c,k} x[n, c, t+k] * w[f, c, k].
+    The result is a strided (N, F, T) view of the fresh (F, N*T) GEMM
+    output, not a contiguous array; a caller that wants one copies it.
     """
     _require(x.ndim == 3, f"conv1d input must be (N, C, L), got {x.shape}")
     _require(w.ndim == 3, f"conv1d weights must be (F, C, K), got {w.shape}")
@@ -75,7 +77,7 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     n, steps = x.shape[0], x.shape[2] - kernel + 1
     y = w.reshape(frames, c_in * kernel) @ _im2col(x, kernel)  # (F, N*T)
     y += b[:, None]
-    return _trap("conv1d", np.ascontiguousarray(y.reshape(frames, n, steps).transpose(1, 0, 2)))
+    return _trap("conv1d", y.reshape(frames, n, steps).transpose(1, 0, 2))
 
 
 def conv1d_backward(
@@ -106,9 +108,9 @@ def conv1d_backward(
 # --- pooling ------------------------------------------------------------------
 
 
-def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_maxima(x: np.ndarray, width: int, with_index: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Non-overlapping window maxima, (N, F, L) -> (N, F, floor(L/width)),
-    plus the absolute input position of each window's first maximum.
+    plus, when with_index, each window's first maximum as an offset into it.
 
     Stride equals width; the trailing L mod width positions are dropped.
     One whole-array step per window position rather than an argmax over a
@@ -125,13 +127,24 @@ def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.nda
     view = x[:, :, : steps * width].reshape(n, frames, steps, width)
     y = view[..., 0].copy()
     # the narrowest index type keeps the per-position temporaries small
-    inner = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1))
+    inner = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1)) if with_index else None
     for i in range(1, width):
         candidate = view[..., i]
-        np.maximum(inner, (candidate > y) * inner.dtype.type(i), out=inner)  # later positions carry larger i
+        if inner is not None:
+            np.maximum(inner, (candidate > y) * inner.dtype.type(i), out=inner)  # later positions carry larger i
         np.maximum(candidate, y, out=y)
-    argmax = inner + np.arange(steps, dtype=np.int64) * width
-    return _trap("maxpool1d", y), argmax
+    return _trap("maxpool1d", y), inner
+
+
+def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
+    """The window maxima of maxpool1d_with_argmax, without the positions."""
+    return _window_maxima(x, width, with_index=False)[0]
+
+
+def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """maxpool1d plus the absolute input position of each window's first maximum."""
+    y, inner = _window_maxima(x, width, with_index=True)
+    return y, inner + np.arange(y.shape[2], dtype=np.int64) * width
 
 
 def maxpool1d_backward(grad_y: np.ndarray, argmax: np.ndarray, in_length: int) -> np.ndarray:
@@ -166,8 +179,9 @@ def dense_backward(
     return grad_y @ w
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return _trap("relu", np.maximum(x, 0.0))
+def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """max(x, 0), into out when given (out=x rectifies in place)."""
+    return _trap("relu", np.maximum(x, 0.0, out=out))
 
 
 def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:

@@ -1,15 +1,15 @@
 """SGD with momentum and Adam over Parameter lists.
 
-step() applies the update to every unfrozen parameter and zeroes no
-gradient: each backward writes its own over the last, and frozen ones are
-never read. Non-finite gradients abort before any parameter is touched.
+step() applies the update to every unfrozen parameter and neither zeroes
+nor writes any gradient: each backward writes its own over the last, and
+frozen ones are never read. Non-finite gradients abort before any parameter
+is touched.
 
-Updates run in place with `out=` arithmetic: the gradient array doubles as
-scratch space once it has been read, plus one scratch buffer per step. Adam
-walks each parameter in slices small enough that its ten passes over a
-slice stay in cache. The operations and their order are those of the
-textbook formulas, so the results are bit-identical to evaluating them
-directly over whole arrays.
+Updates run in place with `out=` arithmetic into scratch buffers of one
+slice each, allocated once per step. Both optimizers walk each parameter
+in slices small enough that the passes over a slice stay in cache. The
+operations and their order are those of the textbook formulas, so the
+results are bit-identical to evaluating them directly over whole arrays.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from ..errors import QuadcodeError
 from .layers import Parameter
 
 
-# Elements per Adam slice: the value, gradient, m, v and scratch slices
-# (5 x 128 KiB) stay in cache between the passes of one update.
+# Elements per slice: Adam's value, gradient, m, v and two scratch slices
+# (6 x 128 KiB) stay in cache between the passes of one update.
 _SLICE = 1 << 14
 
 
@@ -35,6 +35,21 @@ def _check_finite(params: list[Parameter]) -> None:
     for p in params:
         if not p.frozen and not np.all(np.isfinite(p.grad)):
             raise NonFiniteGradientError(p.name)
+
+
+def _scratch(params: list[Parameter]) -> np.ndarray:
+    return np.empty(min(_SLICE, max((p.size for p in params), default=0)))
+
+
+def _slices(params: list[Parameter], *states: list[np.ndarray]):
+    """(value, grad, *state) slices of at most _SLICE elements over every
+    unfrozen parameter; flat views, since all the arrays are contiguous."""
+    for p, *arrays in zip(params, *states):
+        if p.frozen:
+            continue
+        flat = [a.reshape(-1) for a in (p.value, p.grad, *arrays)]
+        for start in range(0, p.size, _SLICE):
+            yield [a[start : start + _SLICE] for a in flat]
 
 
 class Sgd:
@@ -57,11 +72,11 @@ class Sgd:
 
     def step(self) -> None:
         _check_finite(self.params)
-        for p, v in zip(self.params, self._velocity):
-            if not p.frozen:
-                v *= self.momentum
-                v += p.grad
-                p.value -= np.multiply(v, self.lr, out=p.grad)
+        scratch = _scratch(self.params)
+        for value, g, v in _slices(self.params, self._velocity):
+            v *= self.momentum
+            v += g
+            value -= np.multiply(v, self.lr, out=scratch[: value.size])
 
 
 class Adam:
@@ -92,17 +107,12 @@ class Adam:
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        scratch = np.empty(min(_SLICE, max((p.size for p in self.params), default=0)))
-        for p, m, v in zip(self.params, self._m, self._v):
-            if p.frozen:
-                continue
-            flat = [a.reshape(-1) for a in (p.value, p.grad, m, v)]  # views: all are contiguous
-            for start in range(0, p.size, _SLICE):
-                value, g, m_s, v_s = (a[start : start + _SLICE] for a in flat)
-                self._update(value, g, m_s, v_s, scratch[: value.size], bc1, bc2)
+        scratch, step = _scratch(self.params), _scratch(self.params)
+        for value, g, m, v in _slices(self.params, self._m, self._v):
+            self._update(value, g, m, v, scratch[: value.size], step[: value.size], bc1, bc2)
 
-    def _update(self, value, g, m, v, tmp, bc1: float, bc2: float) -> None:
-        """value -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates; g is scratch."""
+    def _update(self, value, g, m, v, tmp, step, bc1: float, bc2: float) -> None:
+        """value -= lr * (m / bc1) / (sqrt(v / bc2) + eps) after the moment updates."""
         np.multiply(g, 1.0 - self.beta1, out=tmp)
         m *= self.beta1
         m += tmp
@@ -113,7 +123,7 @@ class Adam:
         np.divide(v, bc2, out=tmp)
         np.sqrt(tmp, out=tmp)
         tmp += self.eps
-        np.divide(m, bc1, out=g)
-        g *= self.lr
-        g /= tmp
-        value -= g
+        np.divide(m, bc1, out=step)
+        step *= self.lr
+        step /= tmp
+        value -= step

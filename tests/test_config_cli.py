@@ -6,6 +6,7 @@ produced files can all be asserted cheaply.
 
 import hashlib
 import json
+import struct
 from dataclasses import fields, replace
 
 import numpy as np
@@ -420,6 +421,20 @@ class TestPredictCommand:
         code = main(["predict", "--checkpoint", str(broken), "--in", str(dev_path), "--out", str(tmp_path / "p.jsonl")])
         assert code == 2
         assert "digest" in capsys.readouterr().err.lower()
+
+    def test_forged_encoder_names_the_checkpoint(self, trained, tmp_path, capsys):
+        _, ckpt, dev_path = trained
+        data = ckpt.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + header_len])
+        header["encoder"]["counts"][2] = "1"
+        raw = json.dumps(header).encode("utf-8")
+        body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]
+        forged = tmp_path / "forged.ckpt"
+        forged.write_bytes(body + hashlib.sha256(body).digest())
+        code = main(["predict", "--checkpoint", str(forged), "--in", str(dev_path), "--out", str(tmp_path / "p.jsonl")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [f"error: {forged}: vocabulary entry 3: bad field types"]
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])

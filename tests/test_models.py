@@ -45,6 +45,7 @@ from quadcode.text_encoding import (
     load_embeddings,
 )
 from quadcode.corpus import SentenceRecord
+from quadcode.tensor_nn.layers import EVAL, INFER
 from quadcode.tensor_nn.optim import Adam
 
 # Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
@@ -275,6 +276,30 @@ class TestPredict:
             for row, cls, p in zip(batch, classes, probs):
                 single_cls, single_p = predict(model, row)
                 assert single_cls == cls and np.abs(single_p - p).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [1, 5, 32])
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_inference_logits_are_the_eval_logits(self, kind, n):
+        model = build_word_cnn(tiny_word_config(), seed=9) if kind == "word" else build_char_cnn(tiny_char_config(), seed=9)
+        size = model.config.vocab_size if kind == "word" else model.config.alphabet_size
+        indices = np.random.default_rng(n).integers(0, size, size=(n, model.config.length), dtype=np.int64)
+        want = model.forward_logits(indices, EVAL)[0]
+        assert model.forward_logits(indices, INFER)[0].tobytes() == want.tobytes()
+
+    def test_full_scale_char_inference_logits_are_the_eval_logits(self):
+        model = build_char_cnn(CharCnnConfig(alphabet_size=70), seed=9)
+        indices = np.random.default_rng(9).integers(0, 70, size=(32, model.config.length), dtype=np.int64)
+        want = model.forward_logits(indices, EVAL)[0]
+        assert model.forward_logits(indices, INFER)[0].tobytes() == want.tobytes()
+
+    def test_predict_writes_no_parameter_and_no_index(self):
+        for model in (build_word_cnn(tiny_word_config(), seed=10), build_char_cnn(tiny_char_config(), seed=10)):
+            indices = np.random.default_rng(10).integers(0, 8, size=(5, model.config.length), dtype=np.int64)
+            before = [(p.value.tobytes(), p.grad.tobytes()) for p in model.parameters()]
+            given = indices.copy()
+            predict(model, indices)
+            assert [(p.value.tobytes(), p.grad.tobytes()) for p in model.parameters()] == before
+            assert indices.tobytes() == given.tobytes()
 
     def test_eval_forward_needs_no_rng(self):
         # PassContext(training=False) carries no generator; dropout must not ask for one

@@ -16,7 +16,7 @@ import pytest
 
 from quadcode.errors import QuadcodeError
 from quadcode.tensor_nn import ops
-from quadcode.tensor_nn.layers import EVAL, Dense, Parameter, ReLU, glorot_uniform
+from quadcode.tensor_nn.layers import EVAL, Dense, Embedding, Parameter, ReLU, glorot_uniform
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 EPS = 1e-6
@@ -353,6 +353,23 @@ class TestMaxPool:
         x[0, 0, pos] = np.nan
         with pytest.raises(ops.NonFiniteTensorError):
             ops.maxpool1d_with_argmax(x, 3)
+        with pytest.raises(ops.NonFiniteTensorError):
+            ops.maxpool1d(x, 3)
+
+    @pytest.mark.parametrize("width", [1, 2, 3, 5, 31])
+    def test_max_only_equals_the_argmax_maxima(self, width):
+        # few distinct values, zeros of both signs among them, so most windows tie
+        gen = np.random.default_rng(width + 20)
+        x = gen.choice([-1.0, -0.0, 0.0, 0.5], size=(3, 4, 3 * width + 2))
+        strided = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)  # the layout an inference conv gives
+        want = ops.maxpool1d_with_argmax(x, width)[0].tobytes()
+        assert ops.maxpool1d(x, width).tobytes() == want
+        assert ops.maxpool1d(strided, width).tobytes() == want
+
+    def test_max_only_signed_zero_windows(self):
+        x = np.array([[[-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]]])
+        for width in (2, 4, 8):
+            assert ops.maxpool1d(x, width).tobytes() == ops.maxpool1d_with_argmax(x, width)[0].tobytes()
 
 
 class TestDense:
@@ -394,6 +411,11 @@ class TestReluDropout:
     def test_relu_values(self):
         assert ops.relu(np.array([[-1.0, 2.0]])).tolist() == [[0.0, 2.0]]
         assert ops.relu(np.array([[0.0]])).tolist() == [[0.0]]
+
+    def test_relu_in_place(self):
+        x = np.array([[-1.0, 2.0, -0.0, 0.0]])
+        want = ops.relu(x.copy())
+        assert ops.relu(x, out=x) is x and x.tobytes() == want.tobytes()
 
     def test_relu_backward_gates_on_input(self):
         x = np.array([[-1.0, 2.0, 0.0]])
@@ -674,6 +696,29 @@ class TestOptimizers:
         p.grad[:] = np.inf
         Sgd([p], lr=0.1).step()  # must not raise
 
+    @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1, momentum=0.9), lambda ps: Adam(ps, lr=0.01)],
+                             ids=["sgd", "adam"])
+    def test_step_writes_no_gradient(self, make):
+        gen = np.random.default_rng(17)
+        p = _param("w", gen.normal(size=(3, 40000)))  # several slices
+        p.grad[...] = gen.normal(size=p.value.shape)
+        grad = p.grad.copy()
+        make([p]).step()
+        assert p.grad.tobytes() == grad.tobytes()
+
+    def test_sgd_in_slices_matches_whole_array_formula(self):
+        gen = np.random.default_rng(18)
+        p = _param("w", gen.normal(size=(3, 40000)))
+        opt = Sgd([p], lr=0.1, momentum=0.9)
+        value, v = p.value.copy(), np.zeros(p.value.shape)
+        for _ in range(3):
+            g = gen.normal(size=p.value.shape)
+            p.grad[...] = g
+            opt.step()
+            v = 0.9 * v + g
+            value = value - 0.1 * v
+            assert p.value.tobytes() == value.tobytes()
+
     def test_adam_converges_on_quadratic(self):
         p = _param("w", [5.0])
         opt = Adam([p], lr=0.1)
@@ -707,6 +752,36 @@ class TestGradientWrite:
         finally:
             tracemalloc.stop()
         assert peak < layer.w.value.nbytes, peak
+
+
+class TestEmbeddingGradient:
+    """Embedding.backward re-zeroes only the rows its previous backward
+    scattered into; the result is the scatter into a zeroed table."""
+
+    @pytest.mark.parametrize("zero_between", [False, True])
+    @pytest.mark.parametrize("rows", [40, 20], ids=["fewer_indices_than_rows", "more_indices_than_rows"])
+    def test_equals_a_scatter_from_zeros(self, zero_between, rows):
+        gen = np.random.default_rng(19)
+        layer = Embedding(gen.normal(size=(rows, 6)))
+        opt = Adam(layer.params, lr=0.01)
+        for _ in range(5):
+            indices = gen.integers(0, rows, size=(3, 9))  # PAD and repeated rows included
+            grad_y = gen.normal(size=(3, 6, 9))
+            want = np.zeros((rows, 6))
+            ops.embedding_backward(indices, grad_y, want)
+            want[0] = 0.0
+            layer.backward(layer.forward(indices, EVAL)[1], grad_y)
+            assert layer.param.grad.tobytes() == want.tobytes()
+            opt.step()
+            indices[...] = 1  # the caller may reuse its index array
+            if zero_between:
+                layer.param.zero_grad()
+
+    def test_frozen_table_writes_nothing(self):
+        layer = Embedding(np.ones((5, 2)), trainable=False)
+        indices = np.array([[1, 2, 2]])
+        layer.backward(layer.forward(indices, EVAL)[1], np.ones((1, 2, 3)))
+        assert layer.param.grad.tobytes() == np.zeros((5, 2)).tobytes()
 
 
 def _dead_unit_gradients() -> list[np.ndarray]:

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -263,13 +264,16 @@ class TestSerialization:
 
     def test_parse_errors(self, tmp_path):
         obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 2}]}
-        with pytest.raises(TextEncodingError, match=r"^vocabulary entry 1: missing key 'count'$"):
-            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
+        path = _with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj)
+        with pytest.raises(TextEncodingError, match=rf"^{re.escape(str(path))}: vocabulary entry 1: missing key 'count'$"):
+            load_checkpoint(path)
 
     def test_non_dense_indices_rejected(self, tmp_path):
         obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 5, "count": 1}]}
-        with pytest.raises(TextEncodingError, match=r"^vocabulary entry 1: index 5 is not dense, expected 2$"):
-            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
+        path = _with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj)
+        with pytest.raises(TextEncodingError,
+                           match=rf"^{re.escape(str(path))}: vocabulary entry 1: index 5 is not dense, expected 2$"):
+            load_checkpoint(path)
 
     def test_duplicate_token_rejected(self):
         with pytest.raises(TextEncodingError, match=r"^vocabulary entry 2: duplicate token 'a'$"):
@@ -295,9 +299,10 @@ class TestSerialization:
     def test_rejection_names_its_entry(self, tmp_path, kind, bad, reason):
         good = [{"token": "x", "index": 2, "count": 3}, {"token": "y", "index": 3, "count": 2}]
         obj = {"kind": kind, "length": 4, "entries": [*good, bad, {"token": "z", "index": 5, "count": 1}]}
+        path = _with_encoder(DATA / f"v1_{kind}.ckpt", tmp_path / "m.ckpt", obj)
         with pytest.raises(TextEncodingError, match=reason) as err:
-            load_checkpoint(_with_encoder(DATA / f"v1_{kind}.ckpt", tmp_path / "m.ckpt", obj))
-        assert str(err.value).startswith("vocabulary entry 3: ")
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: vocabulary entry 3: ")
 
     @pytest.mark.parametrize(
         "kind, token, count, reason",
@@ -317,9 +322,10 @@ class TestSerialization:
     def test_column_rejection_names_its_entry(self, tmp_path, kind, token, count, reason):
         source = _saved(tmp_path / "honest.ckpt", kind, Vocabulary(["x", "y", "q", "z"], [3, 2, 2, 1]))
         obj = {"tokens": ["x", "y", token, "z"], "counts": [3, 2, count, 1]}
+        path = _with_encoder(source, tmp_path / "m.ckpt", obj)
         with pytest.raises(TextEncodingError, match=reason) as err:
-            load_checkpoint(_with_encoder(source, tmp_path / "m.ckpt", obj))
-        assert str(err.value).startswith("vocabulary entry 3: ")
+            load_checkpoint(path)
+        assert str(err.value).startswith(f"{path}: vocabulary entry 3: ")
 
     @pytest.mark.parametrize("kind", ["word", "char"])
     def test_json_round_trip_byte_identical(self, tmp_path, kind):
