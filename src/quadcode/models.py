@@ -15,8 +15,9 @@ so the same code runs desk-scale fixtures and gradient checks.
 
 Both models run whole batches: forward_logits takes (N, L) indices and
 returns (N, 4) logits, and backward_from_logits takes the (N, 4) logit
-gradient. Shapes named per layer (shape_trace, the docs above) are those
-of one example, without the batch axis.
+gradient and consumes the forward's caches. Shapes named per layer
+(shape_trace, the docs above) are those of one example, without the
+batch axis.
 """
 
 from __future__ import annotations
@@ -219,8 +220,10 @@ def _run(layers, x, ctx, caches, trace):
 
 
 def _unwind(layers, caches, grad):
-    for (name, layer), cache in zip(reversed(layers), reversed(caches)):
-        grad = layer.backward(cache, grad)
+    """Backward through layers, popping each cache as its layer consumes it,
+    so that nothing a finished backward read stays alive."""
+    for _, layer in reversed(layers):
+        grad = layer.backward(caches.pop(), grad)
     return grad
 
 
@@ -283,6 +286,9 @@ class WordCnn:
         return logits, (emb_cache, branch_caches, sizes, head_caches)
 
     def backward_from_logits(self, caches, grad: np.ndarray) -> None:
+        """Write every parameter's gradient from the (N, classes) logit
+        gradient. Consumes caches: each cache list is left empty, and a
+        layer's cache is freed once its backward has returned."""
         emb_cache, branch_caches, sizes, head_caches = caches
         grad = _unwind(self.head, head_caches, grad)
         parts = ops.concat_backward(sizes, grad)
@@ -343,6 +349,7 @@ class CharCnn:
         return logits, (emb_cache, caches)
 
     def backward_from_logits(self, caches, grad: np.ndarray) -> None:
+        """As WordCnn.backward_from_logits: consumes caches."""
         emb_cache, seq_caches = caches
         grad = _unwind(self.seq, seq_caches, grad)
         self.embedding.backward(emb_cache, grad)

@@ -6,16 +6,19 @@ example is a batch of one. forward(x, ctx) returns (output, cache);
 backward(cache, grad) writes the batch's summed parameter gradient over
 Parameter.grad, never accumulating (a caller that wants a sum over several
 backwards sums copies), and returns the gradient w.r.t. the layer input.
-Caches live with the caller, so EVAL forwards are pure: they read the
-parameters and their input and write nothing.
+Caches live with the caller, so a forward writes neither the parameters
+nor its input; models._unwind drops each cache as soon as its layer's
+backward has returned.
 
-An inference forward (INFER: no backward follows) builds nothing that
-only a backward reads: pools track no argmax, dropout draws no mask of
-ones, a conv returns its GEMM output as a strided view instead of a
-contiguous copy, and ReLU rectifies its own fresh input in place and keeps
-no cache. That input is always the output of the Conv1d or Dense in front
-of it, which nothing else reads. The logits are bit-identical to an EVAL
-forward's.
+Every forward runs the same numeric path: a conv returns its GEMM output
+as a strided view, never a contiguous copy, and ReLU rectifies its input
+in place. That input is always the fresh output of the Conv1d or Dense in
+front of it, which nothing else reads. A cache holds the least its
+backward needs: a conv or dense layer's input, a ReLU's 1-byte y > 0
+mask, a pool's in-window offsets in the narrowest unsigned type. An
+inference forward (INFER: no backward follows) keeps none of them: pools
+track no offsets and dropout draws no mask of ones. Its logits are
+bit-identical to an EVAL forward's.
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
 it (zero_grad aside), which lets Embedding re-zero only the rows it wrote.
@@ -133,10 +136,7 @@ class Conv1d:
         return [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
-        y = ops.conv1d(x, self.w.value, self.b.value)
-        if not ctx.backward_follows:
-            return y, None
-        return np.ascontiguousarray(y), x
+        return ops.conv1d(x, self.w.value, self.b.value), (x if ctx.backward_follows else None)
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         return ops.conv1d_backward(cache, self.w.value, grad, self.w.grad, self.b.grad)
@@ -162,9 +162,8 @@ class ReLU:
     params: list[Parameter] = []
 
     def forward(self, x: np.ndarray, ctx: PassContext):
-        if not ctx.backward_follows:  # x is the fresh output of the layer in front
-            return ops.relu(x, out=x), None
-        return ops.relu(x), x
+        y = ops.relu(x, out=x)  # x is the fresh output of the layer in front
+        return y, (y > 0.0 if ctx.backward_follows else None)
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         return ops.relu_backward(cache, grad)
@@ -179,12 +178,12 @@ class MaxPool1d:
     def forward(self, x: np.ndarray, ctx: PassContext):
         if not ctx.backward_follows:
             return ops.maxpool1d(x, self.width), None
-        y, argmax = ops.maxpool1d_with_argmax(x, self.width)
-        return y, (argmax, x.shape[2])
+        y, offsets = ops.maxpool1d_with_argmax(x, self.width)
+        return y, (offsets, x.shape[2])
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
-        argmax, in_length = cache
-        return ops.maxpool1d_backward(grad, argmax, in_length)
+        offsets, in_length = cache
+        return ops.maxpool1d_backward(grad, offsets, self.width, in_length)
 
 
 class Dropout:

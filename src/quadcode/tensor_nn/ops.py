@@ -13,6 +13,10 @@ logits are (N, classes) and labels (N,). Weights are (out, in) for dense
 and (frames, in_channels, kernel) for conv. Backward ops write the
 gradient summed over the batch for weights and biases into caller-given
 buffers, overwriting them, and return the gradient per example for inputs.
+
+Backward ops read the least state their forward can leave: conv1d_backward
+the input (it rebuilds the windows), relu_backward a bool y > 0 mask, so
+relu may rectify in place, and maxpool1d_backward narrow in-window offsets.
 """
 
 from __future__ import annotations
@@ -126,7 +130,7 @@ def _window_maxima(x: np.ndarray, width: int, with_index: bool) -> tuple[np.ndar
     _require(steps >= 1, f"maxpool1d needs L >= width, got L={length}, width={width}")
     view = x[:, :, : steps * width].reshape(n, frames, steps, width)
     y = view[..., 0].copy()
-    # the narrowest index type keeps the per-position temporaries small
+    # the narrowest index type keeps the per-position temporaries and the training cache small
     inner = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1)) if with_index else None
     for i in range(1, width):
         candidate = view[..., i]
@@ -142,17 +146,20 @@ def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
 
 
 def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """maxpool1d plus the absolute input position of each window's first maximum."""
-    y, inner = _window_maxima(x, width, with_index=True)
-    return y, inner + np.arange(y.shape[2], dtype=np.int64) * width
+    """maxpool1d plus each window's first maximum as an offset into the
+    window, in the narrowest unsigned type that holds width - 1."""
+    return _window_maxima(x, width, with_index=True)
 
 
-def maxpool1d_backward(grad_y: np.ndarray, argmax: np.ndarray, in_length: int) -> np.ndarray:
-    """Route each window's gradient to its recorded argmax position."""
-    _require(grad_y.shape == argmax.shape, f"maxpool1d grad/argmax mismatch: {grad_y.shape} vs {argmax.shape}")
-    grad_x = np.zeros((*grad_y.shape[:2], in_length), dtype=grad_y.dtype)
+def maxpool1d_backward(grad_y: np.ndarray, offsets: np.ndarray, width: int, in_length: int) -> np.ndarray:
+    """Route each window's gradient to its recorded in-window offset."""
+    _require(grad_y.shape == offsets.shape, f"maxpool1d grad/offsets mismatch: {grad_y.shape} vs {offsets.shape}")
+    n, frames, steps = grad_y.shape
+    _require(steps * width <= in_length, f"maxpool1d: {steps} windows of {width} exceed input length {in_length}")
+    grad_x = np.zeros((n, frames, in_length), dtype=grad_y.dtype)
+    windows = grad_x[:, :, : steps * width].reshape(n, frames, steps, width)  # a view: splits the last axis
     # windows are disjoint, so plain assignment cannot collide
-    np.put_along_axis(grad_x, argmax, grad_y, axis=2)
+    np.put_along_axis(windows, offsets[..., None], grad_y[..., None], axis=3)
     return grad_x
 
 
@@ -184,9 +191,11 @@ def relu(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return _trap("relu", np.maximum(x, 0.0, out=out))
 
 
-def relu_backward(x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-    _require(x.shape == grad_y.shape, f"relu grad shape {grad_y.shape} != input {x.shape}")
-    return grad_y * (x > 0.0)
+def relu_backward(mask: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
+    """grad_y where the input was positive: mask is the forward's y > 0,
+    which equals x > 0 for the finite x that relu lets through."""
+    _require(mask.shape == grad_y.shape, f"relu grad shape {grad_y.shape} != mask {mask.shape}")
+    return grad_y * mask
 
 
 def dropout(

@@ -3,7 +3,8 @@
 step() applies the update to every unfrozen parameter and neither zeroes
 nor writes any gradient: each backward writes its own over the last, and
 frozen ones are never read. Non-finite gradients abort before any parameter
-is touched.
+is touched. The hyperparameters are taken as given: TrainConfig owns
+their rules and validates what `train` passes.
 
 Updates run in place with `out=` arithmetic into scratch buffers of one
 slice each, allocated once per step. Both optimizers walk each parameter
@@ -61,10 +62,6 @@ class Sgd:
     """
 
     def __init__(self, params: list[Parameter], lr: float, momentum: float = 0.0):
-        if lr <= 0.0:
-            raise QuadcodeError(f"learning rate must be positive, got {lr}")
-        if not 0.0 <= momentum < 1.0:
-            raise QuadcodeError(f"momentum must be in [0, 1), got {momentum}")
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
@@ -90,8 +87,6 @@ class Adam:
         beta2: float = 0.999,
         eps: float = 1e-8,
     ):
-        if lr <= 0.0:
-            raise QuadcodeError(f"learning rate must be positive, got {lr}")
         self.params = list(params)
         self.lr = lr
         self.beta1 = beta1

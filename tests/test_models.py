@@ -6,6 +6,8 @@ import hashlib
 import json
 import re
 import struct
+import tracemalloc
+import weakref
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -45,7 +47,7 @@ from quadcode.text_encoding import (
     load_embeddings,
 )
 from quadcode.corpus import SentenceRecord
-from quadcode.tensor_nn.layers import EVAL, INFER
+from quadcode.tensor_nn.layers import EVAL, INFER, MaxPool1d, PassContext, ReLU
 from quadcode.tensor_nn.optim import Adam
 
 # Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
@@ -386,6 +388,93 @@ class TestBatchLoss:
         embed = next(p for p in model.parameters() if p.name == "embedding")
         assert (embed.grad[0] == 0.0).all()
         assert np.abs(embed.grad[5]).max() > 0.0
+
+
+def _array_refs(cache) -> list:
+    """Weak references to the arrays a layer cache holds."""
+    parts = cache if isinstance(cache, tuple) else (cache,)
+    return [weakref.ref(part) for part in parts if isinstance(part, np.ndarray)]
+
+
+class TestTrainingCaches:
+    """A training forward keeps the least its backward reads, and the
+    backward drops each layer's cache as soon as that layer is done."""
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_each_cache_dies_once_its_backward_has_run(self, kind):
+        model = build_word_cnn(tiny_word_config(), seed=11) if kind == "word" else build_char_cnn(tiny_char_config(), seed=11)
+        examples = make_gradcheck_examples(model, count=3, seed=11)
+        indices = np.stack([e.indices for e in examples])
+        conv_outputs = []
+
+        def record(conv):
+            forward = conv.forward
+
+            def recorded(x, ctx):
+                y, cache = forward(x, ctx)
+                gemm = y.base
+                conv_outputs.append(gemm is not None and gemm.shape == (y.shape[1], y.shape[0] * y.shape[2]))
+                return y, cache
+
+            conv.forward = recorded
+
+        walks = model.branches if kind == "word" else [model.seq]
+        for walk in walks:
+            record(walk[0][1])
+        ctx = PassContext(training=True, rngs=[np.random.default_rng([11, j]) for j in range(3)])
+        logits, caches = model.forward_logits(indices, ctx)
+        assert conv_outputs and all(conv_outputs)  # a view of the GEMM output, never a copy
+
+        cache_lists = [*caches[1], caches[3]] if kind == "word" else [caches[1]]
+        layer_lists = [*walks, model.head] if kind == "word" else walks
+        masks = [cache.dtype for layers, cache_list in zip(layer_lists, cache_lists)
+                 for (_, layer), cache in zip(layers, cache_list) if isinstance(layer, ReLU)]
+        offsets = [cache[0].dtype for layers, cache_list in zip(layer_lists, cache_lists)
+                   for (_, layer), cache in zip(layers, cache_list) if isinstance(layer, MaxPool1d)]
+        assert masks and set(masks) == {np.dtype(bool)}
+        assert offsets and set(offsets) == {np.dtype(np.uint8)}
+
+        # each walk's first layer is a conv: when its backward starts, every
+        # later layer of the walk (and, for the word model, the head) is done
+        head_refs = [ref for cache in caches[3] for ref in _array_refs(cache)] if kind == "word" else []
+        alive = []
+        for walk, cache_list in zip(walks, cache_lists):
+            later = head_refs + [ref for cache in cache_list[1:] for ref in _array_refs(cache)]
+            assert later
+            conv = walk[0][1]
+
+            def checked(cache, grad, backward=conv.backward, later=later):
+                alive.append(sum(ref() is not None for ref in later))
+                return backward(cache, grad)
+
+            conv.backward = checked
+        model.backward_from_logits(caches, np.ones_like(logits))
+        assert alive == [0] * len(walks)
+        assert all(cache_list == [] for cache_list in cache_lists)
+
+    @pytest.mark.parametrize("kind, limit_mib", [("word", 30), ("char", 120)])
+    def test_full_scale_training_step_activation_peak(self, kind, limit_mib):
+        # The parameters, their gradients and Adam's moments exist before
+        # the step; what the step's forward and backward hold on top of them
+        # is its activation memory. The traced counts repeat exactly.
+        if kind == "word":
+            model, size = build_word_cnn(WordCnnConfig(vocab_size=20000), seed=12), 20000
+        else:
+            model, size = build_char_cnn(CharCnnConfig(alphabet_size=70), seed=12), 70
+        optimizer = Adam(model.parameters())
+        gen = np.random.default_rng(12)
+        examples = [EncodedExample(gen.integers(1, size, size=model.config.length, dtype=np.int64), int(gen.integers(0, 4)))
+                    for _ in range(32)]
+        gens = [rng.stream(12, rng.DROPOUT, 0, j) for j in range(32)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            batch_loss(model, examples, training=True, dropout_rngs=gens, accumulate=True)
+            optimizer.step()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert peak <= limit_mib * 2**20, f"{peak / 2**20:.1f} MiB"
 
 
 class TestBuildDeterminism:
