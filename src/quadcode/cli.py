@@ -34,9 +34,9 @@ from .corpus import (
 )
 from .errors import InputError, QuadcodeError
 from .models import (
+    CharCnn,
     LoadedCheckpoint,
-    build_char_cnn,
-    build_word_cnn,
+    WordCnn,
     load_checkpoint,
     make_gradcheck_examples,
     predict,
@@ -255,9 +255,9 @@ def _cmd_gradcheck(args) -> int:
     if args.coords < 1:
         raise InputError(f"--coords must be >= 1, got {args.coords}")
     if args.model == "word":
-        model = build_word_cnn(tiny_word_config(), seed=args.seed)
+        model = WordCnn(tiny_word_config(), args.seed)
     else:
-        model = build_char_cnn(tiny_char_config(), seed=args.seed)
+        model = CharCnn(tiny_char_config(), args.seed)
     examples = make_gradcheck_examples(model, count=2, seed=args.seed)
     report = finite_difference_check(
         model, examples, epsilon=args.epsilon, max_coords_per_param=args.coords, seed=args.seed

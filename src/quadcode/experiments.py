@@ -8,7 +8,7 @@ from typing import Sequence
 from .config import Settings
 from .corpus import SentenceRecord
 from .errors import InputError
-from .models import Model, build_char_cnn, build_word_cnn
+from .models import CharCnn, Model, WordCnn
 from .text_encoding import (
     CharEncoder,
     EncodedExample,
@@ -60,12 +60,12 @@ def fit(
     enc_dev = encode_labelled(dev_records, encoder)
     if settings.model == "word":
         config = settings.word_config(vocab_size=encoder.vocab.size)
-        model: Model = build_word_cnn(config, seed=settings.seed)
+        model: Model = WordCnn(config, settings.seed)
         if settings.word_embeddings:
             load_embeddings(settings.word_embeddings, encoder.vocab, model.embedding.param.value)
     else:
         config = settings.char_config(alphabet_size=encoder.alphabet.size)
-        model = build_char_cnn(config, seed=settings.seed)
+        model = CharCnn(config, settings.seed)
     model, history = train(model, enc_train, enc_dev, train_config)
     return FitResult(model, encoder, history)
 

@@ -13,11 +13,15 @@ hidden dense layers.
 Defaults are the full-scale dimensions above; every width is configurable
 so the same code runs desk-scale fixtures and gradient checks.
 
-Both models run whole batches: forward_logits takes (N, L) indices and
-returns (N, 4) logits, and backward_from_logits takes the (N, 4) logit
-gradient and consumes the forward's caches. Shapes named per layer
-(shape_trace, the docs above) are those of one example, without the
-batch axis.
+Each model is an Embedding plus one named layer list, seq; the word
+model's seq starts with ("concat", Branches(...)), its three branches.
+One walk over [("embedding", embedding), *seq] serves both (Model):
+forward_logits takes (N, L) indices and returns (N, 4) logits with a
+cache list holding one entry per layer of the walk, and
+backward_from_logits takes the (N, 4) logit gradient and pops that list
+empty. INFER logits are bit-identical to a PassContext() forward's.
+Shapes named per layer (shape_trace, the docs above) are those of one
+example, without the batch axis.
 """
 
 from __future__ import annotations
@@ -37,8 +41,8 @@ from . import rng
 from .errors import InputError
 from .tensor_nn import ops
 from .tensor_nn.layers import (
-    EVAL,
     INFER,
+    Branches,
     Conv1d,
     Dense,
     Dropout,
@@ -49,6 +53,8 @@ from .tensor_nn.layers import (
     PassContext,
     ReLU,
     batch_loss,  # noqa: F401  (the training loss is public as models.batch_loss)
+    run_layers,
+    unwind_layers,
 )
 from .text_encoding import CharEncoder, EncodedExample, TextEncodingError, Vocabulary, WordEncoder
 
@@ -210,27 +216,31 @@ def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
     return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
 
 
-def _run(layers, x, ctx, caches, trace):
-    for name, layer in layers:
-        x, cache = layer.forward(x, ctx)
-        caches.append(cache)
-        if trace is not None:
-            trace.append((name, tuple(x.shape)))
-    return x
+class Model:
+    """Both models: an embedding plus one named layer list, seq, walked as
+    [("embedding", embedding), *seq]. seed=None builds the same layers with
+    zero-filled parameters and draws no random numbers, for a caller that
+    overwrites every parameter."""
+
+    def _layers(self) -> list[tuple[str, object]]:
+        return [("embedding", self.embedding), *self.seq]
+
+    def parameters(self) -> list[Parameter]:
+        return [p for _, layer in self._layers() for p in layer.params]
+
+    def forward_logits(self, indices: np.ndarray, ctx: PassContext):
+        """(N, L) indices -> ((N, classes) logits, caches for the backward)."""
+        caches: list = []
+        return run_layers(self._layers(), indices, ctx, caches), caches
+
+    def backward_from_logits(self, caches: list, grad: np.ndarray) -> None:
+        """Write every parameter's gradient from the (N, classes) logit
+        gradient. Consumes caches: a layer's cache is freed once its
+        backward has returned."""
+        unwind_layers(self._layers(), caches, grad)
 
 
-def _unwind(layers, caches, grad):
-    """Backward through layers, popping each cache as its layer consumes it,
-    so that nothing a finished backward read stays alive."""
-    for _, layer in reversed(layers):
-        grad = layer.backward(caches.pop(), grad)
-    return grad
-
-
-class WordCnn:
-    """seed=None builds the same layers with zero-filled parameters and
-    draws no random numbers, for a caller that overwrites every parameter."""
-
+class WordCnn(Model):
     kind = "word"
 
     def __init__(self, config: WordCnnConfig, seed: int | None):
@@ -249,59 +259,20 @@ class WordCnn:
                 (f"{prefix}.global_pool", MaxPool1d(pool_len)),
                 (f"{prefix}.flatten", Flatten()),
             ])
-        concat_width = 3 * config.frames
-        self.head: list[tuple[str, object]] = [
+        self.seq = [
+            ("concat", Branches(self.branches)),
             ("dropout1", Dropout(config.dropout)),
-            ("fc1", Dense(concat_width, config.hidden, init, "fc1")),
+            ("fc1", Dense(3 * config.frames, config.hidden, init, "fc1")),
             ("fc1.relu", ReLU()),
             ("dropout2", Dropout(config.dropout)),
             ("fc2", Dense(config.hidden, config.classes, init, "fc2")),
         ]
+        self.head = self.seq[1:]  # perfbench/tracing.py reads self.branches and self.head
 
-    def parameters(self) -> list[Parameter]:
-        params = list(self.embedding.params)
-        for branch in self.branches:
-            for _, layer in branch:
-                params.extend(layer.params)
-        for _, layer in self.head:
-            params.extend(layer.params)
-        return params
-
-    def forward_logits(self, indices: np.ndarray, ctx: PassContext, trace: list | None = None):
-        """(N, L) indices -> ((N, classes) logits, caches for the backward)."""
-        x, emb_cache = self.embedding.forward(indices, ctx)
-        if trace is not None:
-            trace.append(("embedding", tuple(x.shape)))
-        outputs, branch_caches = [], []
-        for branch in self.branches:
-            caches: list = []
-            outputs.append(_run(branch, x, ctx, caches, trace))
-            branch_caches.append(caches)
-        feats = ops.concat(outputs)
-        if trace is not None:
-            trace.append(("concat", tuple(feats.shape)))
-        head_caches: list = []
-        logits = _run(self.head, feats, ctx, head_caches, trace)
-        sizes = [out.shape[1] for out in outputs]
-        return logits, (emb_cache, branch_caches, sizes, head_caches)
-
-    def backward_from_logits(self, caches, grad: np.ndarray) -> None:
-        """Write every parameter's gradient from the (N, classes) logit
-        gradient. Consumes caches: each cache list is left empty, and a
-        layer's cache is freed once its backward has returned."""
-        emb_cache, branch_caches, sizes, head_caches = caches
-        grad = _unwind(self.head, head_caches, grad)
-        parts = ops.concat_backward(sizes, grad)
-        grad_x = None
-        for branch, cache_list, part in zip(self.branches, branch_caches, parts):
-            g = _unwind(branch, cache_list, part)
-            grad_x = g if grad_x is None else grad_x + g
-        self.embedding.backward(emb_cache, grad_x)
+    forward_logits = Model.forward_logits  # perfbench/tracing.py patches each class's own
 
 
-class CharCnn:
-    """seed=None as for WordCnn."""
-
+class CharCnn(Model):
     kind = "char"
 
     def __init__(self, config: CharCnnConfig, seed: int | None):
@@ -322,8 +293,7 @@ class CharCnn:
                 seq.append((f"conv{i}.pool", MaxPool1d(spec.pool)))
             channels = spec.frames
         seq.append(("flatten", Flatten()))
-        flat = channels * char_stack_lengths(config)[-1]
-        width = flat
+        width = channels * char_stack_lengths(config)[-1]
         for j, units in enumerate(config.hidden, start=1):
             seq.append((f"dropout{j}", Dropout(config.dropout)))
             seq.append((f"fc{j}", Dense(width, units, init, f"fc{j}")))
@@ -333,37 +303,11 @@ class CharCnn:
         seq.append((out_name, Dense(width, config.classes, init, out_name)))
         self.seq = seq
 
-    def parameters(self) -> list[Parameter]:
-        params = list(self.embedding.params)
-        for _, layer in self.seq:
-            params.extend(layer.params)
-        return params
-
-    def forward_logits(self, indices: np.ndarray, ctx: PassContext, trace: list | None = None):
-        """(N, L) indices -> ((N, classes) logits, caches for the backward)."""
-        x, emb_cache = self.embedding.forward(indices, ctx)
-        if trace is not None:
-            trace.append(("embedding", tuple(x.shape)))
-        caches: list = []
-        logits = _run(self.seq, x, ctx, caches, trace)
-        return logits, (emb_cache, caches)
-
-    def backward_from_logits(self, caches, grad: np.ndarray) -> None:
-        """As WordCnn.backward_from_logits: consumes caches."""
-        emb_cache, seq_caches = caches
-        grad = _unwind(self.seq, seq_caches, grad)
-        self.embedding.backward(emb_cache, grad)
-
-
-Model = WordCnn | CharCnn
+    forward_logits = Model.forward_logits  # perfbench/tracing.py patches each class's own
 
 
 def build_word_cnn(config: WordCnnConfig, seed: int = 0) -> WordCnn:
     return WordCnn(config, seed)
-
-
-def build_char_cnn(config: CharCnnConfig, seed: int = 0) -> CharCnn:
-    return CharCnn(config, seed)
 
 
 def tiny_word_config() -> WordCnnConfig:
@@ -401,10 +345,10 @@ def predict(model: Model, indices: np.ndarray):
 
 
 def shape_trace(model: Model) -> list[tuple[str, tuple[int, ...]]]:
-    """(layer name, per-example output shape) per layer from an evaluation forward of one all-PAD input."""
-    trace: list[tuple[str, tuple[int, ...]]] = []
-    model.forward_logits(np.zeros((1, model.config.length), dtype=np.int64), EVAL, trace=trace)
-    return [(name, shape[1:]) for name, shape in trace]
+    """(layer name, per-example output shape) per layer from an inference forward of one all-PAD input."""
+    ctx = PassContext(backward_follows=False, trace=[])
+    model.forward_logits(np.zeros((1, model.config.length), dtype=np.int64), ctx)
+    return [(name, shape[1:]) for name, shape in ctx.trace]
 
 
 def parameter_count(model: Model) -> int:
@@ -657,7 +601,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     encoder = _encoder_from_obj(path, version, kind, config, header.get("encoder"))
     probe = header.get("probe")
     count = probe.get("count") if isinstance(probe, dict) else None
-    if not isinstance(count, int) or count < 1:
+    if type(count) is not int or count < 1:  # a JSON true is a bool, not an int
         raise CheckpointError(f"{path}: bad probe block description {probe!r}")
     length = config.length
     # Sizes come from the header, so check them against the file before allocating.

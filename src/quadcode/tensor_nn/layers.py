@@ -7,8 +7,11 @@ backward(cache, grad) writes the batch's summed parameter gradient over
 Parameter.grad, never accumulating (a caller that wants a sum over several
 backwards sums copies), and returns the gradient w.r.t. the layer input.
 Caches live with the caller, so a forward writes neither the parameters
-nor its input; models._unwind drops each cache as soon as its layer's
-backward has returned.
+nor its input. run_layers walks (name, layer) pairs forward, appending one
+cache per layer (and, when PassContext.trace is a list, (name, output
+shape) to it); unwind_layers walks back, popping each cache as its layer's
+backward consumes it. Branches runs parallel such lists over one input and
+concatenates their outputs; its cache holds one cache list per branch.
 
 Every forward runs the same numeric path: a conv returns its GEMM output
 as a strided view, never a contiguous copy, and ReLU rectifies its input
@@ -18,7 +21,7 @@ backward needs: a conv or dense layer's input, a ReLU's 1-byte y > 0
 mask, a pool's in-window offsets in the narrowest unsigned type. An
 inference forward (INFER: no backward follows) keeps none of them: pools
 track no offsets and dropout draws no mask of ones. Its logits are
-bit-identical to an EVAL forward's.
+bit-identical to a PassContext() forward's.
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
 it (zero_grad aside), which lets Embedding re-zero only the rows it wrote.
@@ -70,15 +73,16 @@ class Parameter:
 @dataclass(frozen=True)
 class PassContext:
     """Per-forward switches: training flag, one dropout generator per example,
-    and whether a backward will follow (if not, layers keep no caches)."""
+    whether a backward will follow (if not, layers keep no caches), and a
+    list that collects (layer name, output shape) when one is given."""
 
     training: bool = False
     rngs: Sequence[np.random.Generator] | None = None
     backward_follows: bool = True
+    trace: list | None = None
 
 
-EVAL = PassContext(training=False, rngs=None)
-INFER = PassContext(training=False, rngs=None, backward_follows=False)
+INFER = PassContext(backward_follows=False)
 
 
 def glorot_uniform(gen: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
@@ -210,6 +214,52 @@ class Flatten:
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         return ops.flatten_backward(cache, grad)
+
+
+def run_layers(layers, x, ctx: PassContext, caches: list):
+    """Forward through (name, layer) pairs, appending each layer's cache."""
+    for name, layer in layers:
+        x, cache = layer.forward(x, ctx)
+        caches.append(cache)
+        if ctx.trace is not None:
+            ctx.trace.append((name, x.shape))
+    return x
+
+
+def unwind_layers(layers, caches: list, grad):
+    """Backward through the layers run_layers ran, popping each cache as its
+    layer consumes it, so that nothing a finished backward read stays alive."""
+    for _, layer in reversed(layers):
+        grad = layer.backward(caches.pop(), grad)
+    return grad
+
+
+class Branches:
+    """Parallel lists of (name, layer) over one input, outputs concatenated
+    along the feature axis in branch order. The input gradient is the sum of
+    the branches' input gradients, added in branch order."""
+
+    def __init__(self, branches: list[list[tuple[str, object]]]):
+        self.branches = branches
+
+    @property
+    def params(self) -> list[Parameter]:
+        return [p for branch in self.branches for _, layer in branch for p in layer.params]
+
+    def forward(self, x: np.ndarray, ctx: PassContext):
+        outputs, caches = [], []
+        for branch in self.branches:
+            caches.append([])
+            outputs.append(run_layers(branch, x, ctx, caches[-1]))
+        return ops.concat(outputs), (caches, [out.shape[1] for out in outputs])
+
+    def backward(self, cache, grad: np.ndarray) -> np.ndarray:
+        caches, sizes = cache
+        grad_x = None
+        for branch, branch_caches, part in zip(self.branches, caches, ops.concat_backward(sizes, grad)):
+            g = unwind_layers(branch, branch_caches, part)
+            grad_x = g if grad_x is None else grad_x + g
+        return grad_x
 
 
 def batch_loss(

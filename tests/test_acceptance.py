@@ -31,9 +31,9 @@ from quadcode.errors import InputError
 from quadcode.experiments import encode_labelled, fit
 from quadcode.fixtures import make_separable_corpus
 from quadcode.models import (
+    CharCnn,
     CharCnnConfig,
     WordCnnConfig,
-    build_char_cnn,
     build_word_cnn,
     make_gradcheck_examples,
     shape_trace,
@@ -78,7 +78,7 @@ def criterion(number, summary):
 def test_c1_gradient_correctness():
     started = time.monotonic()
     word = build_word_cnn(tiny_word_config(), seed=0)  # vocab 50, length 16
-    char = build_char_cnn(tiny_char_config(), seed=0)  # alphabet 8, length 32
+    char = CharCnn(tiny_char_config(), seed=0)  # alphabet 8, length 32
     for model in (word, char):
         examples = make_gradcheck_examples(model, count=2, seed=0)
         report = finite_difference_check(model, examples, seed=0)
@@ -150,7 +150,7 @@ def test_c2_shape_conformance():
         ("fc2.relu", (1024,)),
         ("fc3", (4,)),
     ]
-    char = build_char_cnn(CharCnnConfig(alphabet_size=70), seed=0)
+    char = CharCnn(CharCnnConfig(alphabet_size=70), seed=0)
     assert shape_trace(char) == char_expected
     assert dict(char_expected)["flatten"] == (13_824,)
 

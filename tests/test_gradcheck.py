@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quadcode.models import (
-    build_char_cnn,
+    CharCnn,
     build_word_cnn,
     make_gradcheck_examples,
     tiny_char_config,
@@ -42,7 +42,7 @@ class TestHealthyModels:
         assert all(c.coords_checked > 0 for c in report.checks)
 
     def test_char_model_passes(self):
-        model = build_char_cnn(tiny_char_config(), seed=0)
+        model = CharCnn(tiny_char_config(), seed=0)
         examples = make_gradcheck_examples(model, count=2, seed=0)
         report = finite_difference_check(model, examples, seed=0)
         assert report.max_rel_error < 1e-4
@@ -78,7 +78,7 @@ class TestHealthyModels:
         assert any(x.max_rel_error != y.max_rel_error for x, y in zip(a.checks, b.checks))
 
     def test_report_lines_render(self):
-        model = build_char_cnn(tiny_char_config(), seed=0)
+        model = CharCnn(tiny_char_config(), seed=0)
         examples = make_gradcheck_examples(model, count=1, seed=0)
         report = finite_difference_check(model, examples, seed=0)
         text = "\n".join(report.lines())
@@ -109,7 +109,7 @@ class TestNegativeControl:
         from quadcode.tensor_nn import ops
 
         monkeypatch.setattr(layers.ops, "relu_backward", lambda x, g: np.asarray(g, dtype=np.float64))
-        model = build_char_cnn(tiny_char_config(), seed=3)
+        model = CharCnn(tiny_char_config(), seed=3)
         examples = make_gradcheck_examples(model, count=2, seed=3)
         report = finite_difference_check(model, examples, seed=3)
         assert report.max_rel_error > 1e-2

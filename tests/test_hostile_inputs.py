@@ -30,7 +30,7 @@ from quadcode.corpus import AlignmentPair, SentenceRecord, read_alignments, read
 from quadcode.errors import InputError
 from quadcode.fixtures import make_separable_corpus
 from quadcode.models import (
-    build_char_cnn,
+    CharCnn,
     build_word_cnn,
     load_checkpoint,
     predict,
@@ -191,7 +191,7 @@ def _checkpoint(tmp_path, kind: str) -> bytes:
         encoder = WordEncoder(vocab, config.length)
     else:
         config = tiny_char_config()
-        model = build_char_cnn(config, seed=0)
+        model = CharCnn(config, seed=0)
         encoder = CharEncoder(Vocabulary(list("abcdef"), [6, 5, 4, 3, 2, 1]), config.length)
     path = tmp_path / f"{kind}.ckpt"
     save_checkpoint(model, path, encoder=encoder, quad_map_digest="0" * 64, metadata={"seed": 0})

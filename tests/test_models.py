@@ -16,14 +16,15 @@ import pytest
 
 from quadcode import cli, rng
 from quadcode.models import (
+    CharCnn,
     CharCnnConfig,
     CheckpointError,
     ConvSpec,
     InvalidConfigError,
+    WordCnn,
     WordCnnConfig,
     _config_from_obj,
     batch_loss,
-    build_char_cnn,
     build_word_cnn,
     char_stack_lengths,
     implied_param_count,
@@ -47,7 +48,7 @@ from quadcode.text_encoding import (
     load_embeddings,
 )
 from quadcode.corpus import SentenceRecord
-from quadcode.tensor_nn.layers import EVAL, INFER, MaxPool1d, PassContext, ReLU
+from quadcode.tensor_nn.layers import INFER, Branches, MaxPool1d, PassContext, ReLU
 from quadcode.tensor_nn.optim import Adam
 
 # Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
@@ -159,7 +160,7 @@ class TestParameterCounts:
 
     def test_full_scale_char_model(self):
         config = CharCnnConfig(alphabet_size=70)
-        model = build_char_cnn(config, seed=0)
+        model = CharCnn(config, seed=0)
         flat = 256 * char_lengths_by_hand(512, [(256, 7, 3), (256, 3, 0), (256, 3, 0), (256, 3, 3)])[-1]
         assert flat == 13_824
         want = char_param_count_closed_form(
@@ -169,7 +170,7 @@ class TestParameterCounts:
 
     def test_tiny_char_model(self):
         config = tiny_char_config()
-        model = build_char_cnn(config, seed=0)
+        model = CharCnn(config, seed=0)
         convs = [(s.frames, s.kernel, s.pool or 0) for s in config.convs]
         flat = config.convs[-1].frames * char_lengths_by_hand(config.length, convs)[-1]
         want = char_param_count_closed_form(
@@ -184,8 +185,8 @@ class TestParameterCounts:
         assert implied_param_count(full_char) == char_param_count_closed_form(70, 32, convs, (1024, 1024), 4, 13_824)
         one_hot = CharCnnConfig(alphabet_size=8, embed_dim=8, length=32,
                                 convs=tiny_char_config().convs, hidden=(16, 16), one_hot=True)
-        for model in (build_word_cnn(tiny_word_config(), seed=0), build_char_cnn(tiny_char_config(), seed=0),
-                      build_char_cnn(one_hot, seed=0)):
+        for model in (build_word_cnn(tiny_word_config(), seed=0), CharCnn(tiny_char_config(), seed=0),
+                      CharCnn(one_hot, seed=0)):
             assert implied_param_count(model.config) == parameter_count(model)
 
 
@@ -212,7 +213,7 @@ class TestShapeTraces:
 
     def test_char_trace_matches_length_laws(self):
         config = CharCnnConfig(alphabet_size=32)
-        model = build_char_cnn(config, seed=0)
+        model = CharCnn(config, seed=0)
         lengths = char_stack_lengths(config)
         by_hand = char_lengths_by_hand(512, [(256, 7, 3), (256, 3, 0), (256, 3, 0), (256, 3, 3)])
         assert lengths == by_hand == [168, 166, 164, 54]
@@ -223,13 +224,40 @@ class TestShapeTraces:
         assert trace["flatten"] == (13_824,)
         assert trace["fc3"] == (4,)
 
+    def test_tiny_word_trace(self):
+        # complete and ordered: a reordered, duplicated or extra entry fails
+        model = build_word_cnn(tiny_word_config(), seed=0)
+        branch = lambda k, conv, pool: [  # noqa: E731
+            (f"branch_k{k}.conv", (8, conv)), (f"branch_k{k}.relu", (8, conv)), (f"branch_k{k}.pool", (8, pool)),
+            (f"branch_k{k}.global_pool", (8, 1)), (f"branch_k{k}.flatten", (8,)),
+        ]
+        assert shape_trace(model) == [
+            ("embedding", (16, 16)), *branch(3, 14, 7), *branch(4, 13, 6), *branch(5, 12, 6),
+            ("concat", (24,)), ("dropout1", (24,)), ("fc1", (12,)), ("fc1.relu", (12,)), ("dropout2", (12,)),
+            ("fc2", (4,)),
+        ]
+        assert [p.name for p in model.parameters()] == [
+            "embedding", "branch_k3.w", "branch_k3.b", "branch_k4.w", "branch_k4.b", "branch_k5.w", "branch_k5.b",
+            "fc1.w", "fc1.b", "fc2.w", "fc2.b",
+        ]
+
     def test_tiny_char_trace(self):
-        model = build_char_cnn(tiny_char_config(), seed=0)
-        trace = dict(shape_trace(model))
-        assert trace["conv1"] == (6, 26)
-        assert trace["conv1.pool"] == (6, 13)
-        assert trace["conv4.pool"] == (6, 3)
-        assert trace["flatten"] == (18,)
+        model = CharCnn(tiny_char_config(), seed=0)
+        assert shape_trace(model) == [
+            ("embedding", (8, 32)),
+            ("conv1", (6, 26)), ("conv1.relu", (6, 26)), ("conv1.pool", (6, 13)),
+            ("conv2", (6, 11)), ("conv2.relu", (6, 11)),
+            ("conv3", (6, 9)), ("conv3.relu", (6, 9)),
+            ("conv4", (6, 7)), ("conv4.relu", (6, 7)), ("conv4.pool", (6, 3)),
+            ("flatten", (18,)),
+            ("dropout1", (18,)), ("fc1", (16,)), ("fc1.relu", (16,)),
+            ("dropout2", (16,)), ("fc2", (16,)), ("fc2.relu", (16,)),
+            ("fc3", (4,)),
+        ]
+        assert [p.name for p in model.parameters()] == [
+            "embedding", "conv1.w", "conv1.b", "conv2.w", "conv2.b", "conv3.w", "conv3.b", "conv4.w", "conv4.b",
+            "fc1.w", "fc1.b", "fc2.w", "fc2.b", "fc3.w", "fc3.b",
+        ]
 
 
 class TestPredict:
@@ -244,7 +272,7 @@ class TestPredict:
         np.testing.assert_allclose(probs, 0.25, atol=1e-12)
 
     def test_repeat_prediction_identical(self):
-        model = build_char_cnn(tiny_char_config(), seed=1)
+        model = CharCnn(tiny_char_config(), seed=1)
         indices = np.arange(32, dtype=np.int64) % 8
         a = predict(model, indices)
         b = predict(model, indices)
@@ -270,7 +298,7 @@ class TestPredict:
             assert abs(probs.sum() - 1.0) < 1e-9
 
     def test_batch_rows_match_single_predictions(self):
-        for model in (build_word_cnn(tiny_word_config(), seed=3), build_char_cnn(tiny_char_config(), seed=3)):
+        for model in (build_word_cnn(tiny_word_config(), seed=3), CharCnn(tiny_char_config(), seed=3)):
             gen = np.random.default_rng(1)
             batch = gen.integers(0, 8, size=(5, model.config.length), dtype=np.int64)
             classes, probs = predict(model, batch)
@@ -282,20 +310,20 @@ class TestPredict:
     @pytest.mark.parametrize("n", [1, 5, 32])
     @pytest.mark.parametrize("kind", ["word", "char"])
     def test_inference_logits_are_the_eval_logits(self, kind, n):
-        model = build_word_cnn(tiny_word_config(), seed=9) if kind == "word" else build_char_cnn(tiny_char_config(), seed=9)
+        model = build_word_cnn(tiny_word_config(), seed=9) if kind == "word" else CharCnn(tiny_char_config(), seed=9)
         size = model.config.vocab_size if kind == "word" else model.config.alphabet_size
         indices = np.random.default_rng(n).integers(0, size, size=(n, model.config.length), dtype=np.int64)
-        want = model.forward_logits(indices, EVAL)[0]
+        want = model.forward_logits(indices, PassContext())[0]
         assert model.forward_logits(indices, INFER)[0].tobytes() == want.tobytes()
 
     def test_full_scale_char_inference_logits_are_the_eval_logits(self):
-        model = build_char_cnn(CharCnnConfig(alphabet_size=70), seed=9)
+        model = CharCnn(CharCnnConfig(alphabet_size=70), seed=9)
         indices = np.random.default_rng(9).integers(0, 70, size=(32, model.config.length), dtype=np.int64)
-        want = model.forward_logits(indices, EVAL)[0]
+        want = model.forward_logits(indices, PassContext())[0]
         assert model.forward_logits(indices, INFER)[0].tobytes() == want.tobytes()
 
     def test_predict_writes_no_parameter_and_no_index(self):
-        for model in (build_word_cnn(tiny_word_config(), seed=10), build_char_cnn(tiny_char_config(), seed=10)):
+        for model in (build_word_cnn(tiny_word_config(), seed=10), CharCnn(tiny_char_config(), seed=10)):
             indices = np.random.default_rng(10).integers(0, 8, size=(5, model.config.length), dtype=np.int64)
             before = [(p.value.tobytes(), p.grad.tobytes()) for p in model.parameters()]
             given = indices.copy()
@@ -345,7 +373,7 @@ class TestBatchLoss:
     def test_batch_gradient_equals_singletons(self, kind, training):
         # One batch of B and B batches of one give the same mean gradient,
         # dropout included: example j draws from its own generator either way.
-        model = build_word_cnn(tiny_word_config(), seed=8) if kind == "word" else build_char_cnn(tiny_char_config(), seed=8)
+        model = build_word_cnn(tiny_word_config(), seed=8) if kind == "word" else CharCnn(tiny_char_config(), seed=8)
         examples = make_gradcheck_examples(model, count=5, seed=8)
         gens = lambda: [np.random.default_rng([8, j]) for j in range(5)]  # noqa: E731
         whole = batch_loss(model, examples, training=training, dropout_rngs=gens(), accumulate=True)
@@ -370,7 +398,7 @@ class TestBatchLoss:
     @pytest.mark.parametrize("kind", ["word", "char"])
     def test_backward_leaves_only_the_last_batch_gradient(self, kind):
         def build():
-            return build_word_cnn(tiny_word_config(), seed=4) if kind == "word" else build_char_cnn(tiny_char_config(), seed=4)
+            return build_word_cnn(tiny_word_config(), seed=4) if kind == "word" else CharCnn(tiny_char_config(), seed=4)
 
         model, fresh = build(), build()
         examples = make_gradcheck_examples(model, count=4, seed=4)
@@ -396,13 +424,25 @@ def _array_refs(cache) -> list:
     return [weakref.ref(part) for part in parts if isinstance(part, np.ndarray)]
 
 
+def _leaf_caches(layers, caches) -> list:
+    """(layer, cache) for each layer of a walk, inside Branches too, in forward order."""
+    pairs = []
+    for (_, layer), cache in zip(layers, caches):
+        if isinstance(layer, Branches):
+            for branch, branch_caches in zip(layer.branches, cache[0]):
+                pairs += _leaf_caches(branch, branch_caches)
+        else:
+            pairs.append((layer, cache))
+    return pairs
+
+
 class TestTrainingCaches:
     """A training forward keeps the least its backward reads, and the
     backward drops each layer's cache as soon as that layer is done."""
 
     @pytest.mark.parametrize("kind", ["word", "char"])
     def test_each_cache_dies_once_its_backward_has_run(self, kind):
-        model = build_word_cnn(tiny_word_config(), seed=11) if kind == "word" else build_char_cnn(tiny_char_config(), seed=11)
+        model = build_word_cnn(tiny_word_config(), seed=11) if kind == "word" else CharCnn(tiny_char_config(), seed=11)
         examples = make_gradcheck_examples(model, count=3, seed=11)
         indices = np.stack([e.indices for e in examples])
         conv_outputs = []
@@ -418,28 +458,32 @@ class TestTrainingCaches:
 
             conv.forward = recorded
 
-        walks = model.branches if kind == "word" else [model.seq]
+        # the walks that start with a conv: the word model's three branches, the char model's seq
+        walks = model.seq[0][1].branches if kind == "word" else [model.seq]
         for walk in walks:
             record(walk[0][1])
         ctx = PassContext(training=True, rngs=[np.random.default_rng([11, j]) for j in range(3)])
         logits, caches = model.forward_logits(indices, ctx)
         assert conv_outputs and all(conv_outputs)  # a view of the GEMM output, never a copy
 
-        cache_lists = [*caches[1], caches[3]] if kind == "word" else [caches[1]]
-        layer_lists = [*walks, model.head] if kind == "word" else walks
-        masks = [cache.dtype for layers, cache_list in zip(layer_lists, cache_lists)
-                 for (_, layer), cache in zip(layers, cache_list) if isinstance(layer, ReLU)]
-        offsets = [cache[0].dtype for layers, cache_list in zip(layer_lists, cache_lists)
-                   for (_, layer), cache in zip(layers, cache_list) if isinstance(layer, MaxPool1d)]
+        layers = [("embedding", model.embedding), *model.seq]
+        masks = [cache.dtype for layer, cache in _leaf_caches(layers, caches) if isinstance(layer, ReLU)]
+        offsets = [cache[0].dtype for layer, cache in _leaf_caches(layers, caches) if isinstance(layer, MaxPool1d)]
         assert masks and set(masks) == {np.dtype(bool)}
         assert offsets and set(offsets) == {np.dtype(np.uint8)}
 
         # each walk's first layer is a conv: when its backward starts, every
         # later layer of the walk (and, for the word model, the head) is done
-        head_refs = [ref for cache in caches[3] for ref in _array_refs(cache)] if kind == "word" else []
+        if kind == "word":
+            branch_caches = caches[1][0]
+            head_refs = [ref for cache in caches[2:] for ref in _array_refs(cache)]
+            laters = [head_refs + [ref for cache in cache_list[1:] for ref in _array_refs(cache)]
+                      for cache_list in branch_caches]
+        else:
+            branch_caches = []
+            laters = [[ref for cache in caches[2:] for ref in _array_refs(cache)]]
         alive = []
-        for walk, cache_list in zip(walks, cache_lists):
-            later = head_refs + [ref for cache in cache_list[1:] for ref in _array_refs(cache)]
+        for walk, later in zip(walks, laters):
             assert later
             conv = walk[0][1]
 
@@ -450,7 +494,7 @@ class TestTrainingCaches:
             conv.backward = checked
         model.backward_from_logits(caches, np.ones_like(logits))
         assert alive == [0] * len(walks)
-        assert all(cache_list == [] for cache_list in cache_lists)
+        assert caches == [] and all(cache_list == [] for cache_list in branch_caches)
 
     @pytest.mark.parametrize("kind, limit_mib", [("word", 30), ("char", 120)])
     def test_full_scale_training_step_activation_peak(self, kind, limit_mib):
@@ -460,7 +504,7 @@ class TestTrainingCaches:
         if kind == "word":
             model, size = build_word_cnn(WordCnnConfig(vocab_size=20000), seed=12), 20000
         else:
-            model, size = build_char_cnn(CharCnnConfig(alphabet_size=70), seed=12), 70
+            model, size = CharCnn(CharCnnConfig(alphabet_size=70), seed=12), 70
         optimizer = Adam(model.parameters())
         gen = np.random.default_rng(12)
         examples = [EncodedExample(gen.integers(1, size, size=model.config.length, dtype=np.int64), int(gen.integers(0, 4)))
@@ -490,12 +534,12 @@ class TestBuildDeterminism:
         assert any((pa.value != pb.value).any() for pa, pb in zip(a.parameters(), b.parameters()))
 
     def test_pad_row_zero_at_init(self):
-        for model in (build_word_cnn(tiny_word_config(), seed=0), build_char_cnn(tiny_char_config(), seed=0)):
+        for model in (build_word_cnn(tiny_word_config(), seed=0), CharCnn(tiny_char_config(), seed=0)):
             embed = next(p for p in model.parameters() if p.name == "embedding")
             assert (embed.value[0] == 0.0).all()
 
     def test_embedding_init_range(self):
-        for model in (build_word_cnn(tiny_word_config(), seed=7), build_char_cnn(tiny_char_config(), seed=7)):
+        for model in (build_word_cnn(tiny_word_config(), seed=7), CharCnn(tiny_char_config(), seed=7)):
             body = next(p for p in model.parameters() if p.name == "embedding").value[1:]
             assert (body > -0.25).all() and (body < 0.25).all()
             assert np.abs(body).max() > 0.01  # actually random, not zeros
@@ -520,7 +564,7 @@ class TestBuildDeterminism:
             convs=(ConvSpec(6, 7, 2), ConvSpec(6, 3), ConvSpec(6, 3), ConvSpec(6, 3, 2)),
             hidden=(16, 16), one_hot=True,
         )
-        model = build_char_cnn(config, seed=0)
+        model = CharCnn(config, seed=0)
         embed = next(p for p in model.parameters() if p.name == "embedding")
         assert embed.frozen
         want = np.eye(8)
@@ -537,7 +581,7 @@ class TestFrozenEmbedding:
     def test_one_hot_table_takes_no_gradient(self, tmp_path):
         config = CharCnnConfig(alphabet_size=8, embed_dim=8, length=32,
                                convs=tiny_char_config().convs, hidden=(16, 16), one_hot=True)
-        model = build_char_cnn(config, seed=5)
+        model = CharCnn(config, seed=5)
         embed = model.embedding.param
         adam = Adam(model.parameters(), lr=0.01)
         examples = make_gradcheck_examples(model, count=4, seed=5)
@@ -595,7 +639,7 @@ class TestCheckpoints:
         assert first.read_bytes() == second.read_bytes()
 
     def test_char_model_round_trip(self, tmp_path):
-        model = build_char_cnn(tiny_char_config(), seed=2)
+        model = CharCnn(tiny_char_config(), seed=2)
         path = tmp_path / "char.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
@@ -657,7 +701,7 @@ class TestCheckpoints:
         else:
             alphabet = build_char_alphabet(records)
             encoder = CharEncoder(alphabet, 32)
-            model = build_char_cnn(replace(tiny_char_config(), alphabet_size=alphabet.size), seed=12)
+            model = CharCnn(replace(tiny_char_config(), alphabet_size=alphabet.size), seed=12)
         # Multiples of 1/8 keep every probe sum exact, so the stored logits do
         # not depend on the order in which the BLAS build adds.
         for p in model.parameters():
@@ -691,9 +735,9 @@ class TestCheckpoints:
     def _sealed(self, body: bytes) -> bytes:
         return body + hashlib.sha256(body).digest()
 
-    @pytest.mark.parametrize("build", [build_word_cnn, build_char_cnn])
+    @pytest.mark.parametrize("build", [WordCnn, CharCnn], ids=["build_word_cnn", "build_char_cnn"])
     def test_loaded_parameters_are_aligned_views_of_one_buffer(self, tmp_path, build):
-        model = build(tiny_word_config() if build is build_word_cnn else tiny_char_config(), seed=3)
+        model = build(tiny_word_config() if build is WordCnn else tiny_char_config(), seed=3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         params = load_checkpoint(path).model.parameters()
@@ -754,9 +798,9 @@ class TestCheckpoints:
         err = capsys.readouterr().err
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
 
-    @pytest.mark.parametrize("build", [build_word_cnn, build_char_cnn])
+    @pytest.mark.parametrize("build", [WordCnn, CharCnn], ids=["build_word_cnn", "build_char_cnn"])
     def test_adam_step_on_loaded_model_saves_like_the_original(self, tmp_path, build):
-        model = build(tiny_word_config() if build is build_word_cnn else tiny_char_config(), seed=8)
+        model = build(tiny_word_config() if build is WordCnn else tiny_char_config(), seed=8)
         save_checkpoint(model, tmp_path / "start.ckpt")
         loaded = load_checkpoint(tmp_path / "start.ckpt").model
         examples = make_gradcheck_examples(model, count=3, seed=9)
@@ -769,15 +813,15 @@ class TestCheckpoints:
         assert (tmp_path / "loaded.ckpt").read_bytes() != (tmp_path / "start.ckpt").read_bytes()
 
     def test_loaded_model_has_zero_grads(self, tmp_path):
-        model = build_char_cnn(tiny_char_config(), seed=2)
+        model = CharCnn(tiny_char_config(), seed=2)
         path = tmp_path / "char.ckpt"
         save_checkpoint(model, path)
         for p in load_checkpoint(path).model.parameters():
             assert p.grad.shape == p.value.shape and not p.grad.any()
 
-    @pytest.mark.parametrize("build", [build_word_cnn, build_char_cnn])
+    @pytest.mark.parametrize("build", [WordCnn, CharCnn], ids=["build_word_cnn", "build_char_cnn"])
     def test_load_draws_no_init(self, tmp_path, monkeypatch, build):
-        model = build(tiny_word_config() if build is build_word_cnn else tiny_char_config(), seed=3)
+        model = build(tiny_word_config() if build is WordCnn else tiny_char_config(), seed=3)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         paths = []
@@ -815,6 +859,33 @@ class TestCheckpoints:
         body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : -32]
         path.write_bytes(body + hashlib.sha256(body).digest())
         with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+        code = cli.main(["eval", "--checkpoint", str(path), "--test", str(tmp_path / "t.jsonl"),
+                         "--report", str(tmp_path / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error:") and err.count("\n") == 1
+
+    def test_probe_count_true_is_not_a_count(self, tmp_path, capsys):
+        # JSON true parses to a Python bool, which isinstance(..., int) accepts
+        model, path = self._model_and_path(tmp_path)
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        header_len = struct.unpack_from("<Q", data, 8)[0]
+        header = json.loads(data[16 : 16 + header_len])
+        probe_at = len(data) - 32 - header["probe"]["count"] * (model.config.length + model.config.classes) * 8
+        probe_in = data[probe_at : probe_at + model.config.length * 8]
+        logits = model.forward_logits(np.frombuffer(probe_in, dtype="<i8")[None], INFER)[0]
+        first_probe = probe_in + logits.astype("<f8").tobytes()  # a one-row forward, as the load runs it
+
+        def forged(count):
+            raw = json.dumps({**header, "probe": {**header["probe"], "count": count}}).encode("utf-8")
+            body = data[:8] + struct.pack("<Q", len(raw)) + raw + data[16 + header_len : probe_at] + first_probe
+            path.write_bytes(self._sealed(body))
+
+        forged(1)
+        load_checkpoint(path)  # the same one-probe file with an integer count loads
+        forged(True)
+        with pytest.raises(CheckpointError, match="bad probe block description"):
             load_checkpoint(path)
         code = cli.main(["eval", "--checkpoint", str(path), "--test", str(tmp_path / "t.jsonl"),
                          "--report", str(tmp_path / "r.json")])
@@ -864,7 +935,7 @@ class TestCheckpoints:
         ids=["missing_key", "extra_key", "config_list"],
     )
     def test_config_keys_must_be_the_config_fields(self, tmp_path, capsys, kind, forge):
-        model = build_word_cnn(tiny_word_config(), seed=0) if kind == "word" else build_char_cnn(tiny_char_config(), seed=0)
+        model = build_word_cnn(tiny_word_config(), seed=0) if kind == "word" else CharCnn(tiny_char_config(), seed=0)
         path = tmp_path / "model.ckpt"
         save_checkpoint(model, path)
         load_checkpoint(path)  # the honest checkpoint loads
@@ -902,7 +973,7 @@ class TestCheckpoints:
             save_checkpoint(build_word_cnn(tiny_word_config(), seed=0), path, encoder=encoder)
         else:
             encoder = CharEncoder(Vocabulary([chr(0x61 + i) for i in range(2, 8)], [1] * 6), 32)
-            save_checkpoint(build_char_cnn(tiny_char_config(), seed=0), path, encoder=encoder)
+            save_checkpoint(CharCnn(tiny_char_config(), seed=0), path, encoder=encoder)
         load_checkpoint(path)  # the honest checkpoint loads
         data = path.read_bytes()
         header_len = struct.unpack_from("<Q", data, 8)[0]

@@ -16,7 +16,7 @@ import pytest
 
 from quadcode.errors import QuadcodeError
 from quadcode.tensor_nn import ops
-from quadcode.tensor_nn.layers import EVAL, Dense, Embedding, Parameter, ReLU, glorot_uniform
+from quadcode.tensor_nn.layers import Dense, Embedding, Parameter, PassContext, ReLU, glorot_uniform
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 EPS = 1e-6
@@ -734,7 +734,7 @@ class TestGradientWrite:
     def test_dense_backward_allocates_no_weight_sized_array(self):
         gen = np.random.default_rng(12)
         layer = Dense(4096, 512, gen, "fc")
-        _, cache = layer.forward(gen.normal(size=(4, 4096)), EVAL)
+        _, cache = layer.forward(gen.normal(size=(4, 4096)), PassContext())
         grad_y = gen.normal(size=(4, 512))
         tracemalloc.start()
         try:
@@ -761,7 +761,7 @@ class TestEmbeddingGradient:
             want = np.zeros((rows, 6))
             ops.embedding_backward(indices, grad_y, want)
             want[0] = 0.0
-            layer.backward(layer.forward(indices, EVAL)[1], grad_y)
+            layer.backward(layer.forward(indices, PassContext())[1], grad_y)
             assert layer.param.grad.tobytes() == want.tobytes()
             opt.step()
             indices[...] = 1  # the caller may reuse its index array
@@ -771,7 +771,7 @@ class TestEmbeddingGradient:
     def test_frozen_table_writes_nothing(self):
         layer = Embedding(np.ones((5, 2)), trainable=False)
         indices = np.array([[1, 2, 2]])
-        layer.backward(layer.forward(indices, EVAL)[1], np.ones((1, 2, 3)))
+        layer.backward(layer.forward(indices, PassContext())[1], np.ones((1, 2, 3)))
         assert layer.param.grad.tobytes() == np.zeros((5, 2)).tobytes()
 
 
@@ -783,8 +783,8 @@ def _dead_unit_gradients() -> list[np.ndarray]:
     dense, relu = Dense(3, 2, gen, "fc"), ReLU()
     dense.w.value[1] = -1.0
     dense.b.value[1] = -1.0
-    y, cache = dense.forward(np.abs(gen.normal(size=(4, 3))), EVAL)
-    h, relu_cache = relu.forward(y, EVAL)
+    y, cache = dense.forward(np.abs(gen.normal(size=(4, 3))), PassContext())
+    h, relu_cache = relu.forward(y, PassContext())
     grad = relu.backward(relu_cache, -np.abs(gen.normal(size=h.shape)))
     assert (grad[:, 1] == 0.0).all() and np.signbit(grad[:, 1]).all()
     dense.backward(cache, grad)

@@ -14,8 +14,8 @@ from hypothesis import strategies as st
 
 from quadcode.corpus import SentenceRecord
 from quadcode.models import (
+    CharCnn,
     CheckpointError,
-    build_char_cnn,
     build_word_cnn,
     load_checkpoint,
     save_checkpoint,
@@ -52,7 +52,7 @@ def _saved(path, kind: str, vocab: Vocabulary) -> Path:
         model, encoder = build_word_cnn(config, seed=0), WordEncoder(vocab, config.length)
     else:
         config = replace(tiny_char_config(), alphabet_size=vocab.size)
-        model, encoder = build_char_cnn(config, seed=0), CharEncoder(vocab, config.length)
+        model, encoder = CharCnn(config, seed=0), CharEncoder(vocab, config.length)
     save_checkpoint(model, path, encoder=encoder)
     return path
 
