@@ -23,10 +23,11 @@ import numpy as np
 from . import config as config_mod
 from . import experiments
 from .corpus import (
+    SentenceRecord,
     class_histogram,
     read_alignments,
     read_jsonl,
-    record_to_obj,
+    record_line,
     stratified_split,
     transfer_labels,
     write_json_lines,
@@ -225,6 +226,16 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _prediction_line(record: SentenceRecord, class_index: int, probs: np.ndarray) -> str:
+    """record's line plus its "predicted" class and "probs", each probability
+    written by float.__repr__ as the JSON encoder writes a float. The
+    probabilities have passed the softmax's finiteness trap, so none is NaN
+    or infinite and none needs the encoder's "NaN"/"Infinity" spelling."""
+    probs_text = ",".join(map(float.__repr__, probs.tolist()))
+    predicted = json.encoder.encode_basestring(CLASSES[class_index].value)
+    return record_line(record, f',"predicted":{predicted},"probs":[{probs_text}]')
+
+
 def _cmd_predict(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
     encoder = _require_encoder(loaded)
@@ -234,11 +245,7 @@ def _cmd_predict(args) -> int:
         for start in range(0, len(records), DEFAULT_BATCH_SIZE):
             chunk = records[start : start + DEFAULT_BATCH_SIZE]
             classes, probs = predict(loaded.model, np.stack([encoder.encode(r.text) for r in chunk]))
-            for record, class_index, row in zip(chunk, classes, probs):
-                obj = record_to_obj(record)
-                obj["predicted"] = CLASSES[class_index].value
-                obj["probs"] = [float(p) for p in row]
-                yield obj
+            yield from map(_prediction_line, chunk, classes, probs)
 
     write_json_lines(annotated(), args.out)
     print(f"{len(records)} records annotated")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -128,33 +129,49 @@ def record_from_obj(obj: dict, where: str, quad_map: QuadClassMap | None = None)
     return SentenceRecord(id_, lang, text, label, cameo, source)
 
 
-def record_to_obj(record: SentenceRecord) -> dict:
-    """Canonical JSON object: fixed key order, optional keys omitted."""
-    obj: dict = {"id": record.id, "lang": record.lang, "text": record.text}
-    if record.label is not None:
-        obj["label"] = record.label.value
-    if record.cameo is not None:
-        obj["cameo"] = record.cameo.digits
-    if record.source is not None:
-        obj["source"] = record.source
-    return obj
-
-
-# One encoder for every JSONL line; json.dumps would build one per call.
+# One encoder for the cold JSONL lines (alignments, history); json.dumps would
+# build one per call.
 JSONL_ENCODER = json.JSONEncoder(ensure_ascii=False, separators=(",", ":"))
+# The C function that encoder applies to every string. record_line quotes with
+# it, so a sentence record's line needs no dict and no encoder.
+_quote = json.encoder.encode_basestring
 
-# Its twin for reading: json.loads would go through the decode wrapper and its
-# keyword checks on every line.
+# The encoder's twin for reading: json.loads would go through the decode
+# wrapper and its keyword checks on every line.
 _JSONL_DECODER = json.JSONDecoder()
 _JSON_WHITESPACE = " \t\n\r"
 _BOM_MESSAGE = "Unexpected UTF-8 BOM (decode using utf-8-sig)"
+_LONE_SURROGATE = "a string holds a lone surrogate escape, which UTF-8 cannot encode"
+_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _holds_lone_surrogate(value: object) -> bool:
+    """Whether any string in a decoded value, key or element, holds a surrogate.
+
+    The decoder joins an escaped pair such as \\ud83d\\ude00 into one
+    character, so a surrogate left over is a lone one, which UTF-8 cannot encode.
+    """
+    stack = [value]
+    while stack:
+        value = stack.pop()
+        if type(value) is str:
+            if _SURROGATE.search(value):
+                return True
+        elif type(value) is list:
+            stack.extend(value)
+        elif type(value) is dict:
+            stack.extend(value)
+            stack.extend(value.values())
+    return False
 
 
 def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
     """("<path>: line N", parsed value) for each non-blank line of a JSONL file.
 
     Each line decodes exactly as json.loads would decode it: the same value,
-    or the same error message.
+    or the same error message. The one exception is a string holding a lone
+    surrogate escape such as "\\udfff": json.loads accepts it, but no
+    UTF-8 file can hold it, so it is an error here, before any output opens.
     """
     decode = _JSONL_DECODER.raw_decode
     skip_whitespace = json.decoder.WHITESPACE.match
@@ -176,6 +193,8 @@ def json_lines(path: str | Path) -> Iterator[tuple[str, object]]:
                     raise CorpusError(f"{where}: invalid JSON: nested too deeply") from None
                 except ValueError:  # an integer past Python's digit limit
                     raise CorpusError(f"{where}: invalid JSON: integer too long") from None
+                if "\\u" in line and _holds_lone_surrogate(obj):  # only an escape can make one
+                    raise CorpusError(f"{where}: {_LONE_SURROGATE}")
                 yield where, obj
     except UnicodeDecodeError:
         # Decoding runs ahead of the line count; read_text names the bad line.
@@ -200,14 +219,37 @@ def read_jsonl(path: str | Path, quad_map: QuadClassMap | None = None) -> list[S
     return records
 
 
-def write_json_lines(objs: Iterable[object], path: str | Path) -> None:
-    """Every JSONL file's writer: one compact raw-UTF-8 JSON value per line."""
+def record_line(record: SentenceRecord, tail: str = "") -> str:
+    """The record's canonical JSONL line: fixed key order, optional keys
+    omitted, the same bytes JSONL_ENCODER writes for the record's object.
+
+    tail holds further members, already encoded and each starting with ",",
+    written just before the closing brace.
+    """
+    line = f'{{"id":{_quote(record.id)},"lang":{_quote(record.lang)},"text":{_quote(record.text)}'
+    if record.label is not None:
+        line += f',"label":{_quote(record.label.value)}'
+    if record.cameo is not None:
+        line += f',"cameo":{_quote(record.cameo.digits)}'
+    if record.source is not None:
+        line += f',"source":{_quote(record.source)}'
+    return f"{line}{tail}}}\n"
+
+
+def json_line(obj: object) -> str:
+    """One compact raw-UTF-8 JSON value and its newline."""
+    return JSONL_ENCODER.encode(obj) + "\n"
+
+
+def write_json_lines(lines: Iterable[str], path: str | Path) -> None:
+    """Every JSONL file's writer, for lines already formatted (record_line,
+    json_line), each ending in its newline."""
     with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(JSONL_ENCODER.encode(obj) + "\n" for obj in objs)
+        handle.writelines(lines)
 
 
 def write_jsonl(records: Iterable[SentenceRecord], path: str | Path) -> None:
-    write_json_lines(map(record_to_obj, records), path)
+    write_json_lines(map(record_line, records), path)
 
 
 def read_alignments(path: str | Path) -> list[AlignmentPair]:
@@ -225,7 +267,7 @@ def read_alignments(path: str | Path) -> list[AlignmentPair]:
 
 
 def write_alignments(pairs: Iterable[AlignmentPair], path: str | Path) -> None:
-    write_json_lines(({"src_id": pair.src_id, "tgt_id": pair.tgt_id} for pair in pairs), path)
+    write_json_lines((json_line({"src_id": pair.src_id, "tgt_id": pair.tgt_id}) for pair in pairs), path)
 
 
 @dataclass

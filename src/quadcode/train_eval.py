@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from . import rng
-from .corpus import json_lines, write_json_lines
+from .corpus import json_line, json_lines, write_json_lines
 from .errors import InputError, QuadcodeError
 from .models import Model, batch_loss, predict
 from .ontology import CLASSES
@@ -221,7 +221,7 @@ def train(
 def write_history(history: Sequence[EpochStats], path: str | Path) -> None:
     """JSONL, one epoch per line with fixed key order."""
     rows = ({"epoch": h.epoch, "train_loss": h.train_loss, "dev_accuracy": h.dev_accuracy} for h in history)
-    write_json_lines(rows, path)
+    write_json_lines(map(json_line, rows), path)
 
 
 def read_history(path: str | Path) -> list[EpochStats]:

@@ -23,9 +23,9 @@ from quadcode.config import (
 )
 from quadcode.corpus import AlignmentPair, read_jsonl, write_alignments, write_jsonl
 from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture
-from quadcode.models import CharCnnConfig, ConvSpec, WordCnnConfig
-from quadcode.ontology import default_quad_map, dumps_quad_map
-from quadcode.train_eval import TrainConfig
+from quadcode.models import CharCnnConfig, ConvSpec, WordCnnConfig, load_checkpoint, predict
+from quadcode.ontology import CLASSES, default_quad_map, dumps_quad_map, parse_cameo_code
+from quadcode.train_eval import DEFAULT_BATCH_SIZE, TrainConfig
 
 
 class TestSettings:
@@ -411,6 +411,31 @@ class TestPredictCommand:
             }
             assert len(obj["probs"]) == 4
             assert abs(sum(obj["probs"]) - 1.0) < 1e-9
+
+    def test_lines_byte_for_byte(self, trained, tmp_path, capsys):
+        """Each line is json.dumps of the record's fields, "predicted" and "probs",
+        compact and raw UTF-8, with the probabilities models.predict gives on
+        the same checkpoint."""
+        _, ckpt, dev_path = trained
+        records = read_jsonl(dev_path)
+        records[0] = replace(records[0], text='said "no" \\ to\x01 قصف\u2028 😀\x7f', source="wire\t1")
+        records[1] = replace(records[1], label=None, cameo=parse_cameo_code("190"))
+        infile, out = tmp_path / "in.jsonl", tmp_path / "pred.jsonl"
+        write_jsonl(records, infile)
+        assert main(["predict", "--checkpoint", str(ckpt), "--in", str(infile), "--out", str(out)]) == 0
+        loaded = load_checkpoint(ckpt)
+        expected = []
+        for start in range(0, len(records), DEFAULT_BATCH_SIZE):
+            chunk = records[start : start + DEFAULT_BATCH_SIZE]
+            classes, probs = predict(loaded.model, np.stack([loaded.encoder.encode(r.text) for r in chunk]))
+            for r, c, row in zip(chunk, classes, probs):
+                obj = {"id": r.id, "lang": r.lang, "text": r.text}
+                optional = {"label": r.label and r.label.value, "cameo": r.cameo and r.cameo.digits, "source": r.source}
+                obj.update((key, value) for key, value in optional.items() if value is not None)
+                obj["predicted"] = CLASSES[c].value
+                obj["probs"] = [float(p) for p in row]
+                expected.append(json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n")
+        assert out.read_bytes() == "".join(expected).encode("utf-8")
 
     def test_checkpoint_probe_guard(self, trained, tmp_path, capsys):
         _, ckpt, dev_path = trained

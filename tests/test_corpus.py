@@ -17,6 +17,7 @@ from quadcode.corpus import (
     read_alignments,
     read_jsonl,
     record_from_obj,
+    record_line,
     stratified_split,
     transfer_labels,
     write_alignments,
@@ -24,6 +25,8 @@ from quadcode.corpus import (
 )
 from quadcode.errors import InputError
 from quadcode.ontology import CLASSES, QuadClass, parse_cameo_code
+
+LONE_SURROGATE = "a string holds a lone surrogate escape, which UTF-8 cannot encode"
 
 # --- oracle -----------------------------------------------------------------
 # Dict-free restatement of the transfer rule: walk pairs in order, remember
@@ -188,7 +191,8 @@ def json_line_texts(draw):
             lambda v: st.sampled_from([json.dumps(v), json.dumps(v, ensure_ascii=False, separators=(",", ":"))])
         ),
         st.sampled_from(["NaN", "-NaN", "Infinity", "-Infinity", "nan", "inf", "1e400", "-0", "01", "1.", ".5", "tru",
-                         '"\\ud800"', '"open', '{"a":1,}', "[1,]", "{'a':1}", '{"a"}', "[]]", "", "\x00"]),
+                         '"\\ud800"', '{"\\udc00":["\\ud83d\\ude00"]}', '["a\\ud83d"]', '"\\\\ud800"',
+                         '"open', '{"a":1,}', "[1,]", "{'a':1}", '{"a"}', "[]]", "", "\x00"]),
         st.integers(4290, 4310).map(lambda n: "7" * n) | st.integers(4290, 4310).map(lambda n: "-" + "7" * n),
         st.sampled_from([10, 100_000]).flatmap(
             lambda depth: st.sampled_from(["[" * depth + "]" * depth, '{"a":' * depth + "1" + "}" * depth])
@@ -198,6 +202,14 @@ def json_line_texts(draw):
     lead = draw(st.sampled_from(["", "\ufeff"])) + draw(JSON_SPACE) + draw(OTHER_SPACE)
     trail = draw(JSON_SPACE) + draw(st.sampled_from(["", "x", "1", "]", "{}", " 2", "\ufeff"])) + draw(OTHER_SPACE)
     return lead + core + trail + draw(st.sampled_from(["\n", ""]))
+
+
+def holds_lone_surrogate(value) -> bool:
+    try:
+        json.dumps(value, ensure_ascii=False).encode("utf-8")
+    except UnicodeEncodeError:
+        return True
+    return False
 
 
 def loads_outcome(text):
@@ -227,10 +239,34 @@ class TestJsonLinesParity:
             outcome = "ok", got[0][1]
             assert got == [(f"{path}: line 1", got[0][1])]
         except CorpusError as exc:
-            prefix = f"{path}: line 1: invalid JSON: "
-            assert str(exc).startswith(prefix)
-            outcome = "error", str(exc)[len(prefix):]
-        assert outcome == loads_outcome(text)
+            if str(exc) == f"{path}: line 1: {LONE_SURROGATE}":
+                outcome = "lone surrogate"
+            else:
+                prefix = f"{path}: line 1: invalid JSON: "
+                assert str(exc).startswith(prefix)
+                outcome = "error", str(exc)[len(prefix):]
+        expected = loads_outcome(text)
+        if expected[0] == "ok" and holds_lone_surrogate(json.loads(text)):
+            expected = "lone surrogate"  # the one departure from json.loads
+        assert outcome == expected
+
+    @pytest.mark.parametrize("line", [
+        '"\\udfff"', '"\\ud800\\ud800"', '"\\ude00\\ud83d"', '{"a":[1,{"b":"x\\ud83d"}]}', '{"\\udc00":1}',
+    ])
+    def test_lone_surrogate_rejected(self, tmp_path, line):
+        path = tmp_path / "s.jsonl"
+        path.write_text("[]\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: {LONE_SURROGATE}$"):
+            list(json_lines(path))
+        assert holds_lone_surrogate(json.loads(line))
+
+    @pytest.mark.parametrize("line, value", [
+        ('"\\ud83d\\ude00"', "\U0001f600"), ('"\\\\ud800"', "\\ud800"), ('"\\u00e9\\u0000"', "\xe9\x00"),
+    ])
+    def test_escaped_pairs_and_plain_escapes_read(self, tmp_path, line, value):
+        path = tmp_path / "p.jsonl"
+        path.write_text(line + "\n", encoding="utf-8")
+        assert [v for _, v in json_lines(path)] == [value] == [json.loads(line)]
 
     @pytest.mark.parametrize("line, message", [
         ('\ufeff{"a":1}', "Unexpected UTF-8 BOM (decode using utf-8-sig)"),
@@ -265,6 +301,54 @@ class TestJsonLinesParity:
         except CorpusError:
             yielded = None
         assert (yielded == []) == (not text.strip())
+
+
+# --- record_line against json.dumps --------------------------------------------
+# Every escape JSON knows, the characters a careless escaper mishandles
+# (U+2028/U+2029, DEL, non-BMP), and str subclasses, which the encoder writes
+# as plain strings.
+
+
+class Tagged(str):
+    pass
+
+
+ESCAPED = ['"', "\\", "/", "\x7f", "\u2028", "\u2029", "\U0001f600", "ب", *map(chr, range(32))]
+FIELD_TEXT = st.text(st.sampled_from(ESCAPED) | st.characters(blacklist_categories=("Cs",)), max_size=12)
+FIELDS = FIELD_TEXT | FIELD_TEXT.map(Tagged)
+CAMEO_CODES = ["01", "040", "057", "0874", "111", "190", "1831"]
+
+
+@st.composite
+def sentence_records(draw):
+    cameo = draw(st.none() | st.sampled_from(CAMEO_CODES))
+    return SentenceRecord(
+        draw(FIELDS), draw(FIELDS), draw(FIELDS), draw(st.none() | st.sampled_from(CLASSES)),
+        None if cameo is None else parse_cameo_code(cameo), draw(st.none() | FIELDS),
+    )
+
+
+def dumps_line(record: SentenceRecord) -> str:
+    obj = {"id": record.id, "lang": record.lang, "text": record.text}
+    if record.label is not None:
+        obj["label"] = record.label.value
+    if record.cameo is not None:
+        obj["cameo"] = record.cameo.digits
+    if record.source is not None:
+        obj["source"] = record.source
+    return json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n"
+
+
+class TestRecordLineParity:
+    @given(st.lists(sentence_records(), max_size=4))
+    @settings(max_examples=150, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_lines_equal_json_dumps(self, tmp_path, records):
+        lines = [dumps_line(r) for r in records]
+        assert [record_line(r) for r in records] == lines
+        path = tmp_path / "r.jsonl"
+        write_jsonl(records, path)
+        assert path.read_bytes() == "".join(lines).encode("utf-8")
 
 
 class TestJsonlRoundTrip:

@@ -15,6 +15,7 @@ must exit 0 or 2 and never raise.
 import copy
 import hashlib
 import json
+import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -317,6 +318,59 @@ def test_overlong_integer_in_checkpoint_header_exits_2(tmp_path, capsys):
     code = main(["predict", "--checkpoint", str(path), "--in", str(infile), "--out", str(tmp_path / "out.jsonl")])
     err = capsys.readouterr().err
     assert code == 2 and err.startswith(f"error: {path}: unreadable header: ") and err.count("\n") == 1
+
+
+# --- lone surrogate escapes ---------------------------------------------------
+# json.loads accepts "\udfff", but no UTF-8 file can hold the string it makes.
+# Such a line is rejected as it is read, before any output file is opened.
+
+RECORD = {"id": "b", "lang": "en", "text": "troops attacked the town", "label": "material_conflict",
+          "cameo": "190", "source": "wire"}
+
+
+@pytest.mark.parametrize("key", RECORD)
+def test_lone_surrogate_in_a_record_field_is_a_line_error(tmp_path, key):
+    path = tmp_path / "in.jsonl"
+    bad = json.dumps({**RECORD, key: RECORD[key] + "\udfff"})  # ensure_ascii writes the escape
+    path.write_text(json.dumps(RECORD) + "\n" + bad + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 2: .*lone surrogate"):
+        read_jsonl(path)
+
+
+@pytest.mark.parametrize("key", ["src_id", "tgt_id"])
+def test_lone_surrogate_in_an_alignment_id_is_a_line_error(tmp_path, key):
+    path = tmp_path / "align.jsonl"
+    path.write_text(json.dumps({"src_id": "a", "tgt_id": "t", key: "t\ud800"}) + "\n", encoding="utf-8")
+    with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 1: .*lone surrogate"):
+        read_alignments(path)
+
+
+@pytest.mark.parametrize("command, bad", [
+    ("softlabel", "news"), ("transfer", "tgt"), ("transfer", "align"), ("predict", "news"),
+])
+def test_lone_surrogate_through_the_cli_exits_2_before_writing(tmp_path, capsys, command, bad):
+    files = {
+        "news": '{"id":"b","lang":"en","text":"troops attacked the town \\udfff"}',
+        "src": '{"id":"a","lang":"en","text":"police met","label":"verbal_cooperation"}',
+        "tgt": '{"id":"t\\ud800","lang":"ar","text":"التقى"}' if bad == "tgt" else '{"id":"t","lang":"ar","text":"التقى"}',
+        "align": '{"src_id":"a","tgt_id":"t\\ud800"}',
+    }
+    paths = {name: tmp_path / f"{name}.jsonl" for name in files}
+    for name, line in files.items():
+        paths[name].write_text(line + "\n", encoding="utf-8")
+    (tmp_path / "verbs.txt").write_bytes(DICTIONARY_SAMPLE)
+    (tmp_path / "model.ckpt").write_bytes(_checkpoint(tmp_path, "word"))
+    out = tmp_path / "out.jsonl"
+    argv = {
+        "softlabel": ["--dict", str(tmp_path / "verbs.txt"), "--in", str(paths["news"])],
+        "transfer": ["--src", str(paths["src"]), "--tgt", str(paths["tgt"]), "--align", str(paths["align"])],
+        "predict": ["--checkpoint", str(tmp_path / "model.ckpt"), "--in", str(paths["news"])],
+    }[command]
+    code = main([command, *argv, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(rf"error: {re.escape(str(paths[bad]))}: line 1: [^\n]*lone surrogate[^\n]*\n", err)
+    assert not out.exists()
 
 
 def _cli_exits_2(tmp_path, capsys, path) -> list[str]:
