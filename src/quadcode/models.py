@@ -19,7 +19,7 @@ One walk over [("embedding", embedding), *seq] serves both (Model):
 forward_logits takes (N, L) indices and returns (N, 4) logits with a
 cache list holding one entry per layer of the walk, and
 backward_from_logits takes the (N, 4) logit gradient and pops that list
-empty. INFER logits are bit-identical to a PassContext() forward's.
+empty. INFER logits are bit-identical to those of a caching forward.
 Shapes named per layer (shape_trace, the docs above) are those of one
 example, without the batch axis.
 """
@@ -100,6 +100,7 @@ class WordCnnConfig:
             _positive(name, getattr(self, name))
         for kernel in self.kernels:
             _positive("kernel", kernel)
+            word_branch_lengths(self, kernel)
         if self.vocab_size < 2:
             raise InvalidConfigError("vocab_size must cover PAD and UNK (>= 2)")
 
@@ -152,6 +153,7 @@ class CharCnnConfig:
             raise InvalidConfigError("alphabet_size must cover PAD and UNK (>= 2)")
         if self.one_hot and self.embed_dim != self.alphabet_size:
             raise InvalidConfigError(f"one_hot requires embed_dim == alphabet_size ({self.alphabet_size}), got {self.embed_dim}")
+        char_stack_lengths(self)
 
 
 def word_branch_lengths(config: WordCnnConfig, kernel: int) -> tuple[int, int]:
@@ -277,7 +279,6 @@ class CharCnn(Model):
 
     def __init__(self, config: CharCnnConfig, seed: int | None):
         self.config = config
-        char_stack_lengths(config)  # validates before any allocation
         init = None if seed is None else rng.stream(seed, rng.INIT)
         if config.one_hot:
             table = np.eye(config.alphabet_size)
@@ -626,7 +627,10 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     probe_in = take("<i8", (count, length))
     want = take("<f8", (count, config.classes))
-    got = model.forward_logits(probe_in, INFER)[0]
+    try:
+        got = model.forward_logits(probe_in, INFER)[0]
+    except ops.NonFiniteTensorError:
+        raise CheckpointError(f"{path}: restored model computes non-finite values on its probe inputs") from None
     if not np.array_equal(got, want):
         raise CheckpointError(f"{path}: restored model disagrees with stored probe logits")
 

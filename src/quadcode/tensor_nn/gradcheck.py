@@ -3,9 +3,9 @@
 The analytic gradients come from one evaluation-mode backward pass over a
 fixed example batch, through the same batched loss that training uses
 (`batch_loss`); the numeric side perturbs a seeded subsample of each
-parameter's coordinates by +/-epsilon and re-runs the forward. Evaluation
-mode matters: dropout must be the identity so the loss is a deterministic
-function of the parameters.
+parameter's coordinates by +/-epsilon and re-runs the forward. No pass
+carries dropout generators, so dropout is the identity and the loss is a
+deterministic function of the parameters.
 
 Frozen parameters and pinned coordinates (see Parameter.pinned) are
 excluded; everything else is fair game, dead ReLU paths included (there the

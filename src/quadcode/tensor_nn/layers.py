@@ -20,8 +20,8 @@ front of it, which nothing else reads. A cache holds the least its
 backward needs: a conv or dense layer's input, a ReLU's 1-byte y > 0
 mask, a pool's in-window offsets in the narrowest unsigned type. An
 inference forward (INFER: no backward follows) keeps none of them: pools
-track no offsets and dropout draws no mask of ones. Its logits are
-bit-identical to a PassContext() forward's.
+track no offsets. Its logits are bit-identical to a caching forward's.
+Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
 it (zero_grad aside), which lets Embedding re-zero only the rows it wrote.
@@ -72,11 +72,10 @@ class Parameter:
 
 @dataclass(frozen=True)
 class PassContext:
-    """Per-forward switches: training flag, one dropout generator per example,
-    whether a backward will follow (if not, layers keep no caches), and a
-    list that collects (layer name, output shape) when one is given."""
+    """Per-forward switches: one dropout generator per example (None: no
+    dropout), whether a backward will follow (if not, layers keep no caches),
+    and a list that collects (layer name, output shape) when one is given."""
 
-    training: bool = False
     rngs: Sequence[np.random.Generator] | None = None
     backward_follows: bool = True
     trace: list | None = None
@@ -197,13 +196,12 @@ class Dropout:
         self.rate = rate
 
     def forward(self, x: np.ndarray, ctx: PassContext):
-        if not (ctx.training or ctx.backward_follows):
+        if ctx.rngs is None or self.rate == 0.0:
             return x, None
-        y, mask = ops.dropout(x, self.rate, ctx.rngs, ctx.training)
-        return y, mask
+        return ops.dropout(x, self.rate, ctx.rngs)
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
-        return ops.dropout_backward(cache, grad)
+        return grad if cache is None else ops.dropout_backward(cache, grad)
 
 
 class Flatten:
@@ -275,16 +273,20 @@ def batch_loss(
 
     A model is anything with forward_logits(indices, ctx) and
     backward_from_logits(caches, grad); examples carry .indices (one
-    length for the whole batch) and .label. dropout_rngs[j] draws example
-    j's dropout masks. The loss gradient is scaled by 1/n, so the written
-    grads are the mean-loss gradient whatever the batch size.
+    length for the whole batch) and .label. training=True runs dropout,
+    dropout_rngs[j] drawing example j's masks. A loss-only pass keeps no
+    caches. The loss gradient is scaled by 1/n, so the written grads are the
+    mean-loss gradient whatever the batch size.
     """
     if not examples:
         raise QuadcodeError("batch_loss needs at least one example")
+    if training and dropout_rngs is None:
+        raise QuadcodeError("training-mode dropout needs one random generator per example")
     n = len(examples)
     indices = np.stack([example.indices for example in examples])
     labels = np.array([example.label for example in examples], dtype=np.int64)
-    logits, caches = model.forward_logits(indices, PassContext(training=training, rngs=dropout_rngs))
+    ctx = PassContext(rngs=dropout_rngs if training else None, backward_follows=accumulate)
+    logits, caches = model.forward_logits(indices, ctx)
     losses, probs = ops.softmax_cross_entropy(logits, labels)
     if accumulate:
         model.backward_from_logits(caches, ops.softmax_cross_entropy_backward(probs, labels) / n)

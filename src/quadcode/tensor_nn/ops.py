@@ -198,22 +198,16 @@ def relu_backward(mask: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
     return grad_y * mask
 
 
-def dropout(
-    x: np.ndarray, rate: float, gens: Sequence[np.random.Generator] | None, training: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def dropout(x: np.ndarray, rate: float, gens: Sequence[np.random.Generator]) -> tuple[np.ndarray, np.ndarray]:
     """Inverted dropout: keep with prob 1-rate and rescale so E[y] = x.
 
     Row j of the mask is drawn from gens[j] alone, so an example's mask does
     not depend on the batch around it. Returns (y, mask); backward is
-    grad * mask. Identity (mask of ones) when not training or rate is 0,
-    consuming no randomness.
+    grad * mask. Skipping dropout (no generators, or rate 0) is the
+    caller's business: this op always draws a mask.
     """
-    if not 0.0 <= rate < 1.0:
-        raise QuadcodeError(f"dropout rate must be in [0, 1), got {rate}")
-    if not training or rate == 0.0:
-        return x, np.ones_like(x)
-    if gens is None:
-        raise QuadcodeError("training-mode dropout needs one random generator per example")
+    if not 0.0 < rate < 1.0:
+        raise QuadcodeError(f"dropout rate must be in (0, 1), got {rate}")
     _require(len(gens) == x.shape[0], f"dropout got {len(gens)} generators for a batch of {x.shape[0]}")
     mask = (np.stack([gen.random(x.shape[1:]) for gen in gens]) >= rate) / (1.0 - rate)
     return _trap("dropout", x * mask), mask

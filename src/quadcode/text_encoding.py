@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -101,16 +101,6 @@ def _fit(indices: list[int], length: int) -> np.ndarray:
     return out
 
 
-def encode_words(vocab: Vocabulary, tokens: Sequence[str], length: int) -> np.ndarray:
-    """int64[length]: token ids, right-truncated and right-PADded."""
-    return _fit([vocab.index_of(t) for t in tokens], length)
-
-
-def encode_chars(alphabet: Vocabulary, text: str, length: int) -> np.ndarray:
-    """int64[length] over the codepoints of text.lower(), whitespace kept."""
-    return _fit([alphabet.index_of(ch) for ch in text.lower()], length)
-
-
 @dataclass(frozen=True)
 class EncodedExample:
     """A model-ready example: fixed-length id vector plus class index."""
@@ -166,7 +156,8 @@ class WordEncoder:
     length: int
 
     def encode(self, text: str) -> np.ndarray:
-        return encode_words(self.vocab, tokenize(text), self.length)
+        """int64[length]: token ids, right-truncated and right-PADded."""
+        return _fit([self.vocab.index_of(t) for t in tokenize(text)], self.length)
 
 
 @dataclass(frozen=True)
@@ -182,5 +173,6 @@ class CharEncoder:
                 )
 
     def encode(self, text: str) -> np.ndarray:
-        return encode_chars(self.alphabet, text, self.length)
+        """int64[length] over the codepoints of text.lower(), whitespace kept."""
+        return _fit([self.alphabet.index_of(ch) for ch in text.lower()], self.length)
 

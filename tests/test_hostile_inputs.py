@@ -15,6 +15,7 @@ must exit 0 or 2 and never raise.
 import copy
 import hashlib
 import json
+import math
 import re
 import struct
 from dataclasses import replace
@@ -445,6 +446,34 @@ def test_unreadable_format_version_exits_2(tmp_path, capsys, version):
     path.write_bytes(sealed(bytes(blob), _header_bytes(blob)))
     for err in _cli_exits_2(tmp_path, capsys, path):
         assert err == f"error: {path}: checkpoint format version {version}, this build reads versions 1 and 2\n"
+
+
+
+@pytest.mark.parametrize("kind, length, message", [
+    ("word", 4, "bad word config in checkpoint header: branch_k4.pool: output length 0 pooling 1 by 2"),
+    ("char", 6, "bad char config in checkpoint header: conv1: output length 0 < 1 (kernel 7 too wide)"),
+], ids=["word", "char"])
+def test_config_too_short_to_build_names_the_checkpoint(tmp_path, capsys, kind, length, message):
+    blob = _checkpoint(tmp_path, kind)
+    header = json.loads(_header_bytes(blob))
+    header["config"]["length"] = length
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(blob, json.dumps(header).encode()))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: {path}: {message}\n"
+
+
+@pytest.mark.parametrize("kind", ["word", "char"])
+def test_non_finite_weight_exits_2(tmp_path, capsys, kind):
+    blob = bytearray(_checkpoint(tmp_path, kind))
+    header = _header_bytes(blob)
+    params = json.loads(header)["params"]
+    assert params[0]["name"] == "embedding" and params[1]["name"].endswith(".w")  # the first conv weight
+    struct.pack_into("<d", blob, 16 + len(header) + 8 * math.prod(params[0]["shape"]), math.nan)
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(bytes(blob), header))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: {path}: restored model computes non-finite values on its probe inputs\n"
 
 
 # --- the same files through the CLI -----------------------------------------------

@@ -122,12 +122,13 @@ class TestConfigValidation:
         CharCnnConfig(alphabet_size=10, embed_dim=10, one_hot=True)
 
     def test_too_short_input_names_failing_layer(self):
-        config = CharCnnConfig(alphabet_size=10, length=11)
+        # a config no model can be built from is refused when it is made
         with pytest.raises(InvalidConfigError, match=r"^conv2: output length -1 < 1 \(kernel 3 too wide\)$"):
-            char_stack_lengths(config)
-        config = WordCnnConfig(vocab_size=10, length=4)
+            CharCnnConfig(alphabet_size=10, length=11)
         with pytest.raises(InvalidConfigError, match=r"^branch_k5\.conv: output length 0 < 1 for input length 4$"):
-            word_branch_lengths(config, 5)
+            WordCnnConfig(vocab_size=10, length=4, pool=1)
+        with pytest.raises(InvalidConfigError, match=r"^branch_k4\.pool: output length 0 pooling 1 by 2$"):
+            WordCnnConfig(vocab_size=10, length=4)
 
 
 class TestConfigCodec:
@@ -332,7 +333,7 @@ class TestPredict:
             assert indices.tobytes() == given.tobytes()
 
     def test_eval_forward_needs_no_rng(self):
-        # PassContext(training=False) carries no generator; dropout must not ask for one
+        # an inference forward carries no generator; dropout must not ask for one
         model = build_word_cnn(tiny_word_config(), seed=4)
         predict(model, np.ones(16, dtype=np.int64))
 
@@ -387,6 +388,31 @@ class TestBatchLoss:
         for p, total, want in zip(model.parameters(), summed, batched):
             assert np.abs(total / 5 - want).max() <= 1e-12, p.name
         assert abs(whole - singles) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_loss_only_pass_keeps_no_caches(self, kind):
+        model = build_word_cnn(tiny_word_config(), seed=13) if kind == "word" else CharCnn(tiny_char_config(), seed=13)
+        examples = make_gradcheck_examples(model, count=3, seed=13)
+        forward, follows = model.forward_logits, []
+
+        def recorded(indices, ctx):
+            follows.append(ctx.backward_follows)
+            return forward(indices, ctx)
+
+        model.forward_logits = recorded
+        loss_only = batch_loss(model, examples)
+        with_backward = batch_loss(model, examples, accumulate=True)
+        assert follows == [False, True]
+        assert loss_only.hex() == with_backward.hex()
+
+    @pytest.mark.parametrize("rate", [0.0, 0.5])
+    def test_training_needs_generators_whatever_the_rate(self, rate):
+        from quadcode.errors import QuadcodeError
+
+        model = build_word_cnn(replace(tiny_word_config(), dropout=rate), seed=0)
+        examples = make_gradcheck_examples(model, count=2, seed=0)
+        with pytest.raises(QuadcodeError, match="^training-mode dropout needs one random generator per example$"):
+            batch_loss(model, examples, training=True, accumulate=True)
 
     def test_empty_batch_rejected(self):
         from quadcode.errors import QuadcodeError
@@ -462,7 +488,7 @@ class TestTrainingCaches:
         walks = model.seq[0][1].branches if kind == "word" else [model.seq]
         for walk in walks:
             record(walk[0][1])
-        ctx = PassContext(training=True, rngs=[np.random.default_rng([11, j]) for j in range(3)])
+        ctx = PassContext(rngs=[np.random.default_rng([11, j]) for j in range(3)])
         logits, caches = model.forward_logits(indices, ctx)
         assert conv_outputs and all(conv_outputs)  # a view of the GEMM output, never a copy
 

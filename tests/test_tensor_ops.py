@@ -16,7 +16,7 @@ import pytest
 
 from quadcode.errors import QuadcodeError
 from quadcode.tensor_nn import ops
-from quadcode.tensor_nn.layers import Dense, Embedding, Parameter, PassContext, ReLU, glorot_uniform
+from quadcode.tensor_nn.layers import Dense, Dropout, Embedding, Parameter, PassContext, ReLU, glorot_uniform
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 EPS = 1e-6
@@ -208,7 +208,7 @@ class TestBatchedAgainstPerExample:
     def test_dropout_rows_follow_their_own_generators(self, n):
         rate = 0.3
         x = np.random.default_rng(600).normal(size=(n, 2, 5))
-        y, mask = ops.dropout(x, rate, [np.random.default_rng([7, j]) for j in range(n)], training=True)
+        y, mask = ops.dropout(x, rate, [np.random.default_rng([7, j]) for j in range(n)])
         for j in range(n):
             want = (np.random.default_rng([7, j]).random((2, 5)) >= rate) / (1.0 - rate)
             assert (mask[j] == want).all()
@@ -433,27 +433,27 @@ class TestReluDropout:
         )
 
     def test_dropout_off_is_identity(self):
-        x = np.array([[1.0, 2.0, 3.0]])
-        y, mask = ops.dropout(x, 0.5, None, training=False)
-        assert y.tolist() == x.tolist() and mask.tolist() == [[1.0, 1.0, 1.0]]
-        y, mask = ops.dropout(x, 0.0, None, training=True)
-        assert y.tolist() == x.tolist() and mask.tolist() == [[1.0, 1.0, 1.0]]
+        # without generators, or at rate 0, the layer passes input and gradient through untouched
+        x, grad = np.array([[1.0, 2.0, 3.0]]), np.array([[4.0, 5.0, 6.0]])
+        off = ((Dropout(0.5), PassContext()), (Dropout(0.0), PassContext(rngs=[np.random.default_rng(0)])))
+        for layer, ctx in off:
+            y, cache = layer.forward(x, ctx)
+            assert y is x and cache is None
+            assert layer.backward(cache, grad) is grad
 
     def test_dropout_requires_generator_when_active(self):
-        with pytest.raises(QuadcodeError):
-            ops.dropout(np.ones((1, 3)), 0.5, None, training=True)
         with pytest.raises(QuadcodeError):  # one generator per example
-            ops.dropout(np.ones((2, 3)), 0.5, [np.random.default_rng(0)], training=True)
+            ops.dropout(np.ones((2, 3)), 0.5, [np.random.default_rng(0)])
 
     def test_dropout_bad_rate(self):
-        for rate in (-0.1, 1.0, 1.5):
+        for rate in (-0.1, 0.0, 1.0, 1.5):  # rate 0 is the layer's identity, never an op call
             with pytest.raises(QuadcodeError):
-                ops.dropout(np.ones((1, 3)), rate, [np.random.default_rng(0)], training=True)
+                ops.dropout(np.ones((1, 3)), rate, [np.random.default_rng(0)])
 
     def test_dropout_keep_rate_and_mean(self):
         gens = [np.random.default_rng([6, j]) for j in range(4)]
         x = np.ones((4, 25_000))
-        y, mask = ops.dropout(x, 0.5, gens, training=True)
+        y, mask = ops.dropout(x, 0.5, gens)
         kept = (mask > 0).mean()
         assert abs(kept - 0.5) < 0.01
         # inverted scaling keeps the expectation: mean within 2%

@@ -32,8 +32,6 @@ from quadcode.text_encoding import (
     WordEncoder,
     build_char_alphabet,
     build_vocab,
-    encode_chars,
-    encode_words,
     load_embeddings,
 )
 
@@ -152,39 +150,39 @@ class TestCharAlphabet:
 class TestEncode:
     def test_pad_to_length(self):
         vocab = build_vocab(_recs("a b"))
-        out = encode_words(vocab, ["a", "b"], 5)
+        out = WordEncoder(vocab, 5).encode("a b")
         assert out.tolist() == [2, 3, PAD, PAD, PAD]
         assert out.dtype == np.int64
 
     def test_truncate_keeps_prefix(self):
         vocab = build_vocab(_recs("a b c"))
-        out = encode_words(vocab, ["a", "b", "c"], 2)
+        out = WordEncoder(vocab, 2).encode("a b c")
         assert out.tolist() == [2, 3]
 
     def test_unknown_token_maps_to_unk(self):
         vocab = build_vocab(_recs("a"))
-        assert encode_words(vocab, ["mystery"], 2).tolist() == [UNK, PAD]
+        assert WordEncoder(vocab, 2).encode("mystery").tolist() == [UNK, PAD]
 
     def test_empty_tokens_all_pad(self):
         vocab = build_vocab(_recs("a"))
-        assert encode_words(vocab, [], 3).tolist() == [PAD, PAD, PAD]
+        assert WordEncoder(vocab, 3).encode("").tolist() == [PAD, PAD, PAD]
 
     def test_char_encoding_lowercases(self):
         alphabet = build_char_alphabet(_recs("ab"))
-        upper = encode_chars(alphabet, "AB", 4)
-        lower = encode_chars(alphabet, "ab", 4)
+        upper = CharEncoder(alphabet, 4).encode("AB")
+        lower = CharEncoder(alphabet, 4).encode("ab")
         assert upper.tolist() == lower.tolist()
 
     def test_bad_length(self):
         vocab = build_vocab(_recs("a"))
         with pytest.raises(TextEncodingError):
-            encode_words(vocab, ["a"], 0)
+            WordEncoder(vocab, 0).encode("a")
 
     @given(st.text(max_size=40), st.integers(1, 24))
     @settings(max_examples=100, deadline=None)
     def test_char_encode_shape_and_range(self, text, length):
         alphabet = build_char_alphabet(_recs(text) if text else [])
-        out = encode_chars(alphabet, text, length)
+        out = CharEncoder(alphabet, length).encode(text)
         assert out.shape == (length,)
         assert out.dtype == np.int64
         assert ((0 <= out) & (out < alphabet.size)).all()
