@@ -19,7 +19,10 @@ One walk over [("embedding", embedding), *seq] serves both (Model):
 forward_logits takes (N, L) indices and returns (N, 4) logits with a
 cache list holding one entry per layer of the walk, and
 backward_from_logits takes the (N, 4) logit gradient and pops that list
-empty. INFER logits are bit-identical to those of a caching forward.
+empty. An inference forward of the char model over input that ends in PAD
+runs the embedding and the conv stack on the live prefix only and repeats
+their last output column over the PAD tail (Model._live_prefix). INFER
+logits are bit-identical to those of a caching forward.
 Shapes named per layer (shape_trace, the docs above) are those of one
 example, without the batch axis.
 """
@@ -218,6 +221,31 @@ def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
     return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
 
 
+# A GEMM whose column count is a multiple of this computes each column from
+# that column's input alone: OpenBLAS tiles the columns by micro-kernel widths
+# that divide it, and only a last, partial tile runs another kernel, which can
+# round differently.
+_GEMM_TILE = 64
+
+
+def _window(layer) -> tuple[int, int] | None:
+    """(width, stride) of a position-local layer's window over its input, None for any other layer."""
+    if isinstance(layer, Conv1d):
+        return layer.w.value.shape[2], 1
+    if isinstance(layer, MaxPool1d):
+        return layer.width, layer.width
+    return (1, 1) if isinstance(layer, ReLU) else None
+
+
+def _output_lengths(windows: list[tuple[int, int]], length: int) -> list[int]:
+    """Output length after each windowed layer for an input of length positions."""
+    lengths = []
+    for width, stride in windows:
+        length = (length - width) // stride + 1
+        lengths.append(length)
+    return lengths
+
+
 class Model:
     """Both models: an embedding plus one named layer list, seq, walked as
     [("embedding", embedding), *seq]. seed=None builds the same layers with
@@ -231,9 +259,60 @@ class Model:
         return [p for _, layer in self._layers() for p in layer.params]
 
     def forward_logits(self, indices: np.ndarray, ctx: PassContext):
-        """(N, L) indices -> ((N, classes) logits, caches for the backward)."""
+        """(N, L) indices -> ((N, classes) logits, caches for the backward).
+
+        An inference pass (no backward follows, no trace) over input that
+        ends in PAD runs the embedding and the position-local layers that
+        open seq on the live prefix alone (_live_prefix), then repeats their
+        last output column out to the full input's output length; the rest
+        of seq runs as in the full walk.
+        """
         caches: list = []
-        return run_layers(self._layers(), indices, ctx, caches), caches
+        layers = self._layers()
+        if not ctx.backward_follows and ctx.trace is None and (prefix := self._live_prefix(indices)):
+            local, cut, length = prefix
+            x = run_layers(layers[: 1 + local], indices[:, :cut], ctx, caches)
+            x = np.pad(x, ((0, 0), (0, 0), (0, length - x.shape[2])), mode="edge")
+            return run_layers(layers[1 + local :], x, ctx, caches), caches
+        return run_layers(layers, indices, ctx, caches), caches
+
+    def _live_prefix(self, indices: np.ndarray) -> tuple[int, int, int] | None:
+        """(local, cut, length) for (N, L) indices, or None to walk them whole.
+
+        The first local layers of seq are position-local, and length is their
+        output length on the full input. From the batch's last non-PAD
+        position on, every position looks up the same PAD row, so every
+        output column whose window lies there repeats one value. cut < L is
+        the shortest prefix whose last output column is such a column and
+        whose conv GEMMs, like the full input's, have whole tiles of columns
+        (_GEMM_TILE).
+        """
+        windows, convs = [], []
+        for _, layer in self.seq:
+            if (window := _window(layer)) is None:
+                break
+            windows.append(window)
+            convs.append(isinstance(layer, Conv1d))
+        if not windows or indices.ndim != 2:
+            return None
+        n, full = indices.shape
+
+        def tiled(length: int) -> bool:
+            lengths = _output_lengths(windows, length)
+            return all(n * out % _GEMM_TILE == 0 for out, conv in zip(lengths, convs) if conv)
+
+        if not tiled(full):
+            return None
+        live = np.flatnonzero(indices.any(axis=0))
+        tail = live[-1] + 1 if live.size else 0  # the first position of the PAD tail
+        for _, stride in windows:
+            tail = -(-tail // stride)
+        cut = tail + 1  # output columns up to and including the first tail column
+        for width, stride in reversed(windows):
+            cut = (cut - 1) * stride + width
+        while cut < full and not tiled(cut):
+            cut += 1
+        return (len(windows), cut, _output_lengths(windows, full)[-1]) if cut < full else None
 
     def backward_from_logits(self, caches: list, grad: np.ndarray) -> None:
         """Write every parameter's gradient from the (N, classes) logit
@@ -562,11 +641,13 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     the header is parsed, the header (its metadata an object, its quad-map
     digest a string or null), the encoder's tokens and counts (a
     version-1 encoder's entries are first turned into those two columns)
-    and that the encoder fits the model, and the file size against the
-    header before the model is allocated. The file is read once into one
-    aligned buffer and hashed once; every parameter of the returned model
-    is a writable float64 view into that buffer, so the load makes no
-    second copy of the parameters and draws no init.
+    and that the encoder fits the model, the file size against the
+    header before the model is allocated, then every embedding entry
+    finite and every probe index in range before the probes are replayed
+    (a bad weight anywhere else shows in the replayed logits). The file is
+    read once into one aligned buffer and hashed once; every parameter of
+    the returned model is a writable float64 view into that buffer, so the
+    load makes no second copy of the parameters and draws no init.
     """
     buf = _read_aligned(path)
     data = memoryview(buf)
@@ -625,8 +706,14 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
             raise CheckpointError(f"{path}: parameter mismatch at {p.name!r} vs header {meta!r}")
         p.value = take("<f8", p.value.shape)
 
+    # A forward reads only the embedding rows its indices name, so neither
+    # the probe replay nor a later predict may meet a bad row unchecked.
+    if not np.isfinite(model.embedding.param.value).all():
+        raise CheckpointError(f"{path}: non-finite values in the embedding table")
     probe_in = take("<i8", (count, length))
     want = take("<f8", (count, config.classes))
+    if probe_in.min() < 0 or probe_in.max() >= _input_size(config):
+        raise CheckpointError(f"{path}: probe inputs out of range for an input size of {_input_size(config)}")
     try:
         got = model.forward_logits(probe_in, INFER)[0]
     except ops.NonFiniteTensorError:

@@ -20,7 +20,10 @@ front of it, which nothing else reads. A cache holds the least its
 backward needs: a conv or dense layer's input, a ReLU's 1-byte y > 0
 mask, a pool's in-window offsets in the narrowest unsigned type. An
 inference forward (INFER: no backward follows) keeps none of them: pools
-track no offsets. Its logits are bit-identical to a caching forward's.
+track no offsets. Conv1d, ReLU and MaxPool1d are position-local: each
+output column reads only the input columns under its window, which lets
+models.Model run an inference forward's conv stack on the input's live
+prefix. Inference logits are bit-identical to a caching forward's.
 Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes

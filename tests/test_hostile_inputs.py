@@ -476,6 +476,43 @@ def test_non_finite_weight_exits_2(tmp_path, capsys, kind):
         assert err == f"error: {path}: restored model computes non-finite values on its probe inputs\n"
 
 
+def _probe_block(blob: bytes, shape: tuple[int, int]) -> tuple[int, np.ndarray]:
+    """(byte offset, the probe inputs) of a checkpoint: the probe block follows the parameters."""
+    header = json.loads(_header_bytes(blob))
+    offset = 16 + len(_header_bytes(blob)) + 8 * sum(math.prod(p["shape"]) for p in header["params"])
+    return offset, np.frombuffer(blob, dtype="<i8", count=math.prod(shape), offset=offset).reshape(shape)
+
+
+def test_non_finite_unprobed_embedding_row_exits_2(tmp_path, capsys):
+    # a forward reads only the rows its indices name: put the NaN on a row no
+    # probe looks up, and the CLI's one record on that row
+    config = replace(tiny_word_config(), vocab_size=200)
+    tokens = [f"w{i}" for i in range(2, config.vocab_size)]
+    path = tmp_path / "forged.ckpt"
+    save_checkpoint(build_word_cnn(config, seed=0), path,
+                    encoder=WordEncoder(Vocabulary(tokens, [1] * len(tokens)), config.length))
+    blob = bytearray(path.read_bytes())
+    header = json.loads(_header_bytes(blob))
+    _, probes = _probe_block(bytes(blob), (4, config.length))
+    row = min(set(range(2, config.vocab_size)) - set(probes.ravel().tolist()))
+    header["encoder"]["tokens"][row - 2] = "police"
+    struct.pack_into("<d", blob, 16 + len(_header_bytes(blob)) + 8 * row * config.embed_dim, math.nan)
+    path.write_bytes(sealed(bytes(blob), json.dumps(header).encode()))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: {path}: non-finite values in the embedding table\n"
+
+
+@pytest.mark.parametrize("index", [99, 8, -1])
+def test_probe_index_out_of_range_exits_2(tmp_path, capsys, index):
+    blob = bytearray(_checkpoint(tmp_path, "char"))
+    offset, _ = _probe_block(bytes(blob), (4, tiny_char_config().length))
+    struct.pack_into("<q", blob, offset, index)
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(bytes(blob), _header_bytes(blob)))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: {path}: probe inputs out of range for an input size of 8\n"
+
+
 # --- the same files through the CLI -----------------------------------------------
 
 # Tiny word training: --model and --set beat whatever a mutated config file holds,

@@ -338,6 +338,125 @@ class TestPredict:
         predict(model, np.ones(16, dtype=np.int64))
 
 
+def _padded(gen, size: int, length: int, lengths, pad_inside: bool = False) -> np.ndarray:
+    """Records of the given lengths of random non-PAD indices, right-PADded to
+    length; pad_inside puts a PAD in the middle of each record of 3 or more."""
+    indices = np.zeros((len(lengths), length), dtype=np.int64)
+    for row, live in zip(indices, lengths):
+        row[:live] = gen.integers(1, size, size=live)
+        if pad_inside and live >= 3:
+            row[live // 2] = 0
+    return indices
+
+
+def _mixed(gen, n: int, length: int) -> list[int]:
+    """n record lengths of 1 to about a tenth of length, as held-out news records are."""
+    return gen.integers(1, length // 10 + 3, size=n).tolist()
+
+
+# name -> (batch size or None for the scale's own, record lengths, pad_inside)
+PADDED_BATCHES = {
+    "all_pad": (None, lambda gen, n, length: [0] * n, False),
+    "one_char_record": (None, lambda gen, n, length: [1] + [0] * (n - 1), False),
+    "mixed": (None, _mixed, False),
+    "pad_inside_the_text": (None, _mixed, True),
+    "full_length_record": (None, lambda gen, n, length: [length, *_mixed(gen, n - 1, length)], False),
+    "single_record": (1, lambda gen, n, length: [length // 8], False),
+    "single_one_char_record": (1, lambda gen, n, length: [1], False),
+}
+
+
+@pytest.fixture(scope="module")
+def char_models() -> dict:
+    """One tiny and one full-scale char model, and the batch size at which
+    each model's conv GEMMs have whole tiles of columns, so that an
+    inference forward may run on the live prefix."""
+    return {"tiny": (CharCnn(tiny_char_config(), seed=9), 64),
+            "full": (CharCnn(CharCnnConfig(alphabet_size=70), seed=9), 32)}
+
+
+def _embedding_widths(model, monkeypatch) -> list[int]:
+    """From now on, the input width of each of the model's embedding forwards."""
+    widths = []
+    forward = model.embedding.forward
+    monkeypatch.setattr(model.embedding, "forward", lambda x, ctx: (widths.append(x.shape[1]), forward(x, ctx))[1])
+    return widths
+
+
+def _inference_logits(model, indices, monkeypatch) -> tuple[np.ndarray, int]:
+    """The INFER logits and the input width the embedding saw."""
+    widths = _embedding_widths(model, monkeypatch)
+    logits = model.forward_logits(indices, INFER)[0]
+    monkeypatch.undo()
+    return logits, widths[0]
+
+
+class TestLivePrefix:
+    """Char inference runs the conv stack on the batch's live prefix alone;
+    its logits must stay bit-identical to the full cache-keeping forward's."""
+
+    @pytest.mark.parametrize("case", PADDED_BATCHES.keys())
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    def test_padded_inference_logits_are_the_eval_logits(self, char_models, monkeypatch, scale, case):
+        model, tiled = char_models[scale]
+        n, lengths, pad_inside = PADDED_BATCHES[case]
+        gen = np.random.default_rng(len(case))
+        length = model.config.length
+        indices = _padded(gen, model.config.alphabet_size, length, lengths(gen, n or tiled, length), pad_inside)
+        want = model.forward_logits(indices, PassContext())[0]
+        got, width = _inference_logits(model, indices, monkeypatch)
+        assert got.tobytes() == want.tobytes()
+        # one record's GEMMs have a partial tile of columns, and a full-length record leaves no PAD tail
+        assert (width < length) == (n is None and case != "full_length_record")
+
+    @pytest.mark.parametrize("variant", ["one_hot", "non_zero_pad_row"])
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    def test_variant_models(self, monkeypatch, scale, variant):
+        config, n = (tiny_char_config(), 64) if scale == "tiny" else (CharCnnConfig(alphabet_size=70), 32)
+        if variant == "one_hot":
+            config = replace(config, embed_dim=config.alphabet_size, one_hot=True)
+        model = CharCnn(config, seed=11)
+        gen = np.random.default_rng(11)
+        if variant == "non_zero_pad_row":
+            model.embedding.param.value[0] = gen.uniform(-1.0, 1.0, size=config.embed_dim)
+        indices = _padded(gen, config.alphabet_size, config.length, _mixed(gen, n, config.length))
+        want = model.forward_logits(indices, PassContext())[0]
+        got, width = _inference_logits(model, indices, monkeypatch)
+        assert got.tobytes() == want.tobytes() and width < config.length
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_ragged_batches(self, char_models, monkeypatch, n):
+        # batches whose conv GEMMs end in a partial tile walk the full input:
+        # that tile's kernel can round the same column differently
+        model, _ = char_models["tiny"]
+        gen = np.random.default_rng(n)
+        length = model.config.length
+        for _ in range(8):
+            indices = _padded(gen, model.config.alphabet_size, length, gen.integers(0, length // 2, size=n))
+            want = model.forward_logits(indices, PassContext())[0]
+            assert _inference_logits(model, indices, monkeypatch)[0].tobytes() == want.tobytes()
+
+    def test_traced_and_training_forwards_walk_the_full_input(self, char_models, monkeypatch):
+        model, tiled = char_models["tiny"]
+        indices = np.zeros((tiled, model.config.length), dtype=np.int64)
+        ctx = PassContext(backward_follows=False, trace=[])
+        model.forward_logits(indices, ctx)
+        assert [(name, shape[1:]) for name, shape in ctx.trace] == shape_trace(model)
+        assert ctx.trace[0] == ("embedding", (tiled, 8, 32))
+        widths = _embedding_widths(model, monkeypatch)
+        model.forward_logits(indices, PassContext())
+        model.forward_logits(indices, PassContext(backward_follows=False, trace=[]))
+        assert widths == [32, 32]
+
+    def test_word_inference_walks_the_full_input(self, monkeypatch):
+        # the word model's seq opens with its branches, so no layer is position-local
+        model = build_word_cnn(tiny_word_config(), seed=9)
+        indices = _padded(np.random.default_rng(0), 50, 16, [3] * 64)
+        want = model.forward_logits(indices, PassContext())[0]
+        got, width = _inference_logits(model, indices, monkeypatch)
+        assert got.tobytes() == want.tobytes() and width == 16
+
+
 class TestBatchLoss:
     def _examples(self, n, length=16, vocab=50, seed=0):
         gen = np.random.default_rng(seed)
