@@ -3,8 +3,9 @@
 Every subcommand that writes outputs also writes `<first output>.manifest.json`
 recording the resolved configuration, input digests, and seed, which is
 enough to replay the run and get byte-identical outputs. Exit codes: 0 on
-success, 2 for bad inputs (missing files, malformed records, bad flags),
-1 for internal errors.
+success, 2 for bad inputs (missing files, malformed records, bad flags,
+an argument that is not UTF-8), 1 for internal errors (out of memory
+among them), each reported as one line on stderr.
 """
 
 from __future__ import annotations
@@ -162,6 +163,10 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    history_path = args.history or f"{args.out_checkpoint}.history.jsonl"
+    for path in (args.out_checkpoint, history_path):  # before hours of fitting, not after
+        if not Path(path).parent.is_dir():
+            raise InputError(f"{path}: output directory {Path(path).parent} does not exist")
     settings = config_mod.resolve_settings(args.config, args.set)
     if args.model:
         settings.apply({"model": args.model}, source="--model")
@@ -188,7 +193,6 @@ def _cmd_train(args) -> int:
         },
         probe_seed=settings.seed,
     )
-    history_path = args.history or f"{args.out_checkpoint}.history.jsonl"
     write_history(result.history, history_path)
     print(f"checkpoint written to {args.out_checkpoint} (best dev accuracy {best:.4f})")
     _write_manifest(
@@ -348,8 +352,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    for arg in argv:
+        try:  # Python passes a byte that is not UTF-8 as a lone surrogate, which no UTF-8 output can hold
+            arg.encode("utf-8")
+        except UnicodeEncodeError:
+            print(f"error: argument {arg!r} is not valid UTF-8", file=sys.stderr)
+            return 2
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except (InputError, OSError) as exc:
@@ -357,6 +367,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except QuadcodeError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"internal error: out of memory: {exc}" if str(exc) else "internal error: out of memory", file=sys.stderr)
         return 1
 
 

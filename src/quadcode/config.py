@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Mapping
 
-from .errors import InputError, read_text
+from .errors import InputError, read_text, text_lines
 from .models import CharCnnConfig, ConvSpec, WordCnnConfig
 from .train_eval import TrainConfig
 
@@ -160,7 +160,7 @@ class Settings:
 def parse_config_file(path: str | Path) -> dict[str, str]:
     """`key = value` lines; blank lines and full-line '#' comments skipped."""
     mapping: dict[str, str] = {}
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(text_lines(read_text(path)), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

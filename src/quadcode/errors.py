@@ -1,4 +1,4 @@
-"""Exception hierarchy shared across the toolkit, and the text-file reader.
+"""Exception hierarchy shared across the toolkit, and the text-file readers.
 
 Every error raised by quadcode derives from QuadcodeError. InputError marks
 problems caused by user-supplied files, flags, or configuration (the CLI maps
@@ -7,6 +7,7 @@ these to exit code 2); everything else is an internal failure (exit code 1).
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 
@@ -24,5 +25,15 @@ def read_text(path: str | Path) -> str:
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line_no = data.count(b"\n", 0, exc.start) + 1
+        line_no = len(text_lines(data[: exc.start].decode("utf-8")))
         raise InputError(f"{path}: line {line_no}: not valid UTF-8") from None
+
+
+_LINE_END = re.compile(r"\r\n|\r|\n")
+
+
+def text_lines(text: str) -> list[str]:
+    """text split at \\n, \\r\\n and \\r only, the line ends open() honours
+    for the JSONL reader. str.splitlines also breaks at VT, FF, FS/GS/RS,
+    U+0085, U+2028 and U+2029, which a line may hold (in a comment, say)."""
+    return _LINE_END.split(text)

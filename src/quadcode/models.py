@@ -21,7 +21,9 @@ cache list holding one entry per layer of the walk, and
 backward_from_logits takes the (N, 4) logit gradient and pops that list
 empty. An inference forward of the char model over input that ends in PAD
 runs the embedding and the conv stack on the live prefix only and repeats
-their last output column over the PAD tail (Model._live_prefix). INFER
+their last output column over the PAD tail (Model._live_prefix), cut
+where the windows and tiles that Conv1d, ReLU and MaxPool1d declare
+allow (the GEMM tile rule lives on Conv1d, tensor_nn.layers). INFER
 logits are bit-identical to those of a caching forward.
 Shapes named per layer (shape_trace, the docs above) are those of one
 example, without the batch axis.
@@ -35,6 +37,7 @@ import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
+from itertools import takewhile
 from pathlib import Path
 from typing import NamedTuple
 
@@ -221,22 +224,6 @@ def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
     return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
 
 
-# A GEMM whose column count is a multiple of this computes each column from
-# that column's input alone: OpenBLAS tiles the columns by micro-kernel widths
-# that divide it, and only a last, partial tile runs another kernel, which can
-# round differently.
-_GEMM_TILE = 64
-
-
-def _window(layer) -> tuple[int, int] | None:
-    """(width, stride) of a position-local layer's window over its input, None for any other layer."""
-    if isinstance(layer, Conv1d):
-        return layer.w.value.shape[2], 1
-    if isinstance(layer, MaxPool1d):
-        return layer.width, layer.width
-    return (1, 1) if isinstance(layer, ReLU) else None
-
-
 def _output_lengths(windows: list[tuple[int, int]], length: int) -> list[int]:
     """Output length after each windowed layer for an input of length positions."""
     lengths = []
@@ -284,22 +271,17 @@ class Model:
         position on, every position looks up the same PAD row, so every
         output column whose window lies there repeats one value. cut < L is
         the shortest prefix whose last output column is such a column and
-        whose conv GEMMs, like the full input's, have whole tiles of columns
-        (_GEMM_TILE).
+        whose layers, like the full input's, have whole tiles of output
+        columns (each layer's declared window and tile, tensor_nn.layers).
         """
-        windows, convs = [], []
-        for _, layer in self.seq:
-            if (window := _window(layer)) is None:
-                break
-            windows.append(window)
-            convs.append(isinstance(layer, Conv1d))
+        local = list(takewhile(lambda layer: hasattr(layer, "window"), (layer for _, layer in self.seq)))
+        windows = [layer.window for layer in local]
         if not windows or indices.ndim != 2:
             return None
         n, full = indices.shape
 
         def tiled(length: int) -> bool:
-            lengths = _output_lengths(windows, length)
-            return all(n * out % _GEMM_TILE == 0 for out, conv in zip(lengths, convs) if conv)
+            return all(n * out % layer.tile == 0 for out, layer in zip(_output_lengths(windows, length), local))
 
         if not tiled(full):
             return None

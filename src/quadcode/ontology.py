@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Mapping
 
-from .errors import InputError, read_text
+from .errors import InputError, read_text, text_lines
 
 
 class OntologyError(InputError):
@@ -116,7 +116,7 @@ _HEADER = "# top-level CAMEO code ranges -> QuadClass\n"
 def parse_quad_map(text: str) -> QuadClassMap:
     """Parse quad map text; rejects duplicate entries and partial coverage."""
     seen: dict[int, QuadClass] = {}
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

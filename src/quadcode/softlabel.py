@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .corpus import LabelHistogram, SentenceRecord, read_jsonl, write_jsonl
-from .errors import InputError, read_text
+from .errors import InputError, read_text, text_lines
 from .ontology import CameoCode, OntologyError, QuadClass, QuadClassMap, parse_cameo_code, quad_of
 
 
@@ -198,7 +198,7 @@ def code_corpus(
 
 def parse_dictionary(text: str) -> list[VerbPattern]:
     patterns: list[VerbPattern] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(text_lines(text), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -224,7 +224,7 @@ def load_actor_words(path: str | Path) -> frozenset[str]:
     never gate a sentence.
     """
     words = set()
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    for line_no, raw in enumerate(text_lines(read_text(path)), start=1):
         word = raw.split("#", 1)[0].strip().lower()
         if not word:
             continue

@@ -21,9 +21,12 @@ backward needs: a conv or dense layer's input, a ReLU's 1-byte y > 0
 mask, a pool's in-window offsets in the narrowest unsigned type. An
 inference forward (INFER: no backward follows) keeps none of them: pools
 track no offsets. Conv1d, ReLU and MaxPool1d are position-local: each
-output column reads only the input columns under its window, which lets
-models.Model run an inference forward's conv stack on the input's live
-prefix. Inference logits are bit-identical to a caching forward's.
+output column reads only the input columns under the layer's declared
+window, (width, stride), and is computed from them alone once the batch's
+output columns are a multiple of its declared tile (Conv1d's GEMM tile, 1
+for the others). models.Model reads both to run an inference forward's
+conv stack on the input's live prefix, with logits bit-identical to a
+caching forward's.
 Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
@@ -131,7 +134,14 @@ class Embedding:
 
 
 class Conv1d:
+    # A conv GEMM (ops.conv1d) whose column count, N times the output length, is a
+    # multiple of this computes each column from that column's input alone: OpenBLAS
+    # tiles the columns by micro-kernel widths that divide it, and only a last,
+    # partial tile runs another kernel, which can round differently.
+    tile = 64
+
     def __init__(self, in_channels: int, frames: int, kernel: int, gen: np.random.Generator | None, name: str):
+        self.window = (kernel, 1)
         fan_in = in_channels * kernel
         fan_out = frames * kernel
         self.w = Parameter(f"{name}.w", glorot_uniform(gen, (frames, in_channels, kernel), fan_in, fan_out))
@@ -166,6 +176,7 @@ class Dense:
 
 class ReLU:
     params: list[Parameter] = []
+    window, tile = (1, 1), 1
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         y = ops.relu(x, out=x)  # x is the fresh output of the layer in front
@@ -177,9 +188,11 @@ class ReLU:
 
 class MaxPool1d:
     params: list[Parameter] = []
+    tile = 1
 
     def __init__(self, width: int):
         self.width = width
+        self.window = (width, width)
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         if not ctx.backward_follows:

@@ -18,7 +18,7 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import SentenceRecord
-from .errors import InputError, read_text
+from .errors import InputError, read_text, text_lines
 from .softlabel import tokenize
 
 PAD = 0
@@ -120,14 +120,14 @@ def load_embeddings(path: str | Path, vocab: Vocabulary, table: np.ndarray) -> N
 
     Rows the file does not cover keep their values, so the model's own
     random init stays for them. PAD and UNK are never covered; file tokens
-    outside the vocabulary are ignored.
+    outside the vocabulary are ignored. Fields are separated by single
+    spaces, and only spaces are stripped from the ends of a line.
     """
     d = table.shape[1]
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
-        line = raw.strip()
-        if not line:
+    for line_no, raw in enumerate(text_lines(read_text(path)), start=1):
+        if not raw.strip():
             continue
-        parts = line.split(" ")
+        parts = raw.strip(" ").split(" ")  # "\xa0cat" is a token of its own, not "cat"
         token, values = parts[0], parts[1:]
         if not token:
             raise TextEncodingError(f"embedding line {line_no}: missing token")

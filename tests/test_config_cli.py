@@ -6,13 +6,14 @@ produced files can all be asserted cheaply.
 
 import hashlib
 import json
+import re
 import struct
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from quadcode import cli
+from quadcode import cli, experiments
 from quadcode.cli import main
 from quadcode.config import (
     ConfigError,
@@ -22,6 +23,7 @@ from quadcode.config import (
     resolve_settings,
 )
 from quadcode.corpus import AlignmentPair, read_jsonl, write_alignments, write_jsonl
+from quadcode.errors import InputError
 from quadcode.fixtures import make_separable_corpus, make_softlabel_fixture
 from quadcode.models import CharCnnConfig, ConvSpec, WordCnnConfig, load_checkpoint, predict
 from quadcode.ontology import CLASSES, default_quad_map, dumps_quad_map, parse_cameo_code
@@ -121,6 +123,20 @@ class TestConfigFiles:
         path = tmp_path / "run.conf"
         path.write_text("# a comment\n\nmodel = char\nseed = 4\n")
         assert parse_config_file(path) == {"model": "char", "seed": "4"}
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_only_line_feeds_and_returns_end_a_line(self, tmp_path, end):
+        # str.splitlines would also break at the form feed and read seed = 5 out of the comment
+        path = tmp_path / "run.conf"
+        path.write_bytes(f"# note\x0cseed = 5{end}model = char{end}".encode())
+        assert parse_config_file(path) == {"model": "char"}
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_invalid_utf8_line_number_counts_the_same_line_ends(self, tmp_path, end):
+        path = tmp_path / "run.conf"
+        path.write_bytes(f"seed = 1{end}model = char{end}".encode() + b"# \xff" + end.encode())
+        with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 3: not valid UTF-8$"):
+            parse_config_file(path)
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
@@ -292,6 +308,16 @@ class TestSplitCommand:
         manifest = json.loads((outdir / "split.manifest.json").read_text())
         assert manifest["seed"] == 3
 
+    def test_non_utf8_argument_exits_2_before_writing(self, tmp_path, capsys):
+        # Python passes the byte 0xff of a command line as the lone surrogate U+DCFF
+        infile = tmp_path / "all.jsonl"
+        write_jsonl(make_separable_corpus(8, seed=0), infile)
+        outdir = tmp_path / "out\udcff"
+        assert main(["split", "--in", str(infile), "--outdir", str(outdir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: argument ") and "not valid UTF-8" in err and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["all.jsonl"]
+
     def test_bad_fractions_exit_2(self, tmp_path, capsys):
         infile = tmp_path / "all.jsonl"
         write_jsonl(make_separable_corpus(8, seed=0), infile)
@@ -324,6 +350,10 @@ def trained(tmp_path_factory):
     return root, ckpt, dev_path
 
 
+def _must_not_fit(*args, **kwargs):
+    raise AssertionError("train fitted a model it should have refused to start")
+
+
 class TestTrainCommand:
     @pytest.mark.parametrize("setting", [
         "optimizer=foo", "lr=0", "lr=-0.1", "lr=nan", "lr=inf", "momentum=1", "momentum=-0.5",
@@ -339,6 +369,50 @@ class TestTrainCommand:
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1
         assert setting.split("=")[0] in err
         assert not (tmp_path / "m.ckpt").exists()
+
+    def test_non_utf8_set_value_exits_2_before_training(self, trained, tmp_path, capsys, monkeypatch):
+        root, _, dev_path = trained
+        vectors = tmp_path / "vec\udcff.txt"  # a file the run could read, whose name no header can hold
+        vectors.write_text("")
+        monkeypatch.setattr(experiments, "fit", _must_not_fit)
+        code = main([
+            "train", "--train", str(root / "train.jsonl"), "--dev", str(dev_path),
+            "--out-checkpoint", str(tmp_path / "m.ckpt"), *TRAIN_OVERRIDES, "--set", f"word.embeddings={vectors}",
+        ])
+        err = capsys.readouterr().err
+        assert code == 2 and err.startswith("error: argument ") and err.count("\n") == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [vectors.name]
+
+    @pytest.mark.parametrize("flag", ["--out-checkpoint", "--history"])
+    def test_missing_output_directory_exits_2_before_fitting(self, trained, tmp_path, capsys, monkeypatch, flag):
+        root, _, dev_path = trained
+        monkeypatch.setattr(experiments, "fit", _must_not_fit)
+        paths = {"--out-checkpoint": str(tmp_path / "m.ckpt"), "--history": str(tmp_path / "h.jsonl")}
+        paths[flag] = str(tmp_path / "missing" / "out")
+        code = main([
+            "train", "--train", str(root / "train.jsonl"), "--dev", str(dev_path),
+            *[arg for pair in paths.items() for arg in pair], *TRAIN_OVERRIDES,
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"error: {paths[flag]}: output directory {tmp_path / 'missing'} does not exist\n"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_out_of_memory_is_one_line(self, trained, tmp_path, capsys, monkeypatch):
+        # a real request could be granted under overcommit and then touched, so none is made
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 286. GiB for an array with shape (100000000, 384) and data type float64")
+
+        root, _, dev_path = trained
+        monkeypatch.setattr(experiments, "fit", out_of_memory)
+        code = main([
+            "train", "--train", str(root / "train.jsonl"), "--dev", str(dev_path),
+            "--out-checkpoint", str(tmp_path / "m.ckpt"), *TRAIN_OVERRIDES, "--set", "word.frames=100000000",
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == "internal error: out of memory: Unable to allocate 286. GiB for an array with shape (100000000, 384) and data type float64\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_outputs_exist(self, trained, capsys):
         root, ckpt, _ = trained

@@ -114,6 +114,12 @@ class TestQuadMapParsing:
         text = "# hello\n\n01-05 verbal_cooperation\n06-08 material_cooperation\n09-13 verbal_conflict\n14-20 material_conflict\n"
         assert parse_quad_map(text) == default_quad_map()
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_line_separator_stays_inside_a_comment(self, end):
+        # str.splitlines would break at U+2028 and read a second entry for code 14
+        text = "# 14 was verbal_cooperation\u202814 verbal_cooperation\n" + dumps_quad_map(default_quad_map())
+        assert parse_quad_map(text.replace("\n", end)) == default_quad_map()
+
     def test_missing_top_level_rejected(self):
         with pytest.raises(OntologyError, match=r"^quad map has no entry for top-level code 20$"):
             parse_quad_map("01-19 verbal_cooperation\n")

@@ -298,6 +298,12 @@ class TestDictionaryFiles:
             (("attacked",), "190"),
         ]
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_line_separator_stays_inside_a_comment(self, end):
+        # str.splitlines would break at U+2028 and read the commented-out pattern
+        text = f"met with -> 040  # retired:\u2028attacked -> 190{end}signed -> 051{end}"
+        assert [(p.tokens, p.code.digits) for p in parse_dictionary(text)] == [(("met", "with"), "040"), (("signed",), "051")]
+
     def test_tokens_lowercased_on_load(self):
         (pattern,) = parse_dictionary("Met With -> 040\n")
         assert pattern.tokens == ("met", "with")
@@ -336,6 +342,13 @@ class TestDictionaryFiles:
         path = tmp_path / "actors.txt"
         path.write_text("# actors\nPolice\nu.n  # interior punctuation is fine\n")
         assert load_actor_words(path) == frozenset({"police", "u.n"})
+
+    @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+    def test_next_line_stays_inside_a_comment(self, tmp_path, end):
+        # str.splitlines would break at U+0085 and add army to the list
+        path = tmp_path / "actors.txt"
+        path.write_bytes(f"police  # not\x85army{end}rebels{end}".encode())
+        assert load_actor_words(path) == frozenset({"police", "rebels"})
 
     @pytest.mark.parametrize("line", ["u.n.", "police,", "al qaeda", "'army'"])
     def test_actor_the_tokenizer_never_yields_rejected(self, tmp_path, line):

@@ -16,7 +16,18 @@ import pytest
 
 from quadcode.errors import QuadcodeError
 from quadcode.tensor_nn import ops
-from quadcode.tensor_nn.layers import Dense, Dropout, Embedding, Parameter, PassContext, ReLU, glorot_uniform
+from quadcode.tensor_nn.layers import (
+    INFER,
+    Conv1d,
+    Dense,
+    Dropout,
+    Embedding,
+    MaxPool1d,
+    Parameter,
+    PassContext,
+    ReLU,
+    glorot_uniform,
+)
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 EPS = 1e-6
@@ -370,6 +381,29 @@ class TestMaxPool:
         x = np.array([[[-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]]])
         for width in (2, 4, 8):
             assert ops.maxpool1d(x, width).tobytes() == ops.maxpool1d_with_argmax(x, width)[0].tobytes()
+
+
+POSITION_LOCAL = {
+    **{f"conv_k{k}": (lambda k=k: Conv1d(3, 4, k, np.random.default_rng(k), "conv")) for k in (1, 2, 3, 7)},
+    **{f"pool_{w}": (lambda w=w: MaxPool1d(w)) for w in (1, 2, 3, 5)},
+    "relu": ReLU,
+}
+
+
+class TestWindowDeclarations:
+    """models.Model cuts the live prefix by each position-local layer's
+    declared (width, stride); the forward must produce that many columns."""
+
+    @pytest.mark.parametrize("name", POSITION_LOCAL)
+    @pytest.mark.parametrize("ctx", [INFER, PassContext()], ids=["infer", "caching"])
+    def test_declared_window_gives_the_output_length(self, name, ctx):
+        layer = POSITION_LOCAL[name]()
+        width, stride = layer.window
+        assert isinstance(layer.tile, int) and layer.tile >= 1
+        for length in range(width, width + 3 * max(stride, 4)):
+            x = np.random.default_rng(length).standard_normal((2, 3, length))
+            y, _ = layer.forward(x, ctx)
+            assert y.shape[2] == (length - width) // stride + 1, f"input length {length}"
 
 
 class TestDense:

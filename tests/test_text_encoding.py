@@ -216,6 +216,18 @@ class TestEmbeddingTables:
         assert table[UNK].tolist() == [0.5, 0.5, 0.5]
         assert (table[PAD] == 0.0).all()
 
+    @pytest.mark.parametrize("end", ["\n", "\r\n"])
+    def test_load_embeddings_strips_only_edge_spaces(self, tmp_path, end):
+        # tokens "\u2028cat" and "\xa0cat" are not "cat": neither a split at
+        # U+2028 nor a strip of the NBSP may let them overwrite its vector
+        vocab = build_vocab(_recs("cat"))
+        path = tmp_path / "vecs.txt"
+        lines = [" cat 1.0 2.0 ", "\u2028cat 7.0 7.0", "\xa0cat 8.0 8.0", " \t ", ""]
+        path.write_bytes(end.join(lines).encode())
+        table = self._table(vocab, 2)
+        load_embeddings(path, vocab, table)
+        assert table[vocab.index_of("cat")].tolist() == [1.0, 2.0]
+
     def test_load_embeddings_empty_file_matches_random(self, tmp_path):
         vocab = build_vocab(_recs("alpha beta"))
         path = tmp_path / "vecs.txt"
