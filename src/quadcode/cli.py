@@ -1,11 +1,15 @@
 """The `quadcode` command: batch pipeline stages over local files.
 
 Every subcommand that writes outputs also writes `<first output>.manifest.json`
-recording the resolved configuration, input digests, and seed, which is
-enough to replay the run and get byte-identical outputs. Exit codes: 0 on
-success, 2 for bad inputs (missing files, malformed records, bad flags,
-an argument that is not UTF-8), 1 for internal errors (out of memory
-among them), each reported as one line on stderr.
+(`split`: `<outdir>/split.manifest.json`) recording the resolved
+configuration, input digests, and seed, which is enough to replay the
+run and get byte-identical outputs. Before it reads any input, each such
+subcommand refuses an output (the manifest included) that is the same
+file as an input or another output, or whose directory does not exist
+(_check_outputs). Exit codes: 0 on success, 2 for bad inputs (missing
+files, malformed records, bad flags, an argument that is not UTF-8), 1
+for internal errors (out of memory among them), each reported as one
+line on stderr.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import datetime
 import hashlib
 import json
 import math
+import os
 import sys
 from importlib import metadata
 from pathlib import Path
@@ -93,9 +98,45 @@ def _write_manifest(
         "toolkit_version": _version(),
         "created": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
-    path = Path(f"{anchor}.manifest.json")
+    path = _manifest_path(anchor)
     path.write_text(json.dumps(manifest, ensure_ascii=False, indent=2) + "\n", encoding="utf-8")
     return path
+
+
+def _manifest_path(anchor: str | Path) -> Path:
+    return Path(f"{anchor}.manifest.json")
+
+
+def _file_key(path: str | Path) -> tuple:
+    """Equal for two paths exactly when they name the same file: its device
+    and inode when it exists, else the path with every symlink resolved
+    (by realpath, which, unlike Path.resolve on Python < 3.13, does not
+    raise on a symlink loop)."""
+    try:
+        stat = os.stat(path)
+    except OSError:
+        return ("path", os.path.realpath(path))
+    return ("file", stat.st_dev, stat.st_ino)
+
+
+def _check_outputs(inputs: list, outputs: list, *, outdir: Path | None = None) -> None:
+    """Refuse, before anything is read or written, an output whose directory
+    does not exist (outdir excepted: the command creates it) and an output
+    that is the same file as an input or as an earlier output. Inputs left
+    unset (None or "") are skipped."""
+    seen: dict[tuple, tuple[str, str | Path]] = {}
+    for path in inputs:
+        if path:
+            seen.setdefault(_file_key(path), ("input", path))
+    for out in outputs:
+        parent = Path(out).parent
+        if parent != outdir and not parent.is_dir():
+            raise InputError(f"{out}: output directory {parent} does not exist")
+        key = _file_key(out)
+        if key in seen:
+            kind, other = seen[key]
+            raise InputError(f"{out}: output is the same file as {kind} {other}")
+        seen[key] = ("output", out)
 
 
 def _resolve_quad_map(path: str | None):
@@ -106,6 +147,8 @@ def _resolve_quad_map(path: str | None):
 
 
 def _cmd_softlabel(args) -> int:
+    inputs = [args.dict, args.quadmap, args.actors, args.infile]
+    _check_outputs(inputs, [args.out, _manifest_path(args.out)])
     dictionary = load_dictionary(args.dict)
     quad_map = _resolve_quad_map(args.quadmap)
     actors = load_actor_words(args.actors) if args.actors else None
@@ -114,7 +157,7 @@ def _cmd_softlabel(args) -> int:
         print(line)
     _write_manifest(
         args.out, "softlabel",
-        inputs=[args.dict, args.quadmap, args.actors, args.infile],
+        inputs=inputs,
         outputs=[args.out],
         config_obj={"dict": str(args.dict), "quadmap": args.quadmap, "actors": args.actors},
     )
@@ -122,6 +165,8 @@ def _cmd_softlabel(args) -> int:
 
 
 def _cmd_transfer(args) -> int:
+    inputs = [args.src, args.tgt, args.align]
+    _check_outputs(inputs, [args.out, _manifest_path(args.out)])
     src = read_jsonl(args.src)
     tgt = read_jsonl(args.tgt)
     pairs = read_alignments(args.align)
@@ -129,7 +174,7 @@ def _cmd_transfer(args) -> int:
     write_jsonl(labelled, args.out)
     for line in report.lines():
         print(line)
-    _write_manifest(args.out, "transfer", inputs=[args.src, args.tgt, args.align], outputs=[args.out])
+    _write_manifest(args.out, "transfer", inputs=inputs, outputs=[args.out])
     return 0
 
 
@@ -142,15 +187,14 @@ def _cmd_split(args) -> int:
         raise InputError(f"--fractions needs three comma-separated numbers, got {args.fractions!r}")
     if args.seed < 0:
         raise InputError(f"--seed must be >= 0, got {args.seed}")
+    outdir = Path(args.outdir)
+    outputs = [outdir / f"{name}.jsonl" for name in ("train", "dev", "test")]
+    _check_outputs([args.infile], [*outputs, _manifest_path(outdir / "split")], outdir=outdir)
     records = read_jsonl(args.infile)
     split = stratified_split(records, fractions, args.seed)
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    outputs = []
-    for name, part in (("train", split.train), ("dev", split.dev), ("test", split.test)):
-        path = outdir / f"{name}.jsonl"
+    for name, part, path in zip(("train", "dev", "test"), (split.train, split.dev, split.test), outputs):
         write_jsonl(part, path)
-        outputs.append(path)
         print(f"{name}: {len(part)} records")
         for line in class_histogram(part).lines():
             print(f"  {line}")
@@ -164,9 +208,6 @@ def _cmd_split(args) -> int:
 
 def _cmd_train(args) -> int:
     history_path = args.history or f"{args.out_checkpoint}.history.jsonl"
-    for path in (args.out_checkpoint, history_path):  # before hours of fitting, not after
-        if not Path(path).parent.is_dir():
-            raise InputError(f"{path}: output directory {Path(path).parent} does not exist")
     settings = config_mod.resolve_settings(args.config, args.set)
     if args.model:
         settings.apply({"model": args.model}, source="--model")
@@ -174,6 +215,9 @@ def _cmd_train(args) -> int:
         settings.apply({"seed": str(args.seed)}, source="--seed")
     if args.embeddings:
         settings.apply({"word.embeddings": args.embeddings}, source="--embeddings")
+    # before hours of fitting, not after; the settings name the embeddings file
+    inputs = [args.train, args.dev, args.config, args.quadmap, settings.word_embeddings]
+    _check_outputs(inputs, [args.out_checkpoint, history_path, _manifest_path(args.out_checkpoint)])
     train_records = read_jsonl(args.train)
     dev_records = read_jsonl(args.dev)
     quad_map = _resolve_quad_map(args.quadmap)
@@ -197,7 +241,7 @@ def _cmd_train(args) -> int:
     print(f"checkpoint written to {args.out_checkpoint} (best dev accuracy {best:.4f})")
     _write_manifest(
         args.out_checkpoint, "train",
-        inputs=[args.train, args.dev, args.config, args.quadmap, settings.word_embeddings or None],
+        inputs=inputs,
         outputs=[args.out_checkpoint, history_path],
         config_obj=settings.to_json_obj(), seed=settings.seed,
     )
@@ -211,6 +255,7 @@ def _require_encoder(loaded: LoadedCheckpoint):
 
 
 def _cmd_eval(args) -> int:
+    _check_outputs([args.checkpoint, args.test], [args.report, _manifest_path(args.report)])
     loaded = load_checkpoint(args.checkpoint)
     encoder = _require_encoder(loaded)
     records = read_jsonl(args.test)
@@ -241,6 +286,7 @@ def _prediction_line(record: SentenceRecord, class_index: int, probs: np.ndarray
 
 
 def _cmd_predict(args) -> int:
+    _check_outputs([args.checkpoint, args.infile], [args.out, _manifest_path(args.out)])
     loaded = load_checkpoint(args.checkpoint)
     encoder = _require_encoder(loaded)
     records = read_jsonl(args.infile)

@@ -20,13 +20,18 @@ class InputError(QuadcodeError):
 
 
 def read_text(path: str | Path) -> str:
-    """The whole file decoded as UTF-8; undecodable bytes raise InputError."""
+    """The whole file decoded as UTF-8; undecodable bytes and a leading
+    byte-order mark, which would otherwise stay glued to the first line's
+    first word, raise InputError."""
     data = Path(path).read_bytes()
     try:
-        return data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line_no = len(text_lines(data[: exc.start].decode("utf-8")))
         raise InputError(f"{path}: line {line_no}: not valid UTF-8") from None
+    if text.startswith("\ufeff"):
+        raise InputError(f"{path}: line 1: starts with a byte-order mark (save the file as UTF-8 without a BOM)")
+    return text
 
 
 _LINE_END = re.compile(r"\r\n|\r|\n")

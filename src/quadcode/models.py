@@ -13,6 +13,13 @@ hidden dense layers.
 Defaults are the full-scale dimensions above; every width is configurable
 so the same code runs desk-scale fixtures and gradient checks.
 
+Every conv and pool is a window (width w, stride s; a pool's stride is
+its width) that turns L positions into (L - w) // s + 1. _window_lengths
+alone applies that law: to a config's windows when it is made (a config
+too short to build names its first layer left with no output), when a
+model sizes its global pool or flatten, and to the layers that open seq
+when an inference forward picks its live prefix.
+
 Each model is an Embedding plus one named layer list, seq; the word
 model's seq starts with ("concat", Branches(...)), its three branches.
 One walk over [("embedding", embedding), *seq] serves both (Model):
@@ -106,7 +113,7 @@ class WordCnnConfig:
             _positive(name, getattr(self, name))
         for kernel in self.kernels:
             _positive("kernel", kernel)
-            word_branch_lengths(self, kernel)
+            _window_lengths(self.length, _branch_windows(self, kernel))
         if self.vocab_size < 2:
             raise InvalidConfigError("vocab_size must cover PAD and UNK (>= 2)")
 
@@ -159,40 +166,36 @@ class CharCnnConfig:
             raise InvalidConfigError("alphabet_size must cover PAD and UNK (>= 2)")
         if self.one_hot and self.embed_dim != self.alphabet_size:
             raise InvalidConfigError(f"one_hot requires embed_dim == alphabet_size ({self.alphabet_size}), got {self.embed_dim}")
-        char_stack_lengths(self)
+        _window_lengths(self.length, _stack_windows(self))
 
 
-def word_branch_lengths(config: WordCnnConfig, kernel: int) -> tuple[int, int]:
-    """(conv output length, local-pool output length) for one branch.
-
-    Applies the valid-conv law L-K+1 and the pool law floor(L/p), raising
-    with the failing layer's name when a length would drop below 1.
-    """
-    conv_len = config.length - kernel + 1
-    if conv_len < 1:
-        raise InvalidConfigError(
-            f"branch_k{kernel}.conv: output length {conv_len} < 1 for input length {config.length}"
-        )
-    pool_len = conv_len // config.pool
-    if pool_len < 1:
-        raise InvalidConfigError(f"branch_k{kernel}.pool: output length 0 pooling {conv_len} by {config.pool}")
-    return conv_len, pool_len
-
-
-def char_stack_lengths(config: CharCnnConfig) -> list[int]:
-    """Output length after each conv (and its pool) in stack order."""
-    length = config.length
+def _window_lengths(length: int, windows: list[tuple[str, tuple[int, int]]]) -> list[int]:
+    """Output length after each named (width, stride) window, applied in turn
+    to length input positions: L positions give (L - width) // stride + 1.
+    The first window left with no output raises, naming its layer."""
     lengths = []
-    for i, spec in enumerate(config.convs, start=1):
-        length = length - spec.kernel + 1
-        if length < 1:
-            raise InvalidConfigError(f"conv{i}: output length {length} < 1 (kernel {spec.kernel} too wide)")
-        if spec.pool is not None:
-            length //= spec.pool
-            if length < 1:
-                raise InvalidConfigError(f"conv{i}.pool: output length 0 pooling by {spec.pool}")
-        lengths.append(length)
+    out = length
+    for name, (width, stride) in windows:
+        out = (out - width) // stride + 1
+        if out < 1:
+            raise InvalidConfigError(f"{name}: output length {out} < 1 for input length {length}")
+        lengths.append(out)
     return lengths
+
+
+def _branch_windows(config: WordCnnConfig, kernel: int) -> list[tuple[str, tuple[int, int]]]:
+    """The windows of one word branch: its conv, then its local pool."""
+    return [(f"branch_k{kernel}.conv", (kernel, 1)), (f"branch_k{kernel}.pool", (config.pool, config.pool))]
+
+
+def _stack_windows(config: CharCnnConfig) -> list[tuple[str, tuple[int, int]]]:
+    """The windows of the char conv stack: each conv, then its pool if it has one."""
+    windows = []
+    for i, spec in enumerate(config.convs, start=1):
+        windows.append((f"conv{i}", (spec.kernel, 1)))
+        if spec.pool is not None:
+            windows.append((f"conv{i}.pool", (spec.pool, spec.pool)))
+    return windows
 
 
 def implied_param_count(config: WordCnnConfig | CharCnnConfig) -> int:
@@ -206,7 +209,7 @@ def implied_param_count(config: WordCnnConfig | CharCnnConfig) -> int:
     for spec in config.convs:
         count += spec.frames * (channels * spec.kernel + 1)
         channels = spec.frames
-    width = channels * char_stack_lengths(config)[-1]
+    width = channels * _window_lengths(config.length, _stack_windows(config))[-1]
     for units in (*config.hidden, config.classes):
         count += (width + 1) * units
         width = units
@@ -222,15 +225,6 @@ def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
     if seed is None:
         return np.zeros((rows, dim))
     return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
-
-
-def _output_lengths(windows: list[tuple[int, int]], length: int) -> list[int]:
-    """Output length after each windowed layer for an input of length positions."""
-    lengths = []
-    for width, stride in windows:
-        length = (length - width) // stride + 1
-        lengths.append(length)
-    return lengths
 
 
 class Model:
@@ -273,28 +267,30 @@ class Model:
         the shortest prefix whose last output column is such a column and
         whose layers, like the full input's, have whole tiles of output
         columns (each layer's declared window and tile, tensor_nn.layers).
+        Input of any length but the config's, which the config was checked
+        against, walks whole, where a stack it is too short for fails on shape.
         """
-        local = list(takewhile(lambda layer: hasattr(layer, "window"), (layer for _, layer in self.seq)))
-        windows = [layer.window for layer in local]
-        if not windows or indices.ndim != 2:
+        local = list(takewhile(lambda pair: hasattr(pair[1], "window"), self.seq))
+        windows = [(name, layer.window) for name, layer in local]
+        if not windows or indices.ndim != 2 or indices.shape[1] != self.config.length:
             return None
         n, full = indices.shape
 
         def tiled(length: int) -> bool:
-            return all(n * out % layer.tile == 0 for out, layer in zip(_output_lengths(windows, length), local))
+            return all(n * out % layer.tile == 0 for out, (_, layer) in zip(_window_lengths(length, windows), local))
 
         if not tiled(full):
             return None
         live = np.flatnonzero(indices.any(axis=0))
         tail = live[-1] + 1 if live.size else 0  # the first position of the PAD tail
-        for _, stride in windows:
+        for _, (_, stride) in windows:
             tail = -(-tail // stride)
         cut = tail + 1  # output columns up to and including the first tail column
-        for width, stride in reversed(windows):
+        for _, (width, stride) in reversed(windows):
             cut = (cut - 1) * stride + width
         while cut < full and not tiled(cut):
             cut += 1
-        return (len(windows), cut, _output_lengths(windows, full)[-1]) if cut < full else None
+        return (len(windows), cut, _window_lengths(full, windows)[-1]) if cut < full else None
 
     def backward_from_logits(self, caches: list, grad: np.ndarray) -> None:
         """Write every parameter's gradient from the (N, classes) logit
@@ -313,7 +309,7 @@ class WordCnn(Model):
         self.embedding = Embedding(table, trainable=config.embeddings_trainable)
         self.branches: list[list[tuple[str, object]]] = []
         for kernel in config.kernels:
-            _, pool_len = word_branch_lengths(config, kernel)
+            pool_len = _window_lengths(config.length, _branch_windows(config, kernel))[-1]
             prefix = f"branch_k{kernel}"
             self.branches.append([
                 (f"{prefix}.conv", Conv1d(config.embed_dim, config.frames, kernel, init, prefix)),
@@ -355,7 +351,7 @@ class CharCnn(Model):
                 seq.append((f"conv{i}.pool", MaxPool1d(spec.pool)))
             channels = spec.frames
         seq.append(("flatten", Flatten()))
-        width = channels * char_stack_lengths(config)[-1]
+        width = channels * _window_lengths(config.length, _stack_windows(config))[-1]
         for j, units in enumerate(config.hidden, start=1):
             seq.append((f"dropout{j}", Dropout(config.dropout)))
             seq.append((f"fc{j}", Dense(width, units, init, f"fc{j}")))
@@ -407,8 +403,9 @@ def predict(model: Model, indices: np.ndarray):
 
 
 def shape_trace(model: Model) -> list[tuple[str, tuple[int, ...]]]:
-    """(layer name, per-example output shape) per layer from an inference forward of one all-PAD input."""
-    ctx = PassContext(backward_follows=False, trace=[])
+    """(layer name, per-example output shape) per layer from a caching forward
+    of one all-PAD input, which walks the whole input."""
+    ctx = PassContext(trace=[])
     model.forward_logits(np.zeros((1, model.config.length), dtype=np.int64), ctx)
     return [(name, shape[1:]) for name, shape in ctx.trace]
 

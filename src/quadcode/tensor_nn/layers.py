@@ -24,9 +24,11 @@ track no offsets. Conv1d, ReLU and MaxPool1d are position-local: each
 output column reads only the input columns under the layer's declared
 window, (width, stride), and is computed from them alone once the batch's
 output columns are a multiple of its declared tile (Conv1d's GEMM tile, 1
-for the others). models.Model reads both to run an inference forward's
-conv stack on the input's live prefix, with logits bit-identical to a
-caching forward's.
+for the others). A window turns L input columns into (L - width) //
+stride + 1; models applies that law in one function, to these
+declarations when an inference forward runs the conv stack on the
+input's live prefix (logits bit-identical to a caching forward's), and
+to the same windows read from a model config when it sizes layers.
 Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes

@@ -605,12 +605,9 @@ def test_bad_numeric_flag_exits_2(tmp_path, capsys, argv):
     assert flag in err and "OK" not in out
 
 
-@pytest.fixture(scope="module")
-def valid_inputs(trained, tmp_path_factory, transfer_fixture):
-    """A valid value for every file flag of every subcommand."""
-    _, ckpt, dev_path = trained
-    d = tmp_path_factory.mktemp("inputs")
-    fx = transfer_fixture
+def _inputs_in(d, ckpt, dev_path, fx) -> dict:
+    """A valid value for every file flag of every subcommand; all but the
+    checkpoint and the labelled records are written under d."""
     write_jsonl(fx.source, d / "src.jsonl")
     write_jsonl(fx.target, d / "tgt.jsonl")
     write_alignments(fx.pairs, d / "align.jsonl")
@@ -633,6 +630,31 @@ def valid_inputs(trained, tmp_path_factory, transfer_fixture):
     }
 
 
+@pytest.fixture(scope="module")
+def valid_inputs(trained, tmp_path_factory, transfer_fixture):
+    _, ckpt, dev_path = trained
+    return _inputs_in(tmp_path_factory.mktemp("inputs"), ckpt, dev_path, transfer_fixture)
+
+
+@pytest.fixture
+def own_inputs(trained, tmp_path, transfer_fixture):
+    """valid_inputs with every file, checkpoint and records too, a fresh copy under tmp_path."""
+    _, ckpt, dev_path = trained
+    for path in (ckpt, dev_path):
+        (tmp_path / path.name).write_bytes(path.read_bytes())
+    return _inputs_in(tmp_path, tmp_path / ckpt.name, tmp_path / dev_path.name, transfer_fixture)
+
+
+def _argv(command: str, flags: dict) -> list[str]:
+    argv = [command, *(str(x) for pair in flags.items() for x in pair)]
+    return argv + TRAIN_OVERRIDES if command == "train" else argv
+
+
+def _files(root) -> dict:
+    """Every file under root and its bytes."""
+    return {path: path.read_bytes() for path in sorted(root.rglob("*")) if path.is_file()}
+
+
 TEXT_INPUTS = [
     ("softlabel", "--dict"), ("softlabel", "--quadmap"), ("softlabel", "--actors"), ("softlabel", "--in"),
     ("transfer", "--src"), ("transfer", "--tgt"), ("transfer", "--align"),
@@ -648,13 +670,99 @@ def test_invalid_utf8_input_exits_2(valid_inputs, tmp_path, capsys, command, fla
     bad = tmp_path / "bad.txt"
     bad.write_bytes(b"fine\n\xff\xfe\n")
     flags = {**valid_inputs[command], flag: bad}
-    argv = [command, *(str(x) for pair in flags.items() for x in pair)]
-    if command == "train":
-        argv += TRAIN_OVERRIDES
-    assert main(argv) == 2
+    assert main(_argv(command, flags)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
     assert "line 2" in err and "UTF-8" in err
+
+
+# one flag per reader of a plain text file: dictionary, quad map, actor list, settings, embeddings
+BOM_INPUTS = [("softlabel", "--dict"), ("softlabel", "--quadmap"), ("softlabel", "--actors"),
+              ("train", "--config"), ("train", "--embeddings")]
+
+
+@pytest.mark.parametrize("command,flag", BOM_INPUTS, ids=[f"{c}{f}" for c, f in BOM_INPUTS])
+def test_leading_byte_order_mark_exits_2(valid_inputs, tmp_path, capsys, command, flag):
+    bad = tmp_path / "bom.txt"
+    bad.write_bytes(b"\xef\xbb\xbf" + valid_inputs[command][flag].read_bytes())
+    assert main(_argv(command, {**valid_inputs[command], flag: bad})) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: line 1: starts with a byte-order mark (save the file as UTF-8 without a BOM)\n"
+
+
+class TestOutputPaths:
+    """Every command refuses, before it reads an input, an output that is the
+    same file as one of its inputs or as another of its outputs (its manifest
+    included), and an output in a directory that does not exist."""
+
+    def _refused(self, tmp_path, capsys, monkeypatch, argv, message):
+        monkeypatch.setattr(experiments, "fit", _must_not_fit)
+        before = _files(tmp_path)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert _files(tmp_path) == before
+
+    def test_softlabel_output_over_its_input(self, own_inputs, tmp_path, capsys, monkeypatch):
+        flags = own_inputs["softlabel"]
+        flags["--out"] = tmp_path / "." / flags["--in"].name
+        self._refused(tmp_path, capsys, monkeypatch, _argv("softlabel", flags),
+                      f"{flags['--out']}: output is the same file as input {flags['--in']}")
+
+    def test_transfer_output_hard_linked_to_its_input(self, own_inputs, tmp_path, capsys, monkeypatch):
+        flags = own_inputs["transfer"]
+        flags["--out"] = tmp_path / "link.jsonl"
+        flags["--out"].hardlink_to(flags["--align"])
+        self._refused(tmp_path, capsys, monkeypatch, _argv("transfer", flags),
+                      f"{flags['--out']}: output is the same file as input {flags['--align']}")
+
+    def test_split_outdir_holding_its_input(self, own_inputs, tmp_path, capsys, monkeypatch):
+        flags = own_inputs["split"]
+        infile = tmp_path / "train.jsonl"
+        flags["--in"].rename(infile)
+        flags.update({"--in": infile, "--outdir": tmp_path})
+        self._refused(tmp_path, capsys, monkeypatch, _argv("split", flags),
+                      f"{infile}: output is the same file as input {infile}")
+
+    @pytest.mark.parametrize("history", ["{ckpt}", "{ckpt}.manifest.json"], ids=["checkpoint", "manifest"])
+    def test_train_history_over_another_output(self, own_inputs, tmp_path, capsys, monkeypatch, history):
+        flags = own_inputs["train"]
+        flags["--history"] = out = history.format(ckpt=flags["--out-checkpoint"])
+        self._refused(tmp_path, capsys, monkeypatch, _argv("train", flags),
+                      f"{out}: output is the same file as output {out}")
+
+    def test_eval_report_symlinked_to_its_checkpoint(self, own_inputs, tmp_path, capsys, monkeypatch):
+        flags = own_inputs["eval"]
+        flags["--report"] = tmp_path / "report.json"
+        flags["--report"].symlink_to(flags["--checkpoint"])
+        self._refused(tmp_path, capsys, monkeypatch, _argv("eval", flags),
+                      f"{flags['--report']}: output is the same file as input {flags['--checkpoint']}")
+
+    def test_predict_output_over_its_input(self, own_inputs, tmp_path, capsys, monkeypatch):
+        flags = own_inputs["predict"]
+        flags["--out"] = flags["--in"]
+        self._refused(tmp_path, capsys, monkeypatch, _argv("predict", flags),
+                      f"{flags['--in']}: output is the same file as input {flags['--in']}")
+
+    @pytest.mark.parametrize("command,flag", [("softlabel", "--out"), ("transfer", "--out"), ("eval", "--report"),
+                                              ("predict", "--out")])
+    def test_missing_output_directory(self, own_inputs, tmp_path, capsys, monkeypatch, command, flag):
+        flags = {**own_inputs[command], flag: tmp_path / "missing" / "out"}
+        self._refused(tmp_path, capsys, monkeypatch, _argv(command, flags),
+                      f"{flags[flag]}: output directory {tmp_path / 'missing'} does not exist")
+
+    def test_output_in_a_symlink_loop(self, own_inputs, tmp_path, capsys):
+        flags = own_inputs["predict"]
+        flags["--out"] = tmp_path / "loop"
+        flags["--out"].symlink_to(tmp_path / "loop")
+        assert main(_argv("predict", flags)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "loop" in err and err.count("\n") == 1
+
+    def test_split_creates_its_outdir(self, own_inputs, tmp_path, capsys):
+        flags = {**own_inputs["split"], "--outdir": tmp_path / "a" / "b"}
+        assert main(_argv("split", flags)) == 0
+        assert sorted(p.name for p in (tmp_path / "a" / "b").iterdir()) == [
+            "dev.jsonl", "split.manifest.json", "test.jsonl", "train.jsonl"]
 
 
 class TestParser:

@@ -450,8 +450,8 @@ def test_unreadable_format_version_exits_2(tmp_path, capsys, version):
 
 
 @pytest.mark.parametrize("kind, length, message", [
-    ("word", 4, "bad word config in checkpoint header: branch_k4.pool: output length 0 pooling 1 by 2"),
-    ("char", 6, "bad char config in checkpoint header: conv1: output length 0 < 1 (kernel 7 too wide)"),
+    ("word", 4, "bad word config in checkpoint header: branch_k4.pool: output length 0 < 1 for input length 4"),
+    ("char", 6, "bad char config in checkpoint header: conv1: output length 0 < 1 for input length 6"),
 ], ids=["word", "char"])
 def test_config_too_short_to_build_names_the_checkpoint(tmp_path, capsys, kind, length, message):
     blob = _checkpoint(tmp_path, kind)

@@ -26,7 +26,6 @@ from quadcode.models import (
     _config_from_obj,
     batch_loss,
     build_word_cnn,
-    char_stack_lengths,
     implied_param_count,
     load_checkpoint,
     make_gradcheck_examples,
@@ -36,7 +35,6 @@ from quadcode.models import (
     shape_trace,
     tiny_char_config,
     tiny_word_config,
-    word_branch_lengths,
 )
 from quadcode.text_encoding import (
     CharEncoder,
@@ -123,11 +121,11 @@ class TestConfigValidation:
 
     def test_too_short_input_names_failing_layer(self):
         # a config no model can be built from is refused when it is made
-        with pytest.raises(InvalidConfigError, match=r"^conv2: output length -1 < 1 \(kernel 3 too wide\)$"):
+        with pytest.raises(InvalidConfigError, match=r"^conv2: output length -1 < 1 for input length 11$"):
             CharCnnConfig(alphabet_size=10, length=11)
         with pytest.raises(InvalidConfigError, match=r"^branch_k5\.conv: output length 0 < 1 for input length 4$"):
             WordCnnConfig(vocab_size=10, length=4, pool=1)
-        with pytest.raises(InvalidConfigError, match=r"^branch_k4\.pool: output length 0 pooling 1 by 2$"):
+        with pytest.raises(InvalidConfigError, match=r"^branch_k4\.pool: output length 0 < 1 for input length 4$"):
             WordCnnConfig(vocab_size=10, length=4)
 
 
@@ -198,8 +196,7 @@ class TestShapeTraces:
         trace = dict(shape_trace(model))
         assert trace["embedding"] == (32, 20)
         for k in (3, 4, 5):
-            conv_len, pool_len = word_branch_lengths(config, k)
-            assert (conv_len, pool_len) == (20 - k + 1, (20 - k + 1) // 2)
+            conv_len, pool_len = 20 - k + 1, (20 - k + 1) // 2
             assert trace[f"branch_k{k}.conv"] == (16, conv_len)
             assert trace[f"branch_k{k}.pool"] == (16, pool_len)
             assert trace[f"branch_k{k}.flatten"] == (16,)
@@ -215,10 +212,10 @@ class TestShapeTraces:
     def test_char_trace_matches_length_laws(self):
         config = CharCnnConfig(alphabet_size=32)
         model = CharCnn(config, seed=0)
-        lengths = char_stack_lengths(config)
         by_hand = char_lengths_by_hand(512, [(256, 7, 3), (256, 3, 0), (256, 3, 0), (256, 3, 3)])
-        assert lengths == by_hand == [168, 166, 164, 54]
+        assert by_hand == [168, 166, 164, 54]
         trace = dict(shape_trace(model))
+        assert [trace[name][1] for name in ("conv1.pool", "conv2", "conv3", "conv4.pool")] == by_hand
         assert trace["conv1"] == (256, 506)
         assert trace["conv1.pool"] == (256, 168)
         assert trace["conv4.pool"] == (256, 54)
@@ -259,6 +256,75 @@ class TestShapeTraces:
             "embedding", "conv1.w", "conv1.b", "conv2.w", "conv2.b", "conv3.w", "conv3.b", "conv4.w", "conv4.b",
             "fc1.w", "fc1.b", "fc2.w", "fc2.b", "fc3.w", "fc3.b",
         ]
+
+
+def _first_short_layer(length: int, stacks) -> tuple[str | None, int, dict]:
+    """By hand, for stacks of (name, kernel, pool or None) convs, each stack
+    reading all length input positions, in walk order: the first layer whose
+    output length is < 1 and that length (None and 0 when there is none),
+    and the output length of every layer before it."""
+    lengths = {}
+    for stack in stacks:
+        out = length
+        for name, kernel, pool in stack:
+            out = out - kernel + 1
+            if out < 1:
+                return name, out, lengths
+            lengths[name] = out
+            if pool is not None:
+                name = f"{name.removesuffix('.conv')}.pool"
+                out //= pool
+                if out < 1:
+                    return name, out, lengths
+                lengths[name] = out
+    return None, 0, lengths
+
+
+# kernel triples in walk order: ascending, descending and mixed
+WORD_KERNELS = [(1, 2, 3), (3, 4, 5), (5, 6, 7), (7, 6, 5), (2, 7, 4), (6, 1, 3)]
+
+
+class TestLengthLawGrid:
+    """Configs on a grid near the smallest buildable length: construction
+    raises exactly when a conv or pool output computed by hand is < 1, naming
+    the first such layer, and a config that builds traces those lengths."""
+
+    @pytest.mark.parametrize("length", range(1, 25))
+    def test_word(self, length):
+        for kernels in WORD_KERNELS:
+            for pool in range(1, 6):
+                branches = [[(f"branch_k{k}.conv", k, pool)] for k in kernels]
+                short, out, lengths = _first_short_layer(length, branches)
+                make = lambda: WordCnnConfig(vocab_size=5, embed_dim=2, length=length, frames=2,  # noqa: E731
+                                             kernels=kernels, pool=pool, hidden=2)
+                if short is not None:
+                    with pytest.raises(InvalidConfigError) as info:
+                        make()
+                    assert str(info.value) == f"{short}: output length {out} < 1 for input length {length}"
+                    continue
+                trace = dict(shape_trace(WordCnn(make(), seed=None)))
+                assert {name: trace[name][1] for name in lengths} == lengths
+                assert all(trace[f"branch_k{k}.global_pool"] == (2, 1) for k in kernels)
+
+    @pytest.mark.parametrize("length", range(1, 25))
+    def test_char(self, length):
+        for k1 in range(1, 8):
+            for p1 in (None, *range(1, 6)):
+                for k2, p2 in ((1, None), (3, 2), (7, None), (2, 5)):
+                    stack = [("conv1", k1, p1), ("conv2", k2, p2)]
+                    short, out, lengths = _first_short_layer(length, [stack])
+                    make = lambda: CharCnnConfig(alphabet_size=5, embed_dim=2, length=length,  # noqa: E731
+                                                 convs=[(2, k, p) for _, k, p in stack], hidden=(2,))
+                    if short is not None:
+                        with pytest.raises(InvalidConfigError) as info:
+                            make()
+                        assert str(info.value) == f"{short}: output length {out} < 1 for input length {length}"
+                        continue
+                    model = CharCnn(make(), seed=None)
+                    trace = dict(shape_trace(model))
+                    assert {name: trace[name][1] for name in lengths} == lengths
+                    assert trace["flatten"] == (2 * [*lengths.values()][-1],)
+                    assert implied_param_count(model.config) == parameter_count(model)
 
 
 class TestPredict:
