@@ -5,11 +5,14 @@ Every subcommand that writes outputs also writes `<first output>.manifest.json`
 configuration, input digests, and seed, which is enough to replay the
 run and get byte-identical outputs. Before it reads any input, each such
 subcommand refuses an output (the manifest included) that is the same
-file as an input or another output, or whose directory does not exist
-(_check_outputs). Exit codes: 0 on success, 2 for bad inputs (missing
-files, malformed records, bad flags, an argument that is not UTF-8), 1
-for internal errors (out of memory among them), each reported as one
-line on stderr.
+file as an input or another output, that is a directory, or whose
+directory does not exist, and a `split --outdir` that is not a directory
+(_check_outputs). `eval` and `predict` run the model through
+train_eval.predict_rows, as `train` does for its dev split. Exit codes: 0
+on success, 2 for bad inputs (missing files, malformed records, bad
+flags, an argument that is not UTF-8), 1 for internal errors (out of
+memory among them), each reported as one line on stderr. A character
+that stdout or stderr cannot encode is printed as a backslash escape.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import hashlib
+import io
 import json
 import math
 import os
@@ -46,7 +50,6 @@ from .models import (
     WordCnn,
     load_checkpoint,
     make_gradcheck_examples,
-    predict,
     save_checkpoint,
     tiny_char_config,
     tiny_word_config,
@@ -54,7 +57,7 @@ from .models import (
 from .ontology import CLASSES, default_quad_map, load_quad_map, quad_map_digest
 from .softlabel import code_corpus, load_actor_words, load_dictionary
 from .tensor_nn.gradcheck import finite_difference_check
-from .train_eval import DEFAULT_BATCH_SIZE, evaluate, write_history
+from .train_eval import evaluate, predict_rows, write_history
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -120,10 +123,13 @@ def _file_key(path: str | Path) -> tuple:
 
 
 def _check_outputs(inputs: list, outputs: list, *, outdir: Path | None = None) -> None:
-    """Refuse, before anything is read or written, an output whose directory
-    does not exist (outdir excepted: the command creates it) and an output
+    """Refuse, before anything is read or written, an outdir that exists but
+    is not a directory, an output that is a directory or whose directory
+    does not exist (outdir excepted: the command creates it), and an output
     that is the same file as an input or as an earlier output. Inputs left
     unset (None or "") are skipped."""
+    if outdir is not None and outdir.exists() and not outdir.is_dir():
+        raise InputError(f"{outdir}: output directory exists and is not a directory")
     seen: dict[tuple, tuple[str, str | Path]] = {}
     for path in inputs:
         if path:
@@ -132,6 +138,8 @@ def _check_outputs(inputs: list, outputs: list, *, outdir: Path | None = None) -
         parent = Path(out).parent
         if parent != outdir and not parent.is_dir():
             raise InputError(f"{out}: output directory {parent} does not exist")
+        if Path(out).is_dir():
+            raise InputError(f"{out}: output is a directory")
         key = _file_key(out)
         if key in seen:
             kind, other = seen[key]
@@ -290,14 +298,8 @@ def _cmd_predict(args) -> int:
     loaded = load_checkpoint(args.checkpoint)
     encoder = _require_encoder(loaded)
     records = read_jsonl(args.infile)
-
-    def annotated():
-        for start in range(0, len(records), DEFAULT_BATCH_SIZE):
-            chunk = records[start : start + DEFAULT_BATCH_SIZE]
-            classes, probs = predict(loaded.model, np.stack([encoder.encode(r.text) for r in chunk]))
-            yield from map(_prediction_line, chunk, classes, probs)
-
-    write_json_lines(annotated(), args.out)
+    predicted = predict_rows(loaded.model, (encoder.encode(r.text) for r in records))
+    write_json_lines((_prediction_line(r, *pair) for r, pair in zip(records, predicted)), args.out)
     print(f"{len(records)} records annotated")
     _write_manifest(args.out, "predict", inputs=[args.checkpoint, args.infile], outputs=[args.out],
                     known_digests={str(args.checkpoint): loaded.sha256})
@@ -398,6 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper):  # as stderr does: a line stdout cannot encode prints escaped
+        sys.stdout.reconfigure(errors="backslashreplace")
     argv = sys.argv[1:] if argv is None else argv
     for arg in argv:
         try:  # Python passes a byte that is not UTF-8 as a lone surrogate, which no UTF-8 output can hold

@@ -88,6 +88,19 @@ def _positive(name: str, value: int) -> None:
         raise InvalidConfigError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def _check_head(classes: int, dropout: float) -> None:
+    """The fields both configs share: the int 4 classes and a dropout rate in [0, 1)."""
+    if type(classes) is not int or classes != 4:
+        raise InvalidConfigError(f"classifier is four-way, got classes={classes!r}")
+    if not isinstance(dropout, (int, float)) or isinstance(dropout, bool) or not 0.0 <= dropout < 1.0:
+        raise InvalidConfigError(f"dropout must be a number in [0, 1), got {dropout!r}")
+
+
+def _flag(name: str, value: bool) -> None:
+    if not isinstance(value, bool):
+        raise InvalidConfigError(f"{name} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class WordCnnConfig:
     vocab_size: int
@@ -105,10 +118,8 @@ class WordCnnConfig:
         object.__setattr__(self, "kernels", tuple(self.kernels))
         if len(self.kernels) != 3 or len(set(self.kernels)) != 3:
             raise InvalidConfigError(f"need exactly three distinct kernel widths, got {self.kernels}")
-        if self.classes != 4:
-            raise InvalidConfigError(f"classifier is four-way, got classes={self.classes}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+        _check_head(self.classes, self.dropout)
+        _flag("embeddings_trainable", self.embeddings_trainable)
         for name in ("vocab_size", "embed_dim", "length", "frames", "pool", "hidden"):
             _positive(name, getattr(self, name))
         for kernel in self.kernels:
@@ -145,14 +156,12 @@ class CharCnnConfig:
     def __post_init__(self):
         object.__setattr__(self, "convs", tuple(ConvSpec(*spec) for spec in self.convs))
         object.__setattr__(self, "hidden", tuple(self.hidden))
-        if self.classes != 4:
-            raise InvalidConfigError(f"classifier is four-way, got classes={self.classes}")
+        _check_head(self.classes, self.dropout)
+        _flag("one_hot", self.one_hot)
         if not self.convs:
             raise InvalidConfigError("need at least one conv layer")
         if not self.hidden:
             raise InvalidConfigError("need at least one hidden dense layer")
-        if not 0.0 <= self.dropout < 1.0:
-            raise InvalidConfigError(f"dropout must be in [0, 1), got {self.dropout}")
         for name in ("alphabet_size", "embed_dim", "length"):
             _positive(name, getattr(self, name))
         for h in self.hidden:

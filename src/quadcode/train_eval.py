@@ -3,8 +3,8 @@
 Everything downstream of (seed, data, config) is deterministic: epoch
 shuffles and per-example dropout masks come from counter-based streams
 keyed by (epoch) and (step, example position), each batch runs as one
-batched pass whose arithmetic depends only on its contents, and evaluation
-consumes no randomness at all.
+batched pass whose arithmetic depends only on its contents, and inference
+(predict_rows, which dev evaluation also uses) consumes no randomness at all.
 """
 
 from __future__ import annotations
@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +33,7 @@ class NonFiniteLossError(QuadcodeError):
         self.step = step
 
 
+# also the inference chunk: a full-scale char forward takes its live prefix only on multiples of 32 records
 DEFAULT_BATCH_SIZE = 32
 
 
@@ -140,18 +142,22 @@ class Metrics:
         return out
 
 
-def evaluate(
-    model: Model, test_set: Sequence[EncodedExample], batch_size: int = DEFAULT_BATCH_SIZE
-) -> Metrics:
-    """Dropout-off predictions over the whole set, batch_size examples per
-    forward pass; exact counts."""
+def predict_rows(model: Model, rows: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
+    """(class, probs) per (L,) index row, in order, from one models.predict
+    call per DEFAULT_BATCH_SIZE rows; rows are read one chunk at a time."""
+    rows = iter(rows)
+    while chunk := list(islice(rows, DEFAULT_BATCH_SIZE)):
+        classes, probs = predict(model, np.stack(chunk))
+        yield from zip(classes.tolist(), probs)
+
+
+def evaluate(model: Model, test_set: Sequence[EncodedExample]) -> Metrics:
+    """Dropout-off predictions over the whole set (predict_rows); exact counts."""
     if not test_set:
         raise InputError("test dataset has no examples")
+    predicted = [c for c, _ in predict_rows(model, (example.indices for example in test_set))]
     confusion = np.zeros((4, 4), dtype=np.int64)
-    for start in range(0, len(test_set), batch_size):
-        chunk = test_set[start : start + batch_size]
-        classes, _ = predict(model, np.stack([example.indices for example in chunk]))
-        np.add.at(confusion, ([example.label for example in chunk], classes), 1)
+    np.add.at(confusion, ([example.label for example in test_set], predicted), 1)
     return Metrics(confusion)
 
 
@@ -200,7 +206,7 @@ def train(
             optimizer.step()
             epoch_loss += loss * len(batch)
             step += 1
-        dev_accuracy = evaluate(model, dev_set, config.batch_size).accuracy
+        dev_accuracy = evaluate(model, dev_set).accuracy
         history.append(EpochStats(epoch, epoch_loss / n, dev_accuracy))
         if dev_accuracy > best_accuracy:
             best_accuracy = dev_accuracy

@@ -6,14 +6,18 @@ produced files can all be asserted cheaply.
 
 import hashlib
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from quadcode import cli, experiments
+from quadcode import cli, experiments, train_eval
 from quadcode.cli import main
 from quadcode.config import (
     ConfigError,
@@ -121,7 +125,7 @@ class TestSettings:
 class TestConfigFiles:
     def test_parse_comments_and_blanks(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("# a comment\n\nmodel = char\nseed = 4\n")
+        path.write_text("# a comment\n\nmodel = char\nseed = 4\n", encoding="utf-8")
         assert parse_config_file(path) == {"model": "char", "seed": "4"}
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -140,19 +144,19 @@ class TestConfigFiles:
 
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("seed = 1\nseed = 2\n")
+        path.write_text("seed = 1\nseed = 2\n", encoding="utf-8")
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config_file(path)
 
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("seed 1\n")
+        path.write_text("seed 1\n", encoding="utf-8")
         with pytest.raises(ConfigError, match=":1"):
             parse_config_file(path)
 
     def test_overrides_beat_file(self, tmp_path):
         path = tmp_path / "run.conf"
-        path.write_text("seed = 1\nlr = 0.5\n")
+        path.write_text("seed = 1\nlr = 0.5\n", encoding="utf-8")
         s = resolve_settings(path, ["seed=7"])
         assert s.seed == 7 and s.lr == 0.5
 
@@ -167,7 +171,8 @@ def sample_dict(tmp_path):
     path = tmp_path / "verbs.txt"
     path.write_text(
         "met with -> 040\nsigned agreement with -> 057\nprovided aid to -> 070\n"
-        "condemned -> 111\nattacked -> 190\nsigned -> 051\n"
+        "condemned -> 111\nattacked -> 190\nsigned -> 051\n",
+        encoding="utf-8",
     )
     return path
 
@@ -185,14 +190,14 @@ class TestSoftlabelCommand:
         labelled = read_jsonl(out)
         expected = [e for e in fx.expected if e is not None]
         assert len(labelled) == len(expected)
-        manifest = json.loads((tmp_path / "labelled.jsonl.manifest.json").read_text())
+        manifest = json.loads((tmp_path / "labelled.jsonl.manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "softlabel"
         assert any(path.endswith("raw.jsonl") for path in manifest["inputs"])
         assert all(len(sha) == 64 for sha in manifest["inputs"].values())
 
     def test_missing_dictionary_exits_2_with_path(self, tmp_path, capsys):
         infile = tmp_path / "raw.jsonl"
-        infile.write_text("")
+        infile.write_text("", encoding="utf-8")
         code = main(["softlabel", "--dict", str(tmp_path / "nope.txt"), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
         assert code == 2
         assert "nope.txt" in capsys.readouterr().err
@@ -200,15 +205,15 @@ class TestSoftlabelCommand:
     def test_empty_corpus_ok(self, tmp_path, sample_dict, capsys):
         infile = tmp_path / "raw.jsonl"
         out = tmp_path / "out.jsonl"
-        infile.write_text("")
+        infile.write_text("", encoding="utf-8")
         assert main(["softlabel", "--dict", str(sample_dict), "--in", str(infile), "--out", str(out)]) == 0
-        assert out.read_text() == ""
+        assert out.read_text(encoding="utf-8") == ""
 
     def test_malformed_record_exits_2(self, tmp_path, sample_dict, capsys):
         infile = tmp_path / "raw.jsonl"
         bad_cameo = '{"id":"a","lang":"en","text":"hi","cameo":%s}\n'
         for text in ('{"id":"a"}\n', bad_cameo % "5", bad_cameo % '["01"]'):
-            infile.write_text(text)
+            infile.write_text(text, encoding="utf-8")
             code = main(["softlabel", "--dict", str(sample_dict), "--in", str(infile), "--out", str(tmp_path / "o.jsonl")])
             assert code == 2
             assert "line 1" in capsys.readouterr().err
@@ -222,7 +227,7 @@ class TestSoftlabelCommand:
         infile = tmp_path / "raw.jsonl"
         write_jsonl(make_softlabel_fixture(5, seed=1).records, infile)
         bad = tmp_path / "bad.txt"
-        bad.write_text(text)
+        bad.write_text(text, encoding="utf-8")
         flags = {"--dict": str(sample_dict), "--in": str(infile), "--out": str(tmp_path / "o.jsonl"), flag: str(bad)}
         assert main(["softlabel", *(x for pair in flags.items() for x in pair)]) == 2
         err = capsys.readouterr().err
@@ -305,7 +310,7 @@ class TestSplitCommand:
         assert [len(p) for p in parts] == [20, 12, 8]
         all_ids = sorted(r.id for part in parts for r in part)
         assert all_ids == sorted(r.id for r in records)
-        manifest = json.loads((outdir / "split.manifest.json").read_text())
+        manifest = json.loads((outdir / "split.manifest.json").read_text(encoding="utf-8"))
         assert manifest["seed"] == 3
 
     def test_non_utf8_argument_exits_2_before_writing(self, tmp_path, capsys):
@@ -354,6 +359,10 @@ def _must_not_fit(*args, **kwargs):
     raise AssertionError("train fitted a model it should have refused to start")
 
 
+def _must_not_load(*args, **kwargs):
+    raise AssertionError("a command loaded a checkpoint it should have refused to start on")
+
+
 class TestTrainCommand:
     @pytest.mark.parametrize("setting", [
         "optimizer=foo", "lr=0", "lr=-0.1", "lr=nan", "lr=inf", "momentum=1", "momentum=-0.5",
@@ -373,7 +382,7 @@ class TestTrainCommand:
     def test_non_utf8_set_value_exits_2_before_training(self, trained, tmp_path, capsys, monkeypatch):
         root, _, dev_path = trained
         vectors = tmp_path / "vec\udcff.txt"  # a file the run could read, whose name no header can hold
-        vectors.write_text("")
+        vectors.write_text("", encoding="utf-8")
         monkeypatch.setattr(experiments, "fit", _must_not_fit)
         code = main([
             "train", "--train", str(root / "train.jsonl"), "--dev", str(dev_path),
@@ -418,7 +427,7 @@ class TestTrainCommand:
         root, ckpt, _ = trained
         assert ckpt.exists()
         assert (root / "model.ckpt.history.jsonl").exists()
-        manifest = json.loads((root / "model.ckpt.manifest.json").read_text())
+        manifest = json.loads((root / "model.ckpt.manifest.json").read_text(encoding="utf-8"))
         assert manifest["command"] == "train"
         assert manifest["config"]["word_embed_dim"] == 8
         assert manifest["seed"] == 1
@@ -449,7 +458,7 @@ class TestTrainCommand:
 
     def test_unlabelled_training_data_exits_2(self, tmp_path, capsys):
         raw = tmp_path / "raw.jsonl"
-        raw.write_text('{"id":"a","lang":"en","text":"hello there"}\n')
+        raw.write_text('{"id":"a","lang":"en","text":"hello there"}\n', encoding="utf-8")
         code = main([
             "train", "--train", str(raw), "--dev", str(raw),
             "--out-checkpoint", str(tmp_path / "m.ckpt"), *TRAIN_OVERRIDES,
@@ -458,13 +467,45 @@ class TestTrainCommand:
         assert "label" in capsys.readouterr().err
 
 
+    def test_ascii_stdout_escapes_a_non_ascii_checkpoint_path(self, trained, tmp_path):
+        _, _, dev_path = trained
+        ckpt = tmp_path / "مودل.ckpt"
+        src_root = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src_root, os.environ.get("PYTHONPATH")) if p)
+        env = {**os.environ, "PYTHONIOENCODING": "ascii", "PYTHONPATH": path}
+        argv = ["train", "--model", "word", "--train", str(dev_path), "--dev", str(dev_path),
+                "--out-checkpoint", str(ckpt), *TRAIN_OVERRIDES]
+        done = subprocess.run([sys.executable, "-m", "quadcode.cli", *argv], env=env, capture_output=True, timeout=300)
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert cli._manifest_path(ckpt).exists()
+        assert b"checkpoint written to " + ascii(str(ckpt))[1:-1].encode() in done.stdout
+
+    def test_dev_accuracy_is_what_eval_reports(self, tmp_path, capsys, monkeypatch):
+        """Dev evaluation walks 32 records a forward whatever the training
+        batch size, as eval does, so the two give the same accuracy."""
+        records = make_separable_corpus(80, seed=6)
+        train_path, dev_path, ckpt = tmp_path / "train.jsonl", tmp_path / "dev.jsonl", tmp_path / "m.ckpt"
+        write_jsonl(records[:40], train_path)
+        write_jsonl(records[40:], dev_path)
+        chunks = []
+        real_predict = train_eval.predict
+        monkeypatch.setattr(train_eval, "predict", lambda model, rows: chunks.append(len(rows)) or real_predict(model, rows))
+        assert main(["train", "--model", "word", "--train", str(train_path), "--dev", str(dev_path),
+                     "--out-checkpoint", str(ckpt), *TRAIN_OVERRIDES, "--set", "batch_size=8"]) == 0
+        assert chunks == [32, 8, 32, 8]
+        report = tmp_path / "report.json"
+        assert main(["eval", "--checkpoint", str(ckpt), "--test", str(dev_path), "--report", str(report)]) == 0
+        accuracy = json.loads(report.read_text(encoding="utf-8"))["accuracy"]
+        assert load_checkpoint(ckpt).metadata["best_dev_accuracy"] == accuracy
+
+
 class TestEvalCommand:
     def test_report_written(self, trained, tmp_path, capsys):
         _, ckpt, dev_path = trained
         report_path = tmp_path / "report.json"
         code = main(["eval", "--checkpoint", str(ckpt), "--test", str(dev_path), "--report", str(report_path)])
         assert code == 0
-        report = json.loads(report_path.read_text())
+        report = json.loads(report_path.read_text(encoding="utf-8"))
         assert report["model_kind"] == "word"
         assert 0.0 <= report["accuracy"] <= 1.0
         assert np.array(report["confusion"]).sum() == 8
@@ -477,7 +518,7 @@ class TestPredictCommand:
         out = tmp_path / "pred.jsonl"
         code = main(["predict", "--checkpoint", str(ckpt), "--in", str(dev_path), "--out", str(out)])
         assert code == 0
-        lines = [json.loads(l) for l in out.read_text().splitlines()]
+        lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
         assert len(lines) == 8
         for obj in lines:
             assert obj["predicted"] in {
@@ -550,7 +591,7 @@ def test_manifest_reuses_the_load_digest(trained, tmp_path, monkeypatch, capsys,
     else:
         argv = ["predict", "--checkpoint", str(ckpt), "--in", str(dev_path), "--out", str(out)]
     assert main(argv) == 0
-    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "out.json.manifest.json").read_text(encoding="utf-8"))
     assert manifest["inputs"][str(ckpt)] == hashlib.sha256(ckpt.read_bytes()).hexdigest()
     assert manifest["inputs"][str(dev_path)] == hashlib.sha256(dev_path.read_bytes()).hexdigest()
     assert hashed == [str(dev_path)]
@@ -613,10 +654,10 @@ def _inputs_in(d, ckpt, dev_path, fx) -> dict:
     write_alignments(fx.pairs, d / "align.jsonl")
     write_jsonl(make_softlabel_fixture(8, seed=1).records, d / "raw.jsonl")
     (d / "quad.txt").write_text(dumps_quad_map(default_quad_map()), encoding="utf-8")
-    (d / "verbs.txt").write_text("attacked -> 190\n")
-    (d / "actors.txt").write_text("police\n")
-    (d / "run.conf").write_text("epochs = 1\n")
-    (d / "vecs.txt").write_text("")
+    (d / "verbs.txt").write_text("attacked -> 190\n", encoding="utf-8")
+    (d / "actors.txt").write_text("police\n", encoding="utf-8")
+    (d / "run.conf").write_text("epochs = 1\n", encoding="utf-8")
+    (d / "vecs.txt").write_text("", encoding="utf-8")
     return {
         "softlabel": {"--dict": d / "verbs.txt", "--quadmap": d / "quad.txt", "--actors": d / "actors.txt",
                       "--in": d / "raw.jsonl", "--out": d / "labelled.jsonl"},
@@ -749,6 +790,21 @@ class TestOutputPaths:
         flags = {**own_inputs[command], flag: tmp_path / "missing" / "out"}
         self._refused(tmp_path, capsys, monkeypatch, _argv(command, flags),
                       f"{flags[flag]}: output directory {tmp_path / 'missing'} does not exist")
+
+    @pytest.mark.parametrize("command,flag", [("softlabel", "--out"), ("transfer", "--out"),
+                                              ("train", "--out-checkpoint"), ("train", "--history"),
+                                              ("eval", "--report"), ("predict", "--out")])
+    def test_output_that_is_a_directory(self, own_inputs, tmp_path, capsys, monkeypatch, command, flag):
+        monkeypatch.setattr(cli, "load_checkpoint", _must_not_load)
+        flags = {**own_inputs[command], flag: tmp_path / "dir"}
+        flags[flag].mkdir()
+        self._refused(tmp_path, capsys, monkeypatch, _argv(command, flags), f"{flags[flag]}: output is a directory")
+
+    def test_split_outdir_that_is_a_file(self, own_inputs, tmp_path, capsys, monkeypatch):
+        flags = {**own_inputs["split"], "--outdir": tmp_path / "file"}
+        flags["--outdir"].write_text("", encoding="utf-8")
+        self._refused(tmp_path, capsys, monkeypatch, _argv("split", flags),
+                      f"{flags['--outdir']}: output directory exists and is not a directory")
 
     def test_output_in_a_symlink_loop(self, own_inputs, tmp_path, capsys):
         flags = own_inputs["predict"]

@@ -132,7 +132,7 @@ class TestRecordValidation:
     def test_unknown_label_names_the_line(self, tmp_path, label):
         path = tmp_path / "l.jsonl"
         bad = {"id": "b", "lang": "en", "text": "yo", "label": label}
-        path.write_text('{"id":"a","lang":"en","text":"hi","label":"verbal_conflict"}\n' + json.dumps(bad) + "\n")
+        path.write_text('{"id":"a","lang":"en","text":"hi","label":"verbal_conflict"}\n' + json.dumps(bad) + "\n", encoding="utf-8")
         message = f"{path}: line 2: unknown label {label!r}"
         with pytest.raises(CorpusError, match=f"^{re.escape(message)}$"):
             read_jsonl(path)
@@ -141,7 +141,7 @@ class TestRecordValidation:
         path = tmp_path / "c.jsonl"
         codes = ["040", "040", " 040", "19"]
         path.write_text("".join(json.dumps({"id": str(i), "lang": "en", "text": "hi", "cameo": code}) + "\n"
-                                for i, code in enumerate(codes)))
+                                for i, code in enumerate(codes)), encoding="utf-8")
         read_back = [r.cameo for r in read_jsonl(path)]
         assert read_back == [parse_cameo_code("040")] * 3 + [parse_cameo_code("19")]
         assert [r.cameo for r in read_jsonl(path)] == read_back
@@ -161,7 +161,7 @@ class TestRecordValidation:
         bad = json.dumps({"id": "b", "lang": "en", "text": "yo", "cameo": code}) + "\n"
         for line_no, content in [(1, bad), (2, good + bad), (3, good + "\n" + bad + bad)]:
             path = tmp_path / f"bad{line_no}.jsonl"
-            path.write_text(content)
+            path.write_text(content, encoding="utf-8")
             want = f"{path}: line {line_no}: bad cameo code: {message}"
             with pytest.raises(CorpusError, match=f"^{re.escape(want)}$"):
                 read_jsonl(path)
@@ -378,13 +378,13 @@ class TestJsonlRoundTrip:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "c.jsonl"
-        path.write_text('{"id":"a","lang":"en","text":"hi"}\n\n{"id":"b","lang":"en","text":"yo"}\n')
+        path.write_text('{"id":"a","lang":"en","text":"hi"}\n\n{"id":"b","lang":"en","text":"yo"}\n', encoding="utf-8")
         assert [r.id for r in read_jsonl(path)] == ["a", "b"]
 
     def test_bad_json_line_number(self, tmp_path):
         path = tmp_path / "d.jsonl"
         for bad in ("{oops", "[" * 100_000 + "]" * 100_000):
-            path.write_text('{"id":"a","lang":"en","text":"hi"}\n' + bad + "\n")
+            path.write_text('{"id":"a","lang":"en","text":"hi"}\n' + bad + "\n", encoding="utf-8")
             with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: "):
                 read_jsonl(path)
 
@@ -402,7 +402,7 @@ class TestJsonlRoundTrip:
 
     def test_duplicate_id_rejected(self, tmp_path):
         path = tmp_path / "e.jsonl"
-        path.write_text('{"id":"a","lang":"en","text":"hi"}\n{"id":"a","lang":"en","text":"yo"}\n')
+        path.write_text('{"id":"a","lang":"en","text":"hi"}\n{"id":"a","lang":"en","text":"yo"}\n', encoding="utf-8")
         with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 2: duplicate record id 'a'$"):
             read_jsonl(path)
 
@@ -414,7 +414,7 @@ class TestJsonlRoundTrip:
 
     def test_alignment_bad_shape(self, tmp_path):
         path = tmp_path / "align.jsonl"
-        path.write_text('{"src_id":"a"}\n')
+        path.write_text('{"src_id":"a"}\n', encoding="utf-8")
         with pytest.raises(CorpusError, match=rf"^{re.escape(str(path))}: line 1: alignment needs string keys"):
             read_alignments(path)
 

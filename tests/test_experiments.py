@@ -97,7 +97,7 @@ class TestFit:
         # pick a token the fitted vocabulary is guaranteed to contain
         token = build_encoder(records[:12], settings).vocab.tokens[0]
         vec_path = tmp_path / "vecs.txt"
-        vec_path.write_text(token + " " + " ".join(["0.111"] * 8) + "\n")
+        vec_path.write_text(token + " " + " ".join(["0.111"] * 8) + "\n", encoding="utf-8")
         settings.apply(
             {"word.embeddings": str(vec_path), "word.embeddings_trainable": "false", "epochs": "1"},
             source="test",

@@ -302,7 +302,7 @@ HUGE_INT = "1" * 5_000
 
 def test_overlong_integer_in_jsonl_exits_2(tmp_path, capsys):
     infile = tmp_path / "in.jsonl"
-    infile.write_text('{"id":"a","lang":"en","text":"t"}\n{"id":"b","lang":"en","text":"t","source":' + HUGE_INT + "}\n")
+    infile.write_text('{"id":"a","lang":"en","text":"t"}\n{"id":"b","lang":"en","text":"t","source":' + HUGE_INT + "}\n", encoding="utf-8")
     code = main(["split", "--in", str(infile), "--outdir", str(tmp_path / "split")])
     err = capsys.readouterr().err
     assert code == 2 and err.count("\n") == 1
@@ -461,6 +461,29 @@ def test_config_too_short_to_build_names_the_checkpoint(tmp_path, capsys, kind, 
     path.write_bytes(sealed(blob, json.dumps(header).encode()))
     for err in _cli_exits_2(tmp_path, capsys, path):
         assert err == f"error: {path}: {message}\n"
+
+
+# header config fields of the wrong type, each with the message after "bad <kind> config in checkpoint header: "
+TYPED_FIELD_FORGERIES = {
+    "word_classes_float": ("word", "classes", 4.0, "classifier is four-way, got classes=4.0"),
+    "char_classes_float": ("char", "classes", 4.0, "classifier is four-way, got classes=4.0"),
+    "word_embeddings_trainable_str": ("word", "embeddings_trainable", "no",
+                                      "embeddings_trainable must be true or false, got 'no'"),
+    "char_one_hot_str": ("char", "one_hot", "yes", "one_hot must be true or false, got 'yes'"),
+    "word_dropout_bool": ("word", "dropout", False, "dropout must be a number in [0, 1), got False"),
+    "char_dropout_bool": ("char", "dropout", False, "dropout must be a number in [0, 1), got False"),
+}
+
+
+@pytest.mark.parametrize("kind, key, value, message", TYPED_FIELD_FORGERIES.values(), ids=TYPED_FIELD_FORGERIES.keys())
+def test_config_field_of_the_wrong_type_names_the_checkpoint(tmp_path, capsys, kind, key, value, message):
+    blob = _checkpoint(tmp_path, kind)
+    header = json.loads(_header_bytes(blob))
+    header["config"][key] = value
+    path = tmp_path / "forged.ckpt"
+    path.write_bytes(sealed(blob, json.dumps(header).encode()))
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: {path}: bad {kind} config in checkpoint header: {message}\n"
 
 
 @pytest.mark.parametrize("kind", ["word", "char"])

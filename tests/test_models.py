@@ -762,7 +762,7 @@ class TestBuildDeterminism:
         embed = next(p for p in model.parameters() if p.name == "embedding")
         before = embed.value.copy()
         path = tmp_path / "vecs.txt"
-        path.write_text("alpha " + " ".join(["0.125"] * config.embed_dim) + "\n")
+        path.write_text("alpha " + " ".join(["0.125"] * config.embed_dim) + "\n", encoding="utf-8")
         load_embeddings(path, vocab, embed.value)
         covered = np.arange(vocab.size) == vocab.index_of("alpha")
         assert (embed.value[covered] == 0.125).all()

@@ -340,7 +340,7 @@ class TestDictionaryFiles:
 
     def test_actor_list(self, tmp_path):
         path = tmp_path / "actors.txt"
-        path.write_text("# actors\nPolice\nu.n  # interior punctuation is fine\n")
+        path.write_text("# actors\nPolice\nu.n  # interior punctuation is fine\n", encoding="utf-8")
         assert load_actor_words(path) == frozenset({"police", "u.n"})
 
     @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
@@ -353,7 +353,7 @@ class TestDictionaryFiles:
     @pytest.mark.parametrize("line", ["u.n.", "police,", "al qaeda", "'army'"])
     def test_actor_the_tokenizer_never_yields_rejected(self, tmp_path, line):
         path = tmp_path / "actors.txt"
-        path.write_text(f"police\n\n{line}\n")
+        path.write_text(f"police\n\n{line}\n", encoding="utf-8")
         with pytest.raises(SoftLabelError, match=r"^actor list line 3: ") as err:
             load_actor_words(path)
         assert "can never match" in str(err.value)
@@ -411,7 +411,7 @@ class TestCodeCorpus:
     def test_empty_corpus(self, tmp_path, quad_map):
         src = tmp_path / "in.jsonl"
         dst = tmp_path / "out.jsonl"
-        src.write_text("")
+        src.write_text("", encoding="utf-8")
         hist = code_corpus(PatternDictionary([VerbPattern(("x",), parse_cameo_code("14"))]), quad_map, src, dst)
         assert hist.total == 0
-        assert dst.read_text() == ""
+        assert dst.read_text(encoding="utf-8") == ""

@@ -208,7 +208,7 @@ class TestEmbeddingTables:
     def test_load_embeddings_covered_and_missing(self, tmp_path):
         vocab = build_vocab(_recs("alpha beta"))
         path = tmp_path / "vecs.txt"
-        path.write_text("alpha 1.0 2.0 3.0\nstranger 9.0 9.0 9.0\n")
+        path.write_text("alpha 1.0 2.0 3.0\nstranger 9.0 9.0 9.0\n", encoding="utf-8")
         table = self._table(vocab, 3)
         load_embeddings(path, vocab, table)
         assert table[vocab.index_of("alpha")].tolist() == [1.0, 2.0, 3.0]
@@ -231,7 +231,7 @@ class TestEmbeddingTables:
     def test_load_embeddings_empty_file_matches_random(self, tmp_path):
         vocab = build_vocab(_recs("alpha beta"))
         path = tmp_path / "vecs.txt"
-        path.write_text("")
+        path.write_text("", encoding="utf-8")
         table = np.random.default_rng(5).uniform(-0.25, 0.25, size=(vocab.size, 4))
         before = table.copy()
         load_embeddings(path, vocab, table)
@@ -240,7 +240,7 @@ class TestEmbeddingTables:
     def test_dimension_mismatch(self, tmp_path):
         vocab = build_vocab(_recs("alpha"))
         path = tmp_path / "vecs.txt"
-        path.write_text("alpha 1.0 2.0\n")
+        path.write_text("alpha 1.0 2.0\n", encoding="utf-8")
         with pytest.raises(TextEncodingError, match=r"^embedding line 1: vector has 2 values, expected 3$"):
             load_embeddings(path, vocab, self._table(vocab, 3))
 
@@ -248,14 +248,14 @@ class TestEmbeddingTables:
     def test_non_finite_value_rejected(self, tmp_path, value):
         vocab = build_vocab(_recs("alpha"))
         path = tmp_path / "vecs.txt"
-        path.write_text(f"alpha 1.0 {value} 3.0\n")
+        path.write_text(f"alpha 1.0 {value} 3.0\n", encoding="utf-8")
         with pytest.raises(TextEncodingError, match=r"^embedding line 1: values must be finite$"):
             load_embeddings(path, vocab, self._table(vocab, 3))
 
     def test_unparseable_value(self, tmp_path):
         vocab = build_vocab(_recs("alpha"))
         path = tmp_path / "vecs.txt"
-        path.write_text("alpha 1.0 oops 3.0\n")
+        path.write_text("alpha 1.0 oops 3.0\n", encoding="utf-8")
         with pytest.raises(TextEncodingError, match=r"^embedding line 1: could not convert string to float: 'oops'$"):
             load_embeddings(path, vocab, self._table(vocab, 3))
 

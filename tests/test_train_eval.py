@@ -16,7 +16,7 @@ import quadcode
 
 from quadcode import train_eval
 from quadcode.errors import InputError, QuadcodeError
-from quadcode.models import build_word_cnn, predict, tiny_word_config
+from quadcode.models import CharCnn, build_word_cnn, predict, tiny_char_config, tiny_word_config
 from quadcode.ontology import CLASSES
 from quadcode.tensor_nn.optim import Adam, Sgd
 from quadcode.text_encoding import EncodedExample
@@ -118,6 +118,47 @@ def _examples(n, length=16, vocab=50, seed=0):
     ]
 
 
+def _padded_rows(model, n, seed):
+    """n (L,) index rows of live tokens, each followed by a PAD tail of random length."""
+    gen = np.random.default_rng(seed)
+    size = model.config.vocab_size if model.kind == "word" else model.config.alphabet_size
+    rows = gen.integers(1, size, size=(n, model.config.length), dtype=np.int64)
+    for row in rows:
+        row[gen.integers(1, model.config.length + 1) :] = 0
+    return list(rows)
+
+
+class TestPredictRows:
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 65])
+    def test_one_pair_per_row_as_chunked_predict_gives(self, kind, n):
+        model = build_word_cnn(tiny_word_config(), seed=1) if kind == "word" else CharCnn(tiny_char_config(), seed=1)
+        rows = _padded_rows(model, n, seed=n)
+        got = list(train_eval.predict_rows(model, iter(rows)))
+        want = []
+        for start in range(0, n, 32):
+            classes, probs = predict(model, np.stack(rows[start : start + 32]))
+            want += zip(classes.tolist(), probs)
+        assert len(got) == n
+        for (got_class, got_probs), (want_class, want_probs) in zip(got, want):
+            assert type(got_class) is int and got_class == want_class
+            assert got_probs.tobytes() == want_probs.tobytes()
+
+    def test_reads_rows_one_chunk_at_a_time(self):
+        model = build_word_cnn(tiny_word_config(), seed=1)
+        taken = []
+
+        def rows():
+            for row in _padded_rows(model, 70, seed=2):
+                taken.append(row)
+                yield row
+
+        predicted = train_eval.predict_rows(model, rows())
+        next(predicted)
+        assert len(taken) == 32
+        assert len(list(predicted)) == 69 and len(taken) == 70
+
+
 class TestEvaluate:
     def test_counts_match_manual_loop(self):
         model = build_word_cnn(tiny_word_config(), seed=0)
@@ -126,13 +167,6 @@ class TestEvaluate:
         truths = [e.label for e in examples]
         preds = [predict(model, e.indices)[0] for e in examples]
         assert (metrics.confusion == confusion_of(truths, preds)).all()
-
-    def test_chunk_size_does_not_change_counts(self):
-        model = build_word_cnn(tiny_word_config(), seed=1)
-        examples = _examples(30, seed=3)
-        want = evaluate(model, examples).confusion
-        for batch_size in (1, 7, 30, 64):
-            assert (evaluate(model, examples, batch_size).confusion == want).all()
 
     def test_empty_set_rejected(self):
         model = build_word_cnn(tiny_word_config(), seed=0)
@@ -227,7 +261,7 @@ class TestTrainingLoop:
         snapshots = []
         scripted = iter(accuracies)
 
-        def fake_evaluate(model, dev_set, batch_size):
+        def fake_evaluate(model, dev_set):
             snapshots.append([p.value.copy() for p in model.parameters()])
             return SimpleNamespace(accuracy=next(scripted))
 
@@ -333,17 +367,17 @@ class TestHistoryFiles:
     def test_written_shape(self, tmp_path):
         path = tmp_path / "history.jsonl"
         write_history([EpochStats(1, 1.0, 0.25)], path)
-        assert path.read_text() == '{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n'
+        assert path.read_text(encoding="utf-8") == '{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n'
 
     def test_bad_line_reports_position(self, tmp_path):
         path = tmp_path / "history.jsonl"
-        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n{"epoch":2}\n')
+        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n{"epoch":2}\n', encoding="utf-8")
         with pytest.raises(InputError, match="line 2"):
             read_history(path)
 
     def test_over_deep_line_reports_position(self, tmp_path):
         path = tmp_path / "history.jsonl"
-        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + "[" * 100_000 + "]" * 100_000 + "\n")
+        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + "[" * 100_000 + "]" * 100_000 + "\n", encoding="utf-8")
         with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 2: invalid JSON: nested too deeply$"):
             read_history(path)
 
@@ -361,12 +395,12 @@ class TestHistoryFiles:
             "huge_int_accuracy", "extra_key", "not_an_object"])
     def test_mistyped_line_is_line_numbered_input_error(self, tmp_path, line, fault):
         path = tmp_path / "history.jsonl"
-        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + line + "\n")
+        path.write_text('{"epoch":1,"train_loss":1.0,"dev_accuracy":0.25}\n' + line + "\n", encoding="utf-8")
         with pytest.raises(InputError, match=rf"^{re.escape(str(path))}: line 2: {re.escape(fault)}"):
             read_history(path)
 
     def test_integer_loss_and_accuracy_read_as_floats(self, tmp_path):
         path = tmp_path / "history.jsonl"
-        path.write_text('{"epoch":1,"train_loss":2,"dev_accuracy":1}\n')
+        path.write_text('{"epoch":1,"train_loss":2,"dev_accuracy":1}\n', encoding="utf-8")
         [stats] = read_history(path)
         assert stats == EpochStats(1, 2.0, 1.0) and isinstance(stats.train_loss, float)
