@@ -26,21 +26,22 @@ One walk over [("embedding", embedding), *seq] serves both (Model):
 forward_logits takes (N, L) indices and returns (N, 4) logits with a
 cache list holding one entry per layer of the walk, and
 backward_from_logits takes the (N, 4) logit gradient and pops that list
-empty. An inference forward of the char model over input that ends in PAD
-runs the embedding and the conv stack on the live prefix only and repeats
-their last output column over the PAD tail (Model._live_prefix), cut
-where the windows and tiles that Conv1d, ReLU and MaxPool1d declare
-allow (the GEMM tile rule lives on Conv1d, tensor_nn.layers). INFER
-logits are bit-identical to those of a caching forward.
-Shapes named per layer (shape_trace, the docs above) are those of one
-example, without the batch axis.
+empty. Model.values and Model.grads hold every parameter's value and
+gradient, back to back in parameters() order (tensor_nn.layers.lay_out):
+a checkpoint's parameter block is values, in one piece. An inference
+forward of the char model over input that ends in PAD runs the embedding
+and the conv stack on the live prefix only and repeats their last output
+column over the PAD tail (Model._live_prefix), cut where the windows and
+tiles that Conv1d, ReLU and MaxPool1d declare allow (the GEMM tile rule
+lives on Conv1d, tensor_nn.layers). INFER logits are bit-identical to
+those of a caching forward. Shapes named per layer (shape_trace, the docs
+above) are those of one example, without the batch axis.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -66,6 +67,7 @@ from .tensor_nn.layers import (
     PassContext,
     ReLU,
     batch_loss,  # noqa: F401  (the training loss is public as models.batch_loss)
+    lay_out,
     run_layers,
     unwind_layers,
 )
@@ -238,15 +240,23 @@ def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
 
 class Model:
     """Both models: an embedding plus one named layer list, seq, walked as
-    [("embedding", embedding), *seq]. seed=None builds the same layers with
-    zero-filled parameters and draws no random numbers, for a caller that
-    overwrites every parameter."""
+    [("embedding", embedding), *seq]. A build copies its init draws into
+    values once; seed=None maps values onto unwritten zeros and draws no
+    random numbers, for a caller that overwrites every parameter."""
 
     def _layers(self) -> list[tuple[str, object]]:
         return [("embedding", self.embedding), *self.seq]
 
     def parameters(self) -> list[Parameter]:
         return [p for _, layer in self._layers() for p in layer.params]
+
+    def _lay_out(self, seed: int | None) -> None:
+        # seed=None: values and grads are the two rows of one zero block, which
+        # load_checkpoint keeps for the gradients. At full scale the block lies
+        # above glibc's 32 MiB mmap ceiling, so its unwritten pages take no
+        # memory and freeing it leaves no hole in the heap.
+        zeros = (None, None) if seed is not None else np.zeros((2, implied_param_count(self.config)))
+        self.values, self.grads = lay_out(self.parameters(), *zeros)
 
     def forward_logits(self, indices: np.ndarray, ctx: PassContext):
         """(N, L) indices -> ((N, classes) logits, caches for the backward).
@@ -336,6 +346,7 @@ class WordCnn(Model):
             ("fc2", Dense(config.hidden, config.classes, init, "fc2")),
         ]
         self.head = self.seq[1:]  # perfbench/tracing.py reads self.branches and self.head
+        self._lay_out(seed)
 
     forward_logits = Model.forward_logits  # perfbench/tracing.py patches each class's own
 
@@ -369,6 +380,7 @@ class CharCnn(Model):
         out_name = f"fc{len(config.hidden) + 1}"
         seq.append((out_name, Dense(width, config.classes, init, out_name)))
         self.seq = seq
+        self._lay_out(seed)
 
     forward_logits = Model.forward_logits  # perfbench/tracing.py patches each class's own
 
@@ -420,7 +432,7 @@ def shape_trace(model: Model) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def parameter_count(model: Model) -> int:
-    return sum(p.size for p in model.parameters())
+    return model.values.size
 
 
 def make_gradcheck_examples(model: Model, count: int = 2, seed: int = 0) -> list[EncodedExample]:
@@ -441,7 +453,7 @@ def make_gradcheck_examples(model: Model, count: int = 2, seed: int = 0) -> list
 # --- checkpoints -----------------------------------------------------------------
 #
 # Layout: magic "QCNN" | u32 version | u64 header length | canonical JSON
-# header | float64-LE parameter blobs in declaration order | probe inputs
+# header | float64-LE parameter block (Model.values) | probe inputs
 # (int64-LE) | probe logits (float64-LE) | sha256 of everything before it.
 # The header carries config, encoder, quad-map digest, and run metadata, so
 # a checkpoint alone suffices to restore and verify the model. Version 2
@@ -569,7 +581,6 @@ def save_checkpoint(
     if encoder is not None:
         _check_encoder_fits(path, model.kind, model.config, encoder)
     vocab = None if encoder is None else _vocabulary(encoder)
-    params = model.parameters()
     probe_in = _probe_inputs(model, probe_seed)
     probe_logits = model.forward_logits(probe_in, INFER)[0]
     header = {
@@ -578,13 +589,12 @@ def save_checkpoint(
         "encoder": None if vocab is None else {"tokens": vocab.tokens, "counts": vocab.counts},
         "quadmap_digest": quad_map_digest,
         "metadata": metadata or {},
-        "params": [{"name": p.name, "shape": list(p.value.shape)} for p in params],
+        "params": [{"name": p.name, "shape": list(p.value.shape)} for p in model.parameters()],
         "probe": {"count": _PROBE_COUNT, "seed": probe_seed},
     }
     header_bytes = json.dumps(header, ensure_ascii=False, separators=(",", ":"), sort_keys=True).encode("utf-8")
     pieces = [_MAGIC, struct.pack("<IQ", _VERSION, len(header_bytes)), header_bytes]
-    pieces += [_raw(p.value, "<f8") for p in params]
-    pieces += [_raw(probe_in, "<i8"), _raw(probe_logits, "<f8")]
+    pieces += [_raw(model.values, "<f8"), _raw(probe_in, "<i8"), _raw(probe_logits, "<f8")]
     digest = hashlib.sha256()
     with open(path, "wb") as fh:
         for piece in pieces:
@@ -633,9 +643,9 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     header before the model is allocated, then every embedding entry
     finite and every probe index in range before the probes are replayed
     (a bad weight anywhere else shows in the replayed logits). The file is
-    read once into one aligned buffer and hashed once; every parameter of
-    the returned model is a writable float64 view into that buffer, so the
-    load makes no second copy of the parameters and draws no init.
+    read once into one aligned buffer and hashed once; the returned model's
+    values are its parameter block, a writable float64 view, so the load
+    makes no second copy of the parameters and draws no init.
     """
     buf = _read_aligned(path)
     data = memoryview(buf)
@@ -678,28 +688,19 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     if offset + (implied_param_count(config) + count * (length + config.classes)) * 8 != len(data) - 32:
         raise CheckpointError(f"{path}: file size does not match the model its header describes")
     model = WordCnn(config, seed=None) if kind == "word" else CharCnn(config, seed=None)
-
-    def take(dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-        nonlocal offset
-        out = buf[offset : offset + math.prod(shape) * 8].view(dtype).reshape(shape)
-        offset += out.nbytes
-        return out
-
     params = model.parameters()
-    declared = header.get("params")
-    if not isinstance(declared, list) or len(declared) != len(params):
-        raise CheckpointError(f"{path}: header parameter list does not match the {len(params)} model parameters")
-    for p, meta in zip(params, declared):
-        if not isinstance(meta, dict) or meta.get("name") != p.name or meta.get("shape") != list(p.value.shape):
-            raise CheckpointError(f"{path}: parameter mismatch at {p.name!r} vs header {meta!r}")
-        p.value = take("<f8", p.value.shape)
+    declared = [{"name": p.name, "shape": list(p.value.shape)} for p in params]
+    if header.get("params") != declared:
+        raise CheckpointError(f"{path}: header parameter list is not the {kind} model's {declared}")
+    entries = buf[offset:-32].view("<f8")  # the parameter block, probe inputs and probe logits, 8 bytes each
+    model.values, model.grads = lay_out(params, entries[: model.values.size], model.grads)
 
     # A forward reads only the embedding rows its indices name, so neither
     # the probe replay nor a later predict may meet a bad row unchecked.
     if not np.isfinite(model.embedding.param.value).all():
         raise CheckpointError(f"{path}: non-finite values in the embedding table")
-    probe_in = take("<i8", (count, length))
-    want = take("<f8", (count, config.classes))
+    probe_in = entries[model.values.size : -count * config.classes].view("<i8").reshape(count, length)
+    want = entries[-count * config.classes :].reshape(count, config.classes)
     if probe_in.min() < 0 or probe_in.max() >= _input_size(config):
         raise CheckpointError(f"{path}: probe inputs out of range for an input size of {_input_size(config)}")
     try:

@@ -33,6 +33,9 @@ Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
 it (zero_grad aside), which lets Embedding re-zero only the rows it wrote.
+A model's parameters are laid out (lay_out): every Parameter.value and
+.grad is a view into one 1-D array of values and one of gradients, back
+to back, so a model is saved, snapshotted and updated as one array.
 
 Layers reach ops through the module attribute (`ops.conv1d` etc.), which is
 what lets the gradcheck negative-control test swap a backward out from under
@@ -78,6 +81,23 @@ class Parameter:
         self.grad[...] = 0.0
 
 
+def lay_out(
+    params: list[Parameter], values: np.ndarray | None = None, grads: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Make every value and grad a view into one 1-D array each, back to back in
+    list order, and return them. Arrays given are mapped as they are; without
+    values, a fresh array takes one copy of the current ones, and without
+    grads, a fresh array of zeros is used."""
+    values = np.concatenate([p.value.reshape(-1) for p in params]) if values is None else values
+    grads = np.zeros(values.size) if grads is None else grads  # not zeros_like: untouched pages stay unwritten
+    start = 0
+    for p in params:
+        stop = start + p.size
+        p.value, p.grad = values[start:stop].reshape(p.value.shape), grads[start:stop].reshape(p.value.shape)
+        start = stop
+    return values, grads
+
+
 @dataclass(frozen=True)
 class PassContext:
     """Per-forward switches: one dropout generator per example (None: no
@@ -117,11 +137,8 @@ class Embedding:
         pinned[0, :] = True
         self.param = Parameter("embedding", table, frozen=not trainable, pinned=pinned)
         self.param.value[0, :] = 0.0
+        self.params = [self.param]
         self._written = np.zeros(0, dtype=np.int64)  # the rows the last backward wrote, or ... for all
-
-    @property
-    def params(self) -> list[Parameter]:
-        return [self.param]
 
     def forward(self, indices: np.ndarray, ctx: PassContext):
         return ops.embedding_lookup(self.param.value, indices), indices
@@ -148,10 +165,7 @@ class Conv1d:
         fan_out = frames * kernel
         self.w = Parameter(f"{name}.w", glorot_uniform(gen, (frames, in_channels, kernel), fan_in, fan_out))
         self.b = Parameter(f"{name}.b", np.zeros(frames))
-
-    @property
-    def params(self) -> list[Parameter]:
-        return [self.w, self.b]
+        self.params = [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         return ops.conv1d(x, self.w.value, self.b.value), (x if ctx.backward_follows else None)
@@ -164,10 +178,7 @@ class Dense:
     def __init__(self, in_features: int, units: int, gen: np.random.Generator | None, name: str):
         self.w = Parameter(f"{name}.w", glorot_uniform(gen, (units, in_features), in_features, units))
         self.b = Parameter(f"{name}.b", np.zeros(units))
-
-    @property
-    def params(self) -> list[Parameter]:
-        return [self.w, self.b]
+        self.params = [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         return ops.dense(x, self.w.value, self.b.value), x
@@ -257,10 +268,7 @@ class Branches:
 
     def __init__(self, branches: list[list[tuple[str, object]]]):
         self.branches = branches
-
-    @property
-    def params(self) -> list[Parameter]:
-        return [p for branch in self.branches for _, layer in branch for p in layer.params]
+        self.params = [p for branch in branches for _, layer in branch for p in layer.params]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         outputs, caches = [], []

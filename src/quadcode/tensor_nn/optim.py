@@ -1,19 +1,23 @@
-"""SGD with momentum and Adam over Parameter lists.
+"""SGD with momentum and Adam over a Parameter list that lay_out laid out.
 
-step() applies the update to every unfrozen parameter and neither zeroes
-nor writes any gradient: each backward writes its own over the last, and
-frozen ones are never read. Non-finite gradients abort before any parameter
-is touched. The hyperparameters are taken as given: TrainConfig owns
-their rules and validates what `train` passes.
+Values and gradients lie back to back in one array each, and only leading
+parameters may be frozen (a frozen embedding), so the trainable ones are
+one range of both; each optimizer's state is one flat array over it.
+step() checks the range's gradients once, before any parameter is
+touched, and names the first parameter with a non-finite entry. It
+neither zeroes nor writes any gradient, and never reads a frozen one. The
+hyperparameters are taken as given: TrainConfig owns their rules.
 
 Updates run in place with `out=` arithmetic into scratch buffers of one
-slice each, allocated once per step. Both optimizers walk each parameter
-in slices small enough that the passes over a slice stay in cache. The
-operations and their order are those of the textbook formulas, so the
-results are bit-identical to evaluating them directly over whole arrays.
+slice each, allocated once per step, walking the range in slices small
+enough that the passes over a slice stay in cache. The operations and
+their order are those of the textbook formulas, so the results are
+bit-identical to evaluating them directly over whole arrays.
 """
 
 from __future__ import annotations
+
+from itertools import dropwhile
 
 import numpy as np
 
@@ -32,25 +36,32 @@ class NonFiniteGradientError(QuadcodeError):
         self.name = name
 
 
-def _check_finite(params: list[Parameter]) -> None:
-    for p in params:
-        if not p.frozen and not np.all(np.isfinite(p.grad)):
-            raise NonFiniteGradientError(p.name)
+def _flat(arrays: list[np.ndarray]) -> np.ndarray:
+    """One 1-D view over arrays that lay_out left back to back in one buffer."""
+    if not arrays:
+        return np.zeros(0)
+    owner = arrays[0].base
+    if owner is None or any(b.base is not owner or b.ctypes.data != a.ctypes.data + a.nbytes
+                            for a, b in zip(arrays, arrays[1:])):
+        raise QuadcodeError("an optimizer needs parameters laid out back to back (layers.lay_out)")
+    return np.frombuffer(owner, np.float64, sum(a.size for a in arrays), arrays[0].ctypes.data - owner.ctypes.data)
 
 
-def _scratch(params: list[Parameter]) -> np.ndarray:
-    return np.empty(min(_SLICE, max((p.size for p in params), default=0)))
+def _trainable(params: list[Parameter]) -> tuple[list[Parameter], np.ndarray, np.ndarray]:
+    trainable = list(dropwhile(lambda p: p.frozen, params))
+    if late := [p.name for p in trainable if p.frozen]:
+        raise QuadcodeError(f"frozen parameter {late[0]!r} follows a trainable one; only leading parameters may be frozen")
+    return trainable, _flat([p.value for p in trainable]), _flat([p.grad for p in trainable])
 
 
-def _slices(params: list[Parameter], *states: list[np.ndarray]):
-    """(value, grad, *state) slices of at most _SLICE elements over every
-    unfrozen parameter; flat views, since all the arrays are contiguous."""
-    for p, *arrays in zip(params, *states):
-        if p.frozen:
-            continue
-        flat = [a.reshape(-1) for a in (p.value, p.grad, *arrays)]
-        for start in range(0, p.size, _SLICE):
-            yield [a[start : start + _SLICE] for a in flat]
+def _check_finite(params: list[Parameter], grads: np.ndarray) -> None:
+    if not np.isfinite(grads).all():
+        raise NonFiniteGradientError(next(p.name for p in params if not np.isfinite(p.grad).all()))
+
+
+def _pieces(*arrays: np.ndarray):
+    for start in range(0, arrays[0].size, _SLICE):
+        yield [a[start : start + _SLICE] for a in arrays]
 
 
 class Sgd:
@@ -65,12 +76,13 @@ class Sgd:
         self.params = list(params)
         self.lr = lr
         self.momentum = momentum
-        self._velocity = [np.zeros(p.value.shape) for p in self.params]
+        self._trainable, self._values, self._grads = _trainable(self.params)
+        self._velocity = np.zeros(self._values.size)
 
     def step(self) -> None:
-        _check_finite(self.params)
-        scratch = _scratch(self.params)
-        for value, g, v in _slices(self.params, self._velocity):
+        _check_finite(self._trainable, self._grads)
+        scratch = np.empty(min(_SLICE, self._values.size))
+        for value, g, v in _pieces(self._values, self._grads, self._velocity):
             v *= self.momentum
             v += g
             value -= np.multiply(v, self.lr, out=scratch[: value.size])
@@ -93,17 +105,18 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
+        self._trainable, self._values, self._grads = _trainable(self.params)
         # not zeros_like: np.zeros leaves the pages unwritten until the first step
-        self._m = [np.zeros(p.value.shape) for p in self.params]
-        self._v = [np.zeros(p.value.shape) for p in self.params]
+        self._m = np.zeros(self._values.size)
+        self._v = np.zeros(self._values.size)
 
     def step(self) -> None:
-        _check_finite(self.params)
+        _check_finite(self._trainable, self._grads)
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        scratch, step = _scratch(self.params), _scratch(self.params)
-        for value, g, m, v in _slices(self.params, self._m, self._v):
+        scratch, step = np.empty((2, min(_SLICE, self._values.size)))
+        for value, g, m, v in _pieces(self._values, self._grads, self._m, self._v):
             self._update(value, g, m, v, scratch[: value.size], step[: value.size], bc1, bc2)
 
     def _update(self, value, g, m, v, tmp, step, bc1: float, bc2: float) -> None:

@@ -4,7 +4,9 @@ Everything downstream of (seed, data, config) is deterministic: epoch
 shuffles and per-example dropout masks come from counter-based streams
 keyed by (epoch) and (step, example position), each batch runs as one
 batched pass whose arithmetic depends only on its contents, and inference
-(predict_rows, which dev evaluation also uses) consumes no randomness at all.
+(predict_rows, which dev evaluation also uses) consumes no randomness at all
+and runs every forward on one chunk shape, so a record's prediction depends
+only on the record and the model.
 """
 
 from __future__ import annotations
@@ -144,11 +146,13 @@ class Metrics:
 
 def predict_rows(model: Model, rows: Iterable[np.ndarray]) -> Iterator[tuple[int, np.ndarray]]:
     """(class, probs) per (L,) index row, in order, from one models.predict
-    call per DEFAULT_BATCH_SIZE rows; rows are read one chunk at a time."""
+    call per DEFAULT_BATCH_SIZE rows, read one chunk at a time; a last,
+    shorter chunk is filled with all-PAD rows, whose outputs are dropped."""
     rows = iter(rows)
     while chunk := list(islice(rows, DEFAULT_BATCH_SIZE)):
-        classes, probs = predict(model, np.stack(chunk))
-        yield from zip(classes.tolist(), probs)
+        pad = [np.zeros_like(chunk[0])] * (DEFAULT_BATCH_SIZE - len(chunk))
+        classes, probs = predict(model, np.stack(chunk + pad))
+        yield from zip(classes[: len(chunk)].tolist(), probs[: len(chunk)])
 
 
 def evaluate(model: Model, test_set: Sequence[EncodedExample]) -> Metrics:
@@ -179,16 +183,15 @@ def train(
         raise InputError("dev dataset has no examples")
     train_set = list(train_set)
     dev_set = list(dev_set)
-    params = model.parameters()
     if config.optimizer == "adam":
-        optimizer = Adam(params, config.lr, config.beta1, config.beta2, config.eps)
+        optimizer = Adam(model.parameters(), config.lr, config.beta1, config.beta2, config.eps)
     else:
-        optimizer = Sgd(params, config.lr, config.momentum)
+        optimizer = Sgd(model.parameters(), config.lr, config.momentum)
     n = len(train_set)
     history: list[EpochStats] = []
     best_accuracy = -1.0
     best_epoch = 0
-    best_values: list[np.ndarray] | None = None
+    best_values: np.ndarray | None = None
     wait = 0
     step = 0
     for epoch in range(1, config.epochs + 1):
@@ -212,15 +215,14 @@ def train(
             best_accuracy = dev_accuracy
             best_epoch = epoch
             # the final epoch needs no snapshot: nothing can follow to overwrite it
-            best_values = [p.value.copy() for p in params] if epoch < config.epochs else None
+            best_values = model.values.copy() if epoch < config.epochs else None
             wait = 0
         else:
             wait += 1
             if wait > config.patience:
                 break
     if best_epoch != history[-1].epoch:
-        for p, value in zip(params, best_values):
-            p.value[...] = value
+        model.values[...] = best_values
     return model, history
 
 

@@ -492,7 +492,7 @@ class TestTrainCommand:
         monkeypatch.setattr(train_eval, "predict", lambda model, rows: chunks.append(len(rows)) or real_predict(model, rows))
         assert main(["train", "--model", "word", "--train", str(train_path), "--dev", str(dev_path),
                      "--out-checkpoint", str(ckpt), *TRAIN_OVERRIDES, "--set", "batch_size=8"]) == 0
-        assert chunks == [32, 8, 32, 8]
+        assert chunks == [32, 32, 32, 32]
         report = tmp_path / "report.json"
         assert main(["eval", "--checkpoint", str(ckpt), "--test", str(dev_path), "--report", str(report)]) == 0
         accuracy = json.loads(report.read_text(encoding="utf-8"))["accuracy"]

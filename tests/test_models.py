@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from quadcode import cli, rng
+from quadcode import cli, models, rng
 from quadcode.models import (
     CharCnn,
     CharCnnConfig,
@@ -47,7 +47,8 @@ from quadcode.text_encoding import (
 )
 from quadcode.corpus import SentenceRecord
 from quadcode.tensor_nn.layers import INFER, Branches, MaxPool1d, PassContext, ReLU
-from quadcode.tensor_nn.optim import Adam
+from quadcode.tensor_nn import optim
+from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 # Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
 # before format version 2
@@ -805,6 +806,99 @@ class TestFrozenEmbedding:
         path = tmp_path / "one_hot.ckpt"
         save_checkpoint(model, path)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.GOLDEN
+
+
+def _assert_laid_out(model) -> None:
+    """Every value and gradient a view into the model's one value array and
+    one gradient array, back to back in parameters() order."""
+    assert model.values.shape == model.grads.shape == (implied_param_count(model.config),)
+    assert model.values.dtype == model.grads.dtype == np.float64
+    start = 0
+    for p in model.parameters():
+        for array, flat in ((p.value, model.values), (p.grad, model.grads)):
+            assert array.flags.c_contiguous and array.flags.writeable
+            assert array.ctypes.data == flat.ctypes.data + 8 * start and np.shares_memory(array, flat)
+        start += p.size
+    assert start == model.values.size
+
+
+_ONE_HOT = CharCnnConfig(alphabet_size=8, embed_dim=8, length=32, convs=tiny_char_config().convs,
+                         hidden=(16, 16), one_hot=True)
+
+
+class TestParameterLayout:
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_built_and_loaded_parameters_are_views_of_the_model_arrays(self, tmp_path, kind):
+        model = build_word_cnn(tiny_word_config(), seed=3) if kind == "word" else CharCnn(tiny_char_config(), seed=3)
+        _assert_laid_out(model)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        loaded = load_checkpoint(path).model
+        _assert_laid_out(loaded)
+        assert loaded.values.tobytes() == model.values.tobytes()
+
+    def test_skeleton_is_laid_out_over_zeros(self):
+        for model in (WordCnn(tiny_word_config(), seed=None), CharCnn(_ONE_HOT, seed=None)):
+            _assert_laid_out(model)
+            assert not model.values.any()
+
+    def test_loaded_values_are_the_file_block(self, tmp_path, monkeypatch):
+        model = CharCnn(tiny_char_config(), seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        buffers = []
+        read = models._read_aligned
+        monkeypatch.setattr(models, "_read_aligned", lambda p: buffers.append(read(p)) or buffers[-1])
+        loaded = load_checkpoint(path).model
+        assert np.shares_memory(loaded.values, buffers[0])
+        data = path.read_bytes()
+        start = 16 + struct.unpack_from("<Q", data, 8)[0]
+        assert data[start : start + loaded.values.nbytes] == loaded.values.tobytes()
+
+    @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1, momentum=0.9), lambda ps: Adam(ps, lr=0.01)],
+                             ids=["sgd", "adam"])
+    @pytest.mark.parametrize("kind", ["one_hot_char", "frozen_word"])
+    def test_frozen_embedding_untouched(self, make, kind):
+        if kind == "one_hot_char":
+            model = CharCnn(_ONE_HOT, seed=5)
+        else:
+            model = build_word_cnn(replace(tiny_word_config(), embeddings_trainable=False), seed=5)
+        embed = model.embedding.param
+        embed.grad.reshape(-1)[1] = np.nan  # a frozen gradient is neither read nor written
+        value, grad, rest = embed.value.tobytes(), embed.grad.tobytes(), model.values[embed.size :].copy()
+        opt = make(model.parameters())
+        examples = make_gradcheck_examples(model, count=2, seed=5)
+        for _ in range(2):
+            batch_loss(model, examples, accumulate=True)
+            opt.step()
+        assert embed.value.tobytes() == value and embed.grad.tobytes() == grad
+        assert (model.values[embed.size :] != rest).any()
+
+    @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1, momentum=0.9), lambda ps: Adam(ps, lr=0.01)],
+                             ids=["sgd", "adam"])
+    def test_non_finite_gradient_names_its_parameter_and_writes_nothing(self, make):
+        # 64 frames a conv put fc1.w past the first slice an update walks (optim._SLICE)
+        config = replace(tiny_char_config(), convs=[ConvSpec(64, c.kernel, c.pool) for c in tiny_char_config().convs])
+        model = CharCnn(config, seed=4)
+        opt = make(model.parameters())
+        examples = make_gradcheck_examples(model, count=2, seed=4)
+        batch_loss(model, examples, accumulate=True)
+        opt.step()  # moves the optimizer state off zero
+        batch_loss(model, examples, accumulate=True)
+        fc1 = next(p for p in model.parameters() if p.name == "fc1.w")
+        assert model.values.ctypes.data + optim._SLICE * 8 < fc1.grad.ctypes.data
+        fc1.grad.reshape(-1)[fc1.size // 2] = np.nan
+
+        def state():
+            moments = {k: v.tobytes() if isinstance(v, np.ndarray) else v
+                       for k, v in vars(opt).items() if not isinstance(v, list)}  # and Adam's t
+            return model.values.tobytes(), model.grads.tobytes(), moments
+
+        before = state()
+        with pytest.raises(NonFiniteGradientError) as err:
+            opt.step()
+        assert err.value.name == "fc1.w"
+        assert state() == before
 
 
 class TestCheckpoints:

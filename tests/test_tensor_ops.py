@@ -27,6 +27,7 @@ from quadcode.tensor_nn.layers import (
     PassContext,
     ReLU,
     glorot_uniform,
+    lay_out,
 )
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
@@ -654,7 +655,10 @@ class TestGlorot:
 
 
 def _param(name, value, frozen=False):
-    return Parameter(name=name, value=np.array(value, dtype=np.float64), frozen=frozen)
+    """A Parameter laid out on its own, as an optimizer needs it."""
+    p = Parameter(name=name, value=np.array(value, dtype=np.float64), frozen=frozen)
+    lay_out([p])
+    return p
 
 
 class TestOptimizers:
@@ -691,7 +695,7 @@ class TestOptimizers:
         p = _param("w", gen.normal(size=(3, 4)))
         opt = Adam([p], lr=0.01)
         value, m, v = p.value.copy(), np.zeros((3, 4)), np.zeros((3, 4))
-        arrays = (p.value, p.grad, opt._m[0], opt._v[0])
+        arrays = (p.value, p.grad, opt._m, opt._v)
         for t in range(1, 4):
             g = gen.normal(size=(3, 4))
             p.grad[...] = g
@@ -700,7 +704,7 @@ class TestOptimizers:
             v = 0.999 * v + (1 - 0.999) * np.square(g)
             value = value - 0.01 * (m / (1 - 0.9**t)) / (np.sqrt(v / (1 - 0.999**t)) + 1e-8)
             assert (p.value == value).all()  # same operations, same order: bit-identical
-        assert all(a is b for a, b in zip(arrays, (p.value, p.grad, opt._m[0], opt._v[0])))
+        assert all(a is b for a, b in zip(arrays, (p.value, p.grad, opt._m, opt._v)))
 
     def test_adam_defaults(self):
         opt = Adam([_param("w", [0.0])])
@@ -709,6 +713,7 @@ class TestOptimizers:
     def test_frozen_param_and_grad_untouched(self):
         p = _param("frozen", [2.0], frozen=True)
         q = _param("live", [2.0])
+        lay_out([p, q])
         p.grad[:] = 100.0
         q.grad[:] = 100.0
         for opt in (Sgd([p, q], lr=0.01), Adam([p, q], lr=0.01)):
@@ -717,6 +722,19 @@ class TestOptimizers:
             assert p.value.tolist() == [2.0]
             assert q.value.tolist() != [2.0]
             assert p.grad.tolist() == [100.0]  # a frozen gradient is neither read nor cleared
+
+    @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1), lambda ps: Adam(ps)], ids=["sgd", "adam"])
+    def test_frozen_parameter_after_a_trainable_one_refused(self, make):
+        params = [_param("live", [1.0]), _param("frozen", [2.0], frozen=True)]
+        lay_out(params)
+        with pytest.raises(QuadcodeError, match=r"^frozen parameter 'frozen' follows a trainable one"):
+            make(params)
+
+    @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1), lambda ps: Adam(ps)], ids=["sgd", "adam"])
+    def test_parameters_not_laid_out_together_refused(self, make):
+        params = [_param("a", [1.0]), _param("b", [2.0])]  # each laid out on its own
+        with pytest.raises(QuadcodeError, match=r"laid out back to back"):
+            make(params)
 
     def test_nonfinite_gradient_trapped(self):
         p = _param("w", [1.0])
@@ -788,6 +806,7 @@ class TestEmbeddingGradient:
     def test_equals_a_scatter_from_zeros(self, zero_between, rows):
         gen = np.random.default_rng(19)
         layer = Embedding(gen.normal(size=(rows, 6)))
+        lay_out(layer.params)
         opt = Adam(layer.params, lr=0.01)
         for _ in range(5):
             indices = gen.integers(0, rows, size=(3, 9))  # PAD and repeated rows included
@@ -836,6 +855,7 @@ class TestSignedZeroGradients:
     def _run(make, steps):
         gen = np.random.default_rng(14)
         params = [_param(f"p{i}", gen.normal(size=g.shape)) for i, g in enumerate(steps[0])]
+        lay_out(params)
         opt = make(params)
         for step in steps:
             for p, g in zip(params, step):
@@ -861,7 +881,7 @@ class TestSignedZeroGradients:
         old_params, old = self._run(lambda ps: Adam(ps, lr=0.01), added)
         for a, b in zip(new_params, old_params):
             assert a.value.tobytes() == b.value.tobytes()
-        for a, b in zip(new._m + new._v, old._m + old._v):
+        for a, b in zip((new._m, new._v), (old._m, old._v)):
             assert a.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
@@ -871,8 +891,7 @@ class TestSignedZeroGradients:
         old_params, old = self._run(lambda ps: Sgd(ps, lr=0.1, momentum=momentum), added)
         for a, b in zip(new_params, old_params):
             assert a.value.tobytes() == b.value.tobytes()
-        for a, b in zip(new._velocity, old._velocity):
-            assert (a == b).all()
+        assert (new._velocity == old._velocity).all()
         # with momentum 0 a velocity can differ from the old one in the sign of a zero, and only there
-        signs_differ = any((np.signbit(a) != np.signbit(b)).any() for a, b in zip(new._velocity, old._velocity))
+        signs_differ = (np.signbit(new._velocity) != np.signbit(old._velocity)).any()
         assert signs_differ == (momentum == 0.0)

@@ -16,7 +16,15 @@ import quadcode
 
 from quadcode import train_eval
 from quadcode.errors import InputError, QuadcodeError
-from quadcode.models import CharCnn, build_word_cnn, predict, tiny_char_config, tiny_word_config
+from quadcode.models import (
+    CharCnn,
+    CharCnnConfig,
+    WordCnnConfig,
+    build_word_cnn,
+    predict,
+    tiny_char_config,
+    tiny_word_config,
+)
 from quadcode.ontology import CLASSES
 from quadcode.tensor_nn.optim import Adam, Sgd
 from quadcode.text_encoding import EncodedExample
@@ -118,13 +126,14 @@ def _examples(n, length=16, vocab=50, seed=0):
     ]
 
 
-def _padded_rows(model, n, seed):
-    """n (L,) index rows of live tokens, each followed by a PAD tail of random length."""
+def _padded_rows(model, n, seed, longest=None):
+    """n (L,) index rows of live tokens, each followed by a PAD tail of random
+    length; at most longest (default L) tokens are live."""
     gen = np.random.default_rng(seed)
     size = model.config.vocab_size if model.kind == "word" else model.config.alphabet_size
     rows = gen.integers(1, size, size=(n, model.config.length), dtype=np.int64)
     for row in rows:
-        row[gen.integers(1, model.config.length + 1) :] = 0
+        row[gen.integers(1, (longest or model.config.length) + 1) :] = 0
     return list(rows)
 
 
@@ -137,12 +146,35 @@ class TestPredictRows:
         got = list(train_eval.predict_rows(model, iter(rows)))
         want = []
         for start in range(0, n, 32):
-            classes, probs = predict(model, np.stack(rows[start : start + 32]))
-            want += zip(classes.tolist(), probs)
+            chunk = rows[start : start + 32]
+            classes, probs = predict(model, np.stack(chunk + [np.zeros_like(chunk[0])] * (32 - len(chunk))))
+            want += list(zip(classes.tolist(), probs))[: len(chunk)]
         assert len(got) == n
         for (got_class, got_probs), (want_class, want_probs) in zip(got, want):
             assert type(got_class) is int and got_class == want_class
             assert got_probs.tobytes() == want_probs.tobytes()
+
+    @pytest.mark.parametrize("scale", ["word_tiny", "word_full", "char_tiny", "char_full"])
+    def test_a_rows_bytes_depend_only_on_the_row(self, scale):
+        """A row's probabilities are the same bytes whatever the number of rows
+        around it and its position among them: those of its row in a full
+        32-row chunk, at any position there."""
+        kind, size = scale.split("_")
+        if kind == "word":
+            model = build_word_cnn(tiny_word_config() if size == "tiny" else WordCnnConfig(vocab_size=20000), seed=3)
+        else:
+            model = CharCnn(tiny_char_config() if size == "tiny" else CharCnnConfig(alphabet_size=70), seed=3)
+        rows = _padded_rows(model, 40, seed=4, longest=64)
+        want = {}
+        for start in (0, 8):  # rows 8 to 31 sit at two positions of a full chunk
+            _, probs = predict(model, np.stack(rows[start : start + 32]))
+            for i, p in enumerate(probs, start):
+                assert want.setdefault(i, p.tobytes()) == p.tobytes()
+        for start, stop in ((0, 1), (5, 6), (39, 40), (0, 5), (3, 11), (2, 18), (31, 40), (7, 40), (0, 40)):
+            got = list(train_eval.predict_rows(model, rows[start:stop]))
+            assert len(got) == stop - start
+            for i, (_, probs) in enumerate(got, start):
+                assert probs.tobytes() == want[i], (start, stop, i)
 
     def test_reads_rows_one_chunk_at_a_time(self):
         model = build_word_cnn(tiny_word_config(), seed=1)
