@@ -26,9 +26,11 @@ One walk over [("embedding", embedding), *seq] serves both (Model):
 forward_logits takes (N, L) indices and returns (N, 4) logits with a
 cache list holding one entry per layer of the walk, and
 backward_from_logits takes the (N, 4) logit gradient and pops that list
-empty. Model.values and Model.grads hold every parameter's value and
-gradient, back to back in parameters() order (tensor_nn.layers.lay_out):
-a checkpoint's parameter block is values, in one piece. An inference
+empty. Each layer takes its parameters from the model's one Storage
+(tensor_nn.layers), sized by implied_param_count, so Model.values and
+Model.grads hold every parameter's value and gradient, back to back in
+parameters() order: a checkpoint's parameter block is values, in one
+piece, and a loaded model's values are that block. An inference
 forward of the char model over input that ends in PAD runs the embedding
 and the conv stack on the live prefix only and repeats their last output
 column over the PAD tail (Model._live_prefix), cut where the windows and
@@ -66,8 +68,8 @@ from .tensor_nn.layers import (
     Parameter,
     PassContext,
     ReLU,
+    Storage,
     batch_loss,  # noqa: F401  (the training loss is public as models.batch_loss)
-    lay_out,
     run_layers,
     unwind_layers,
 )
@@ -230,33 +232,22 @@ def implied_param_count(config: WordCnnConfig | CharCnnConfig) -> int:
 # --- models -------------------------------------------------------------------
 
 
-def _init_embedding(seed: int | None, rows: int, dim: int) -> np.ndarray:
-    """The embedding init: uniform(-0.25, 0.25) from the embedding stream,
-    or zeros when seed is None."""
-    if seed is None:
-        return np.zeros((rows, dim))
-    return rng.stream(seed, rng.EMBED).uniform(-0.25, 0.25, size=(rows, dim))
+def _generators(seed: int | None):
+    """The init and embedding streams a build draws from; none for seed=None."""
+    return (None, None) if seed is None else (rng.stream(seed, rng.INIT), rng.stream(seed, rng.EMBED))
 
 
 class Model:
     """Both models: an embedding plus one named layer list, seq, walked as
-    [("embedding", embedding), *seq]. A build copies its init draws into
-    values once; seed=None maps values onto unwritten zeros and draws no
-    random numbers, for a caller that overwrites every parameter."""
+    [("embedding", embedding), *seq]. A build draws its init straight into
+    its Storage; seed=None draws and writes nothing, leaving values unwritten
+    zeros or, when given, values: a loaded file's parameter block."""
 
     def _layers(self) -> list[tuple[str, object]]:
         return [("embedding", self.embedding), *self.seq]
 
     def parameters(self) -> list[Parameter]:
         return [p for _, layer in self._layers() for p in layer.params]
-
-    def _lay_out(self, seed: int | None) -> None:
-        # seed=None: values and grads are the two rows of one zero block, which
-        # load_checkpoint keeps for the gradients. At full scale the block lies
-        # above glibc's 32 MiB mmap ceiling, so its unwritten pages take no
-        # memory and freeing it leaves no hole in the heap.
-        zeros = (None, None) if seed is not None else np.zeros((2, implied_param_count(self.config)))
-        self.values, self.grads = lay_out(self.parameters(), *zeros)
 
     def forward_logits(self, indices: np.ndarray, ctx: PassContext):
         """(N, L) indices -> ((N, classes) logits, caches for the backward).
@@ -321,17 +312,18 @@ class Model:
 class WordCnn(Model):
     kind = "word"
 
-    def __init__(self, config: WordCnnConfig, seed: int | None):
+    def __init__(self, config: WordCnnConfig, seed: int | None = None, values: np.ndarray | None = None):
         self.config = config
-        init = None if seed is None else rng.stream(seed, rng.INIT)
-        table = _init_embedding(seed, config.vocab_size, config.embed_dim)
-        self.embedding = Embedding(table, trainable=config.embeddings_trainable)
+        storage = Storage(implied_param_count(config), values)
+        init, embed = _generators(seed)
+        self.embedding = Embedding(storage, config.vocab_size, config.embed_dim, embed,
+                                   trainable=config.embeddings_trainable)
         self.branches: list[list[tuple[str, object]]] = []
         for kernel in config.kernels:
             pool_len = _window_lengths(config.length, _branch_windows(config, kernel))[-1]
             prefix = f"branch_k{kernel}"
             self.branches.append([
-                (f"{prefix}.conv", Conv1d(config.embed_dim, config.frames, kernel, init, prefix)),
+                (f"{prefix}.conv", Conv1d(storage, config.embed_dim, config.frames, kernel, init, prefix)),
                 (f"{prefix}.relu", ReLU()),
                 (f"{prefix}.pool", MaxPool1d(config.pool)),
                 (f"{prefix}.global_pool", MaxPool1d(pool_len)),
@@ -340,13 +332,13 @@ class WordCnn(Model):
         self.seq = [
             ("concat", Branches(self.branches)),
             ("dropout1", Dropout(config.dropout)),
-            ("fc1", Dense(3 * config.frames, config.hidden, init, "fc1")),
+            ("fc1", Dense(storage, 3 * config.frames, config.hidden, init, "fc1")),
             ("fc1.relu", ReLU()),
             ("dropout2", Dropout(config.dropout)),
-            ("fc2", Dense(config.hidden, config.classes, init, "fc2")),
+            ("fc2", Dense(storage, config.hidden, config.classes, init, "fc2")),
         ]
         self.head = self.seq[1:]  # perfbench/tracing.py reads self.branches and self.head
-        self._lay_out(seed)
+        self.values, self.grads = storage.values, storage.grads
 
     forward_logits = Model.forward_logits  # perfbench/tracing.py patches each class's own
 
@@ -354,18 +346,19 @@ class WordCnn(Model):
 class CharCnn(Model):
     kind = "char"
 
-    def __init__(self, config: CharCnnConfig, seed: int | None):
+    def __init__(self, config: CharCnnConfig, seed: int | None = None, values: np.ndarray | None = None):
         self.config = config
-        init = None if seed is None else rng.stream(seed, rng.INIT)
-        if config.one_hot:
-            table = np.eye(config.alphabet_size)
-        else:
-            table = _init_embedding(seed, config.alphabet_size, config.embed_dim)
-        self.embedding = Embedding(table, trainable=not config.one_hot)
+        storage = Storage(implied_param_count(config), values)
+        init, embed = _generators(seed)
+        one_hot = config.one_hot
+        self.embedding = Embedding(storage, config.alphabet_size, config.embed_dim, None if one_hot else embed,
+                                   trainable=not one_hot)
+        if one_hot and seed is not None:
+            np.fill_diagonal(self.embedding.param.value[1:, 1:], 1.0)  # the identity, its PAD row zero
         seq: list[tuple[str, object]] = []
         channels = config.embed_dim
         for i, spec in enumerate(config.convs, start=1):
-            seq.append((f"conv{i}", Conv1d(channels, spec.frames, spec.kernel, init, f"conv{i}")))
+            seq.append((f"conv{i}", Conv1d(storage, channels, spec.frames, spec.kernel, init, f"conv{i}")))
             seq.append((f"conv{i}.relu", ReLU()))
             if spec.pool is not None:
                 seq.append((f"conv{i}.pool", MaxPool1d(spec.pool)))
@@ -374,13 +367,13 @@ class CharCnn(Model):
         width = channels * _window_lengths(config.length, _stack_windows(config))[-1]
         for j, units in enumerate(config.hidden, start=1):
             seq.append((f"dropout{j}", Dropout(config.dropout)))
-            seq.append((f"fc{j}", Dense(width, units, init, f"fc{j}")))
+            seq.append((f"fc{j}", Dense(storage, width, units, init, f"fc{j}")))
             seq.append((f"fc{j}.relu", ReLU()))
             width = units
         out_name = f"fc{len(config.hidden) + 1}"
-        seq.append((out_name, Dense(width, config.classes, init, out_name)))
+        seq.append((out_name, Dense(storage, width, config.classes, init, out_name)))
         self.seq = seq
-        self._lay_out(seed)
+        self.values, self.grads = storage.values, storage.grads
 
     forward_logits = Model.forward_logits  # perfbench/tracing.py patches each class's own
 
@@ -432,7 +425,7 @@ def shape_trace(model: Model) -> list[tuple[str, tuple[int, ...]]]:
 
 
 def parameter_count(model: Model) -> int:
-    return model.values.size
+    return sum(p.size for p in model.parameters())
 
 
 def make_gradcheck_examples(model: Model, count: int = 2, seed: int = 0) -> list[EncodedExample]:
@@ -685,15 +678,14 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
         raise CheckpointError(f"{path}: bad probe block description {probe!r}")
     length = config.length
     # Sizes come from the header, so check them against the file before allocating.
-    if offset + (implied_param_count(config) + count * (length + config.classes)) * 8 != len(data) - 32:
+    size = implied_param_count(config)
+    if offset + (size + count * (length + config.classes)) * 8 != len(data) - 32:
         raise CheckpointError(f"{path}: file size does not match the model its header describes")
-    model = WordCnn(config, seed=None) if kind == "word" else CharCnn(config, seed=None)
-    params = model.parameters()
-    declared = [{"name": p.name, "shape": list(p.value.shape)} for p in params]
+    entries = buf[offset:-32].view("<f8")  # the parameter block, probe inputs and probe logits, 8 bytes each
+    model = (WordCnn if kind == "word" else CharCnn)(config, values=entries[:size])
+    declared = [{"name": p.name, "shape": list(p.value.shape)} for p in model.parameters()]
     if header.get("params") != declared:
         raise CheckpointError(f"{path}: header parameter list is not the {kind} model's {declared}")
-    entries = buf[offset:-32].view("<f8")  # the parameter block, probe inputs and probe logits, 8 bytes each
-    model.values, model.grads = lay_out(params, entries[: model.values.size], model.grads)
 
     # A forward reads only the embedding rows its indices name, so neither
     # the probe replay nor a later predict may meet a bad row unchecked.

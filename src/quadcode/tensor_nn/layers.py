@@ -33,9 +33,12 @@ Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
 it (zero_grad aside), which lets Embedding re-zero only the rows it wrote.
-A model's parameters are laid out (lay_out): every Parameter.value and
-.grad is a view into one 1-D array of values and one of gradients, back
-to back, so a model is saved, snapshotted and updated as one array.
+A Parameter owns no memory: Conv1d, Dense and Embedding take theirs from
+the Storage they are given, which hands every Parameter.value and .grad
+out as views into one 1-D array of values and one of gradients, back to
+back, so a model is saved, snapshotted and updated as one array. A layer
+writes its init draw there only when given a generator, so a layer over
+a loaded file's values writes nothing.
 
 Layers reach ops through the module attribute (`ops.conv1d` etc.), which is
 what lets the gradcheck negative-control test swap a backward out from under
@@ -56,7 +59,8 @@ from . import ops
 
 @dataclass
 class Parameter:
-    """A trainable array and its gradient buffer, which each backward writes over.
+    """A trainable array and its gradient, which each backward writes over:
+    views into a Storage's two rows (Storage.take).
 
     pinned marks coordinates held at a fixed value by construction (the PAD
     embedding row); their analytic gradient is defined as zero and gradient
@@ -65,13 +69,9 @@ class Parameter:
 
     name: str
     value: np.ndarray
+    grad: np.ndarray = field(repr=False)
     frozen: bool = False
     pinned: np.ndarray | None = None
-    grad: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.value = np.ascontiguousarray(self.value, dtype=np.float64)
-        self.grad = np.zeros(self.value.shape)  # not zeros_like: untouched pages stay unwritten
 
     @property
     def size(self) -> int:
@@ -81,21 +81,24 @@ class Parameter:
         self.grad[...] = 0.0
 
 
-def lay_out(
-    params: list[Parameter], values: np.ndarray | None = None, grads: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Make every value and grad a view into one 1-D array each, back to back in
-    list order, and return them. Arrays given are mapped as they are; without
-    values, a fresh array takes one copy of the current ones, and without
-    grads, a fresh array of zeros is used."""
-    values = np.concatenate([p.value.reshape(-1) for p in params]) if values is None else values
-    grads = np.zeros(values.size) if grads is None else grads  # not zeros_like: untouched pages stay unwritten
-    start = 0
-    for p in params:
-        stop = start + p.size
-        p.value, p.grad = values[start:stop].reshape(p.value.shape), grads[start:stop].reshape(p.value.shape)
-        start = stop
-    return values, grads
+class Storage:
+    """Every parameter of one model in one np.zeros((2, size)) block: row 1
+    holds the gradients and row 0 the values, unless values (a loaded
+    file's parameter block) is given. take() hands out the next span of
+    each row, so parameters taken in turn lie back to back in that order.
+    At full scale the block lies above glibc's 32 MiB mmap ceiling, so
+    pages never written (a loaded model's row 0) take no memory."""
+
+    def __init__(self, size: int, values: np.ndarray | None = None):
+        block = np.zeros((2, size))  # not zeros_like: untouched pages stay unwritten
+        self.values = block[0] if values is None else values
+        self.grads = block[1]
+        self._taken = 0
+
+    def take(self, name: str, shape: tuple[int, ...], **flags) -> Parameter:
+        start, self._taken = self._taken, self._taken + math.prod(shape)
+        span = slice(start, self._taken)
+        return Parameter(name, self.values[span].reshape(shape), self.grads[span].reshape(shape), **flags)
 
 
 @dataclass(frozen=True)
@@ -112,10 +115,8 @@ class PassContext:
 INFER = PassContext(backward_follows=False)
 
 
-def glorot_uniform(gen: np.random.Generator | None, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform draw; no generator gives zeros."""
-    if gen is None:
-        return np.zeros(shape)
+def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot/Xavier uniform draw."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
     return gen.uniform(-limit, limit, size=shape)
 
@@ -123,7 +124,8 @@ def glorot_uniform(gen: np.random.Generator | None, shape: tuple[int, ...], fan_
 class Embedding:
     """Index lookup into a (V, d) table: (N, L) indices -> (N, d, L) maps.
 
-    The PAD row (index 0) is zeroed here and takes no gradient, so it stays
+    Given a generator, the table is drawn uniform(-0.25, 0.25) with the PAD
+    row (index 0) zeroed. The PAD row takes no gradient, so it stays
     exactly zero through any number of updates. The parameter is named
     "embedding", as checkpoint headers record it. A backward re-zeroes only
     the rows the previous one scattered into (the whole table when that
@@ -132,11 +134,13 @@ class Embedding:
     leaves it.
     """
 
-    def __init__(self, table: np.ndarray, trainable: bool = True):
-        pinned = np.zeros(np.asarray(table).shape, dtype=bool)
+    def __init__(self, storage: Storage, rows: int, dim: int, gen: np.random.Generator | None = None, trainable=True):
+        pinned = np.zeros((rows, dim), dtype=bool)
         pinned[0, :] = True
-        self.param = Parameter("embedding", table, frozen=not trainable, pinned=pinned)
-        self.param.value[0, :] = 0.0
+        self.param = storage.take("embedding", (rows, dim), frozen=not trainable, pinned=pinned)
+        if gen is not None:
+            self.param.value[...] = gen.uniform(-0.25, 0.25, size=(rows, dim))
+            self.param.value[0, :] = 0.0
         self.params = [self.param]
         self._written = np.zeros(0, dtype=np.int64)  # the rows the last backward wrote, or ... for all
 
@@ -159,12 +163,12 @@ class Conv1d:
     # partial tile runs another kernel, which can round differently.
     tile = 64
 
-    def __init__(self, in_channels: int, frames: int, kernel: int, gen: np.random.Generator | None, name: str):
+    def __init__(self, storage: Storage, in_channels: int, frames: int, kernel: int, gen: np.random.Generator | None, name: str):
         self.window = (kernel, 1)
-        fan_in = in_channels * kernel
-        fan_out = frames * kernel
-        self.w = Parameter(f"{name}.w", glorot_uniform(gen, (frames, in_channels, kernel), fan_in, fan_out))
-        self.b = Parameter(f"{name}.b", np.zeros(frames))
+        self.w = storage.take(f"{name}.w", (frames, in_channels, kernel))
+        self.b = storage.take(f"{name}.b", (frames,))
+        if gen is not None:
+            self.w.value[...] = glorot_uniform(gen, self.w.value.shape, in_channels * kernel, frames * kernel)
         self.params = [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
@@ -175,9 +179,11 @@ class Conv1d:
 
 
 class Dense:
-    def __init__(self, in_features: int, units: int, gen: np.random.Generator | None, name: str):
-        self.w = Parameter(f"{name}.w", glorot_uniform(gen, (units, in_features), in_features, units))
-        self.b = Parameter(f"{name}.b", np.zeros(units))
+    def __init__(self, storage: Storage, in_features: int, units: int, gen: np.random.Generator | None, name: str):
+        self.w = storage.take(f"{name}.w", (units, in_features))
+        self.b = storage.take(f"{name}.b", (units,))
+        if gen is not None:
+            self.w.value[...] = glorot_uniform(gen, self.w.value.shape, in_features, units)
         self.params = [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):

@@ -1,8 +1,9 @@
-"""SGD with momentum and Adam over a Parameter list that lay_out laid out.
+"""SGD with momentum and Adam over Parameters taken from one Storage.
 
-Values and gradients lie back to back in one array each, and only leading
-parameters may be frozen (a frozen embedding), so the trainable ones are
-one range of both; each optimizer's state is one flat array over it.
+Values and gradients lie back to back in one array each, in list order
+(layers.Storage), and only leading parameters may be frozen (a frozen
+embedding), so the trainable ones are one range of both; each
+optimizer's state is one flat array over it.
 step() checks the range's gradients once, before any parameter is
 touched, and names the first parameter with a non-finite entry. It
 neither zeroes nor writes any gradient, and never reads a frozen one. The
@@ -37,13 +38,13 @@ class NonFiniteGradientError(QuadcodeError):
 
 
 def _flat(arrays: list[np.ndarray]) -> np.ndarray:
-    """One 1-D view over arrays that lay_out left back to back in one buffer."""
+    """One 1-D view over arrays that a Storage handed out back to back in one buffer."""
     if not arrays:
         return np.zeros(0)
     owner = arrays[0].base
     if owner is None or any(b.base is not owner or b.ctypes.data != a.ctypes.data + a.nbytes
                             for a, b in zip(arrays, arrays[1:])):
-        raise QuadcodeError("an optimizer needs parameters laid out back to back (layers.lay_out)")
+        raise QuadcodeError("an optimizer needs parameters laid out back to back, taken in turn from one layers.Storage")
     return np.frombuffer(owner, np.float64, sum(a.size for a in arrays), arrays[0].ctypes.data - owner.ctypes.data)
 
 

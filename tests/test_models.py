@@ -843,17 +843,51 @@ class TestParameterLayout:
             assert not model.values.any()
 
     def test_loaded_values_are_the_file_block(self, tmp_path, monkeypatch):
-        model = CharCnn(tiny_char_config(), seed=3)
-        path = tmp_path / "model.ckpt"
-        save_checkpoint(model, path)
         buffers = []
         read = models._read_aligned
         monkeypatch.setattr(models, "_read_aligned", lambda p: buffers.append(read(p)) or buffers[-1])
-        loaded = load_checkpoint(path).model
-        assert np.shares_memory(loaded.values, buffers[0])
-        data = path.read_bytes()
-        start = 16 + struct.unpack_from("<Q", data, 8)[0]
-        assert data[start : start + loaded.values.nbytes] == loaded.values.tobytes()
+        one_hot = CharCnn(_ONE_HOT, seed=3)
+        frozen = build_word_cnn(replace(tiny_word_config(), embeddings_trainable=False), seed=3)
+        # a PAD row and a one-hot table that no build writes: a load that re-zeroed the PAD row or
+        # wrote the identity again would change the block
+        one_hot.embedding.param.value[...] *= 2.0
+        for model in (one_hot, frozen):
+            model.embedding.param.value[0] = 0.5
+        for model in (CharCnn(tiny_char_config(), seed=3), one_hot, frozen):
+            path = tmp_path / "model.ckpt"
+            save_checkpoint(model, path)
+            loaded = load_checkpoint(path).model
+            assert np.shares_memory(loaded.values, buffers[-1])
+            data = path.read_bytes()
+            start = 16 + struct.unpack_from("<Q", data, 8)[0]
+            assert data[start : start + loaded.values.nbytes] == loaded.values.tobytes()
+            assert buffers[-1].tobytes() == data and loaded.values.tobytes() == model.values.tobytes()
+
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_full_scale_build_and_load_allocation_peak(self, tmp_path, kind):
+        # A build allocates the model's two-row block and one init draw at a time, a load the
+        # file's bytes and the block. tracemalloc counts every byte allocated, zero pages never
+        # written (a loaded model's value row) included, so these bound allocations, not RSS.
+        config = WordCnnConfig(vocab_size=20000) if kind == "word" else CharCnnConfig(alphabet_size=70)
+        block, slack = 2 * 8 * implied_param_count(config), 16 * 2**20
+        tracemalloc.start()
+        try:
+            model = (WordCnn if kind == "word" else CharCnn)(config, seed=12)
+            build_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        largest = max(p.value.nbytes for p in model.parameters())
+        assert build_peak <= block + largest + slack, f"{build_peak / 2**20:.1f} MiB"
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        del model
+        tracemalloc.start()
+        try:
+            load_checkpoint(path)
+            load_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert load_peak <= path.stat().st_size + block + slack, f"{load_peak / 2**20:.1f} MiB"
 
     @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1, momentum=0.9), lambda ps: Adam(ps, lr=0.01)],
                              ids=["sgd", "adam"])

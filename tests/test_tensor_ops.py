@@ -23,11 +23,10 @@ from quadcode.tensor_nn.layers import (
     Dropout,
     Embedding,
     MaxPool1d,
-    Parameter,
     PassContext,
     ReLU,
+    Storage,
     glorot_uniform,
-    lay_out,
 )
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
@@ -385,7 +384,8 @@ class TestMaxPool:
 
 
 POSITION_LOCAL = {
-    **{f"conv_k{k}": (lambda k=k: Conv1d(3, 4, k, np.random.default_rng(k), "conv")) for k in (1, 2, 3, 7)},
+    **{f"conv_k{k}": (lambda k=k: Conv1d(Storage(4 * (3 * k + 1)), 3, 4, k, np.random.default_rng(k), "conv"))
+       for k in (1, 2, 3, 7)},
     **{f"pool_{w}": (lambda w=w: MaxPool1d(w)) for w in (1, 2, 3, 5)},
     "relu": ReLU,
 }
@@ -654,10 +654,12 @@ class TestGlorot:
         assert np.abs(w).max() > 0.5 * bound  # fills most of the interval
 
 
-def _param(name, value, frozen=False):
-    """A Parameter laid out on its own, as an optimizer needs it."""
-    p = Parameter(name=name, value=np.array(value, dtype=np.float64), frozen=frozen)
-    lay_out([p])
+def _param(name, value, frozen=False, storage=None):
+    """A Parameter holding value, taken from storage or else from a Storage
+    of its own: an optimizer needs its parameters taken from one Storage."""
+    value = np.array(value, dtype=np.float64)
+    p = (Storage(value.size) if storage is None else storage).take(name, value.shape, frozen=frozen)
+    p.value[...] = value
     return p
 
 
@@ -711,9 +713,9 @@ class TestOptimizers:
         assert opt.lr == 1e-3 and opt.beta1 == 0.9 and opt.beta2 == 0.999 and opt.eps == 1e-8
 
     def test_frozen_param_and_grad_untouched(self):
-        p = _param("frozen", [2.0], frozen=True)
-        q = _param("live", [2.0])
-        lay_out([p, q])
+        storage = Storage(2)
+        p = _param("frozen", [2.0], frozen=True, storage=storage)
+        q = _param("live", [2.0], storage=storage)
         p.grad[:] = 100.0
         q.grad[:] = 100.0
         for opt in (Sgd([p, q], lr=0.01), Adam([p, q], lr=0.01)):
@@ -725,14 +727,14 @@ class TestOptimizers:
 
     @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1), lambda ps: Adam(ps)], ids=["sgd", "adam"])
     def test_frozen_parameter_after_a_trainable_one_refused(self, make):
-        params = [_param("live", [1.0]), _param("frozen", [2.0], frozen=True)]
-        lay_out(params)
+        storage = Storage(2)
+        params = [_param("live", [1.0], storage=storage), _param("frozen", [2.0], frozen=True, storage=storage)]
         with pytest.raises(QuadcodeError, match=r"^frozen parameter 'frozen' follows a trainable one"):
             make(params)
 
     @pytest.mark.parametrize("make", [lambda ps: Sgd(ps, lr=0.1), lambda ps: Adam(ps)], ids=["sgd", "adam"])
     def test_parameters_not_laid_out_together_refused(self, make):
-        params = [_param("a", [1.0]), _param("b", [2.0])]  # each laid out on its own
+        params = [_param("a", [1.0]), _param("b", [2.0])]  # each from a Storage of its own
         with pytest.raises(QuadcodeError, match=r"laid out back to back"):
             make(params)
 
@@ -785,7 +787,7 @@ class TestGradientWrite:
 
     def test_dense_backward_allocates_no_weight_sized_array(self):
         gen = np.random.default_rng(12)
-        layer = Dense(4096, 512, gen, "fc")
+        layer = Dense(Storage(4096 * 512 + 512), 4096, 512, gen, "fc")
         _, cache = layer.forward(gen.normal(size=(4, 4096)), PassContext())
         grad_y = gen.normal(size=(4, 512))
         tracemalloc.start()
@@ -805,8 +807,8 @@ class TestEmbeddingGradient:
     @pytest.mark.parametrize("rows", [40, 20], ids=["fewer_indices_than_rows", "more_indices_than_rows"])
     def test_equals_a_scatter_from_zeros(self, zero_between, rows):
         gen = np.random.default_rng(19)
-        layer = Embedding(gen.normal(size=(rows, 6)))
-        lay_out(layer.params)
+        layer = Embedding(Storage(rows * 6), rows, 6)
+        layer.param.value[...] = gen.normal(size=(rows, 6))
         opt = Adam(layer.params, lr=0.01)
         for _ in range(5):
             indices = gen.integers(0, rows, size=(3, 9))  # PAD and repeated rows included
@@ -822,7 +824,8 @@ class TestEmbeddingGradient:
                 layer.param.zero_grad()
 
     def test_frozen_table_writes_nothing(self):
-        layer = Embedding(np.ones((5, 2)), trainable=False)
+        layer = Embedding(Storage(10), 5, 2, trainable=False)
+        layer.param.value[1:] = 1.0
         indices = np.array([[1, 2, 2]])
         layer.backward(layer.forward(indices, PassContext())[1], np.ones((1, 2, 3)))
         assert layer.param.grad.tobytes() == np.zeros((5, 2)).tobytes()
@@ -833,7 +836,7 @@ def _dead_unit_gradients() -> list[np.ndarray]:
     upstream gradient, so the ReLU passes -0.0 back for that unit; returns
     the weight and bias gradients the Dense backward writes."""
     gen = np.random.default_rng(13)
-    dense, relu = Dense(3, 2, gen, "fc"), ReLU()
+    dense, relu = Dense(Storage(3 * 2 + 2), 3, 2, gen, "fc"), ReLU()
     dense.w.value[1] = -1.0
     dense.b.value[1] = -1.0
     y, cache = dense.forward(np.abs(gen.normal(size=(4, 3))), PassContext())
@@ -854,8 +857,8 @@ class TestSignedZeroGradients:
     @staticmethod
     def _run(make, steps):
         gen = np.random.default_rng(14)
-        params = [_param(f"p{i}", gen.normal(size=g.shape)) for i, g in enumerate(steps[0])]
-        lay_out(params)
+        storage = Storage(sum(g.size for g in steps[0]))
+        params = [_param(f"p{i}", gen.normal(size=g.shape), storage=storage) for i, g in enumerate(steps[0])]
         opt = make(params)
         for step in steps:
             for p, g in zip(params, step):
