@@ -30,14 +30,21 @@ empty. Each layer takes its parameters from the model's one Storage
 (tensor_nn.layers), sized by implied_param_count, so Model.values and
 Model.grads hold every parameter's value and gradient, back to back in
 parameters() order: a checkpoint's parameter block is values, in one
-piece, and a loaded model's values are that block. An inference
-forward of the char model over input that ends in PAD runs the embedding
-and the conv stack on the live prefix only and repeats their last output
-column over the PAD tail (Model._live_prefix), cut where the windows and
-tiles that Conv1d, ReLU and MaxPool1d declare allow (the GEMM tile rule
-lives on Conv1d, tensor_nn.layers). INFER logits are bit-identical to
-those of a caching forward. Shapes named per layer (shape_trace, the docs
-above) are those of one example, without the batch axis.
+piece, and a loaded model's values are that block. An untraced forward
+of the char model over input that ends in PAD, inference or training,
+runs the embedding and the conv stack on the live prefix only and
+repeats their last output column over the PAD tail (Model._live_prefix),
+cut where the windows and tiles that Conv1d, ReLU and MaxPool1d declare
+allow (the GEMM tile rule lives on Conv1d, tensor_nn.layers). A training
+forward then extends those layers' caches to the full walk's
+(Model._extend_caches; each layer's extend, tensor_nn.layers), and the
+backward walks the full length, but for two pieces that read only the
+live positions: conv1's input gradient (its second GEMM and scatter) and
+the embedding's scatter. Every weight gradient reads the full walk.
+Logits, loss and every gradient are bit-identical to the full walk's,
+which a traced forward (PassContext.trace) takes. Shapes named per layer
+(shape_trace, the docs above) are those of one example, without the
+batch axis.
 """
 
 from __future__ import annotations
@@ -252,26 +259,44 @@ class Model:
     def forward_logits(self, indices: np.ndarray, ctx: PassContext):
         """(N, L) indices -> ((N, classes) logits, caches for the backward).
 
-        An inference pass (no backward follows, no trace) over input that
-        ends in PAD runs the embedding and the position-local layers that
-        open seq on the live prefix alone (_live_prefix), then repeats their
-        last output column out to the full input's output length; the rest
-        of seq runs as in the full walk.
+        An untraced pass over input that ends in PAD runs the embedding and
+        the position-local layers that open seq on the live prefix alone
+        (_live_prefix), then repeats their last output column out to the
+        full input's output length; the rest of seq runs as in the full
+        walk. When a backward follows, the prefix's caches are first
+        extended to the full walk's (_extend_caches).
         """
         caches: list = []
         layers = self._layers()
-        if not ctx.backward_follows and ctx.trace is None and (prefix := self._live_prefix(indices)):
-            local, cut, length = prefix
+        if ctx.trace is None and (prefix := self._live_prefix(indices)):
+            local, cut, lengths = prefix
             x = run_layers(layers[: 1 + local], indices[:, :cut], ctx, caches)
-            x = np.pad(x, ((0, 0), (0, 0), (0, length - x.shape[2])), mode="edge")
-            return run_layers(layers[1 + local :], x, ctx, caches), caches
+            if ctx.backward_follows:
+                self._extend_caches(caches, indices, cut, lengths)
+            return run_layers(layers[1 + local :], ops.repeat_last(x, lengths[-1]), ctx, caches), caches
         return run_layers(layers, indices, ctx, caches), caches
 
-    def _live_prefix(self, indices: np.ndarray) -> tuple[int, int, int] | None:
-        """(local, cut, length) for (N, L) indices, or None to walk them whole.
+    def _extend_caches(self, caches: list, indices: np.ndarray, cut: int, lengths: list[int]) -> None:
+        """Turn the caches of a prefix walk of the first len(lengths) layers
+        of seq, cut positions long, into those of the full walk, whose
+        output lengths are lengths: each layer repeats its cache's last
+        column (extend). The embedding drops the PAD row's gradient, so the
+        first layer, a conv, returns the input gradient of the positions its
+        prefix output starts at, which hold every non-PAD one, and the
+        embedding scatters those alone; every weight gradient still reads
+        the full walk."""
+        (name, first), *rest = self.seq[: len(lengths)]
+        live = _window_lengths(cut, [(name, first.window)])[0]
+        caches[0] = indices[:, :live]
+        caches[1] = first.extend(caches[1], indices.shape[1], live)
+        for i, ((_, layer), length) in enumerate(zip(rest, lengths), start=2):
+            caches[i] = layer.extend(caches[i], length)
 
-        The first local layers of seq are position-local, and length is their
-        output length on the full input. From the batch's last non-PAD
+    def _live_prefix(self, indices: np.ndarray) -> tuple[int, int, list[int]] | None:
+        """(local, cut, lengths) for (N, L) indices, or None to walk them whole.
+
+        The first local layers of seq are position-local, and lengths are
+        their output lengths on the full input. From the batch's last non-PAD
         position on, every position looks up the same PAD row, so every
         output column whose window lies there repeats one value. cut < L is
         the shortest prefix whose last output column is such a column and
@@ -300,7 +325,7 @@ class Model:
             cut = (cut - 1) * stride + width
         while cut < full and not tiled(cut):
             cut += 1
-        return (len(windows), cut, _window_lengths(full, windows)[-1]) if cut < full else None
+        return (len(windows), cut, _window_lengths(full, windows)) if cut < full else None
 
     def backward_from_logits(self, caches: list, grad: np.ndarray) -> None:
         """Write every parameter's gradient from the (N, classes) logit

@@ -26,9 +26,18 @@ window, (width, stride), and is computed from them alone once the batch's
 output columns are a multiple of its declared tile (Conv1d's GEMM tile, 1
 for the others). A window turns L input columns into (L - width) //
 stride + 1; models applies that law in one function, to these
-declarations when an inference forward runs the conv stack on the
-input's live prefix (logits bit-identical to a caching forward's), and
-to the same windows read from a model config when it sizes layers.
+declarations when an untraced forward runs the conv stack on the
+input's live prefix (logits, loss and gradients bit-identical to the
+full walk's), and to the same windows read from a model config when it
+sizes layers. After a training forward over a prefix, each of these
+layers' extend(cache, length) turns its cache into that of a forward over
+length input positions whose columns past the prefix repeat its last
+one: ReLU repeats its mask's last column, MaxPool1d its last window's
+offset (and takes the longer in_length), and Conv1d keeps its prefix
+input and records length, its backward rebuilding the windows past the
+prefix from that last column (ops.conv1d_backward). Conv1d's extend also
+takes live, for a conv whose input gradient a layer in front of it reads
+at the first live positions only: its backward then returns just those.
 Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
@@ -105,7 +114,8 @@ class Storage:
 class PassContext:
     """Per-forward switches: one dropout generator per example (None: no
     dropout), whether a backward will follow (if not, layers keep no caches),
-    and a list that collects (layer name, output shape) when one is given."""
+    and a list that collects (layer name, output shape) when one is given;
+    a model walks a traced forward's whole input, never a live prefix."""
 
     rngs: Sequence[np.random.Generator] | None = None
     backward_follows: bool = True
@@ -174,7 +184,20 @@ class Conv1d:
     def forward(self, x: np.ndarray, ctx: PassContext):
         return ops.conv1d(x, self.w.value, self.b.value), (x if ctx.backward_follows else None)
 
+    def extend(self, cache, length: int, live: int | None = None):
+        """The cache of a forward over length input positions whose columns
+        past the cached input's repeat its last one: that input, length and
+        live. The backward rebuilds the windows past its end from its last
+        column, and given live, returns the input gradient of the first live
+        positions only (ops.conv1d_backward)."""
+        return cache, length, live
+
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
+        # A full walk's cache is the bare input, and its backward the five-argument
+        # call that the gradcheck negative controls swap out.
+        if isinstance(cache, tuple):  # extended (extend)
+            x, length, live = cache
+            return ops.conv1d_backward(x, self.w.value, grad, self.w.grad, self.b.grad, length=length, live=live)
         return ops.conv1d_backward(cache, self.w.value, grad, self.w.grad, self.b.grad)
 
 
@@ -201,6 +224,11 @@ class ReLU:
         y = ops.relu(x, out=x)  # x is the fresh output of the layer in front
         return y, (y > 0.0 if ctx.backward_follows else None)
 
+    def extend(self, cache, length: int):
+        """The mask of a forward over length positions whose columns past the
+        cached ones repeat the last."""
+        return ops.repeat_last(cache, length)
+
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         return ops.relu_backward(cache, grad)
 
@@ -218,6 +246,11 @@ class MaxPool1d:
             return ops.maxpool1d(x, self.width), None
         y, offsets = ops.maxpool1d_with_argmax(x, self.width)
         return y, (offsets, x.shape[2])
+
+    def extend(self, cache, length: int):
+        """The cache of a forward over length input positions whose windows
+        past the cached ones repeat the last window's offset."""
+        return ops.repeat_last(cache[0], length // self.width), length
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         offsets, in_length = cache

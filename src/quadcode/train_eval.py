@@ -120,11 +120,18 @@ class Metrics:
         diag = np.diag(self.confusion).astype(np.float64)
         return self._safe_div(diag, self.confusion.sum(axis=1).astype(np.float64))
 
+    @property
+    def f1(self) -> np.ndarray:
+        """2PR / (P + R) per class; 0 where P + R is 0."""
+        p, r = self.precision, self.recall
+        return self._safe_div(2.0 * p * r, p + r)
+
     def to_json_obj(self) -> dict:
         return {
             "accuracy": self.accuracy,
             "precision": [float(x) for x in self.precision],
             "recall": [float(x) for x in self.recall],
+            "f1": [float(x) for x in self.f1],
             "confusion": self.confusion.tolist(),
             "total": self.total,
         }
@@ -135,7 +142,7 @@ class Metrics:
         out = [f"accuracy {self.accuracy:.4f} over {self.total} examples"]
         for i, name in enumerate(names):
             out.append(
-                f"  {name:<{width}}  precision {self.precision[i]:.4f}  recall {self.recall[i]:.4f}"
+                f"  {name:<{width}}  precision {self.precision[i]:.4f}  recall {self.recall[i]:.4f}  f1 {self.f1[i]:.4f}"
             )
         out.append("confusion (rows true, cols predicted):")
         for i, name in enumerate(names):

@@ -14,6 +14,7 @@ from quadcode.models import (
     tiny_word_config,
 )
 from quadcode.tensor_nn import layers
+from quadcode.text_encoding import EncodedExample
 from quadcode.tensor_nn.gradcheck import finite_difference_check, relative_error
 
 
@@ -46,6 +47,28 @@ class TestHealthyModels:
         examples = make_gradcheck_examples(model, count=2, seed=0)
         report = finite_difference_check(model, examples, seed=0)
         assert report.max_rel_error < 1e-4
+
+    def test_char_model_passes_on_the_live_prefix(self, monkeypatch):
+        # 64 right-PADded records: the backward pass takes the live prefix.
+        # Drawn biases keep the conv outputs over the all-zero PAD tail off
+        # the ReLU kink, where zero-initialised biases would put them.
+        model = CharCnn(tiny_char_config(), seed=0)
+        gen = np.random.default_rng(0)
+        for p in model.parameters():
+            if p.name.endswith(".b"):
+                p.value[...] = gen.uniform(-0.1, 0.1, size=p.value.shape)
+        examples = []
+        for _ in range(64):
+            indices = np.zeros(model.config.length, dtype=np.int64)
+            live = int(gen.integers(1, 6))
+            indices[:live] = gen.integers(1, model.config.alphabet_size, size=live)
+            examples.append(EncodedExample(indices, int(gen.integers(0, 4))))
+        widths, forward = [], model.embedding.forward
+        monkeypatch.setattr(model.embedding, "forward", lambda x, ctx: (widths.append(x.shape[1]), forward(x, ctx))[1])
+        report = finite_difference_check(model, examples, seed=0)
+        assert widths[0] < model.config.length
+        assert report.max_rel_error < 1e-4
+        assert all(c.coords_checked > 0 for c in report.checks)
 
     def test_frozen_embedding_skipped(self):
         # a frozen table's backward writes no gradient, so there is nothing to check

@@ -47,7 +47,7 @@ from quadcode.text_encoding import (
 )
 from quadcode.corpus import SentenceRecord
 from quadcode.tensor_nn.layers import INFER, Branches, MaxPool1d, PassContext, ReLU
-from quadcode.tensor_nn import optim
+from quadcode.tensor_nn import ops, optim
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
 
 # Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
@@ -503,7 +503,7 @@ class TestLivePrefix:
             want = model.forward_logits(indices, PassContext())[0]
             assert _inference_logits(model, indices, monkeypatch)[0].tobytes() == want.tobytes()
 
-    def test_traced_and_training_forwards_walk_the_full_input(self, char_models, monkeypatch):
+    def test_traced_forwards_walk_the_full_input(self, char_models, monkeypatch):
         model, tiled = char_models["tiny"]
         indices = np.zeros((tiled, model.config.length), dtype=np.int64)
         ctx = PassContext(backward_follows=False, trace=[])
@@ -511,9 +511,17 @@ class TestLivePrefix:
         assert [(name, shape[1:]) for name, shape in ctx.trace] == shape_trace(model)
         assert ctx.trace[0] == ("embedding", (tiled, 8, 32))
         widths = _embedding_widths(model, monkeypatch)
-        model.forward_logits(indices, PassContext())
+        model.forward_logits(indices, PassContext(trace=[]))
         model.forward_logits(indices, PassContext(backward_follows=False, trace=[]))
         assert widths == [32, 32]
+
+    def test_training_forward_walks_the_prefix(self, char_models, monkeypatch):
+        model, tiled = char_models["tiny"]
+        indices = np.zeros((tiled, model.config.length), dtype=np.int64)
+        widths = _embedding_widths(model, monkeypatch)
+        model.forward_logits(indices, PassContext())
+        model.forward_logits(indices, INFER)
+        assert widths == [22, 22]  # the all-PAD prefix of the tiny stack, as inference takes it
 
     def test_word_inference_walks_the_full_input(self, monkeypatch):
         # the word model's seq opens with its branches, so no layer is position-local
@@ -522,6 +530,83 @@ class TestLivePrefix:
         want = model.forward_logits(indices, PassContext())[0]
         got, width = _inference_logits(model, indices, monkeypatch)
         assert got.tobytes() == want.tobytes() and width == 16
+
+
+def _training_pass(model, indices, monkeypatch, trace: bool):
+    """One training pass with a backward over indices, traced (which walks
+    the full input) or not: the per-example loss bytes, each parameter's
+    gradient bytes, the input width the embedding saw and the gradient its
+    backward was given."""
+    n = len(indices)
+    labels = np.arange(n) % 4
+    seen = {}
+    forward, backward = model.embedding.forward, model.embedding.backward
+    monkeypatch.setattr(model.embedding, "forward", lambda x, ctx: (seen.setdefault("width", x.shape[1]), forward(x, ctx))[1])
+    monkeypatch.setattr(model.embedding, "backward",
+                        lambda cache, grad: (seen.setdefault("grad", grad.copy()), backward(cache, grad))[1])
+    ctx = PassContext(rngs=[np.random.default_rng([5, j]) for j in range(n)], trace=[] if trace else None)
+    logits, caches = model.forward_logits(indices, ctx)
+    losses, probs = ops.softmax_cross_entropy(logits, labels)
+    model.backward_from_logits(caches, ops.softmax_cross_entropy_backward(probs, labels) / n)
+    monkeypatch.undo()
+    return losses.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}, seen["width"], seen["grad"]
+
+
+def _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix: bool) -> None:
+    """The untraced training pass gives the traced full walk's loss and
+    parameter gradients as bytes, and the gradient the embedding is given
+    is the full walk's over the positions it covers, past which every
+    position is PAD; prefix says whether the pass took the live prefix."""
+    length = model.config.length
+    want_loss, want_grads, want_width, want_grad_in = _training_pass(model, indices, monkeypatch, trace=True)
+    loss, grads, width, grad_in = _training_pass(model, indices, monkeypatch, trace=False)
+    assert want_width == length and (width < length) == prefix
+    assert loss == want_loss
+    assert grads.keys() == want_grads.keys()
+    for name in want_grads:
+        assert grads[name] == want_grads[name], name
+    live = grad_in.shape[2]
+    assert (live < length) == prefix and not indices[:, live:].any()
+    assert grad_in.tobytes() == np.ascontiguousarray(want_grad_in[:, :, :live]).tobytes()
+
+
+class TestPrefixTraining:
+    """A training forward runs the conv stack on the live prefix and extends
+    the layers' caches to the full walk's; the loss, every parameter gradient
+    and the embedding's input gradient over the live positions must stay
+    bytes-identical to the full walk's."""
+
+    @pytest.mark.parametrize("case", ["all_pad", "mixed", "pad_inside_the_text", "full_length_record"])
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    def test_padded_batches(self, char_models, monkeypatch, scale, case):
+        model, tiled = char_models[scale]
+        _, lengths, pad_inside = PADDED_BATCHES[case]
+        gen = np.random.default_rng(len(case))
+        length = model.config.length
+        indices = _padded(gen, model.config.alphabet_size, length, lengths(gen, tiled, length), pad_inside)
+        _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix=case != "full_length_record")
+
+    @pytest.mark.parametrize("variant", ["one_hot", "non_zero_pad_row"])
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    def test_variant_models(self, monkeypatch, scale, variant):
+        config, n = (tiny_char_config(), 64) if scale == "tiny" else (CharCnnConfig(alphabet_size=70), 32)
+        if variant == "one_hot":
+            config = replace(config, embed_dim=config.alphabet_size, one_hot=True)
+        model = CharCnn(config, seed=11)
+        gen = np.random.default_rng(11)
+        if variant == "non_zero_pad_row":
+            model.embedding.param.value[0] = gen.uniform(-1.0, 1.0, size=config.embed_dim)
+        indices = _padded(gen, config.alphabet_size, config.length, _mixed(gen, n, config.length))
+        _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix=True)
+
+    @pytest.mark.parametrize("n", [*range(1, 9), 33])
+    def test_ragged_batches_walk_the_full_input(self, char_models, monkeypatch, n):
+        # their conv GEMMs end in a partial tile of columns
+        model, _ = char_models["tiny"]
+        gen = np.random.default_rng(n)
+        length = model.config.length
+        indices = _padded(gen, model.config.alphabet_size, length, gen.integers(0, length // 2, size=n))
+        _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix=False)
 
 
 class TestBatchLoss:

@@ -407,6 +407,54 @@ class TestWindowDeclarations:
             assert y.shape[2] == (length - width) // stride + 1, f"input length {length}"
 
 
+class TestCacheExtension:
+    """A training cache taken over a prefix and extended to a longer input,
+    whose columns past the prefix repeat its last one, gives the backward of
+    a forward over that longer input, byte for byte."""
+
+    @pytest.mark.parametrize("name", POSITION_LOCAL)
+    def test_extended_cache_gives_the_full_backward(self, name):
+        layer = POSITION_LOCAL[name]()
+        width, _ = layer.window
+        gen = np.random.default_rng(len(name))
+        prefix = gen.standard_normal((2, 3, 4 * width))
+        if isinstance(layer, MaxPool1d):  # the model extends a pool whose last window lies in the repeated tail
+            prefix[..., -width:] = prefix[..., -1:]
+        full = ops.repeat_last(prefix, 7 * width + 1)
+        _, cache = layer.forward(prefix.copy(), PassContext())  # copies: ReLU rectifies its input in place
+        y, full_cache = layer.forward(full.copy(), PassContext())
+        grad = gen.standard_normal(y.shape)
+        want = layer.backward(full_cache, grad)
+        want_params = [p.grad.tobytes() for p in layer.params]
+        got = layer.backward(layer.extend(cache, full.shape[2]), grad)
+        assert got.tobytes() == want.tobytes()
+        assert [p.grad.tobytes() for p in layer.params] == want_params
+
+    def test_conv_input_gradient_of_the_live_positions(self):
+        # 64 rows: every column count is a whole number of 64-column tiles
+        gen = np.random.default_rng(3)
+        x, w, grad_y = gen.standard_normal((64, 3, 20)), gen.standard_normal((4, 3, 7)), gen.standard_normal((64, 4, 14))
+        want_w, want_b = np.empty_like(w), np.empty(4)
+        want = ops.conv1d_backward(x, w, grad_y, want_w, want_b)
+        for live in (1, 5, 13, 14):
+            grad_w, grad_b = np.empty_like(w), np.empty(4)
+            got = ops.conv1d_backward(x, w, grad_y, grad_w, grad_b, live=live)
+            assert got.tobytes() == np.ascontiguousarray(want[:, :, :live]).tobytes(), live
+            assert grad_w.tobytes() == want_w.tobytes() and grad_b.tobytes() == want_b.tobytes()
+        for live in (0, 15):
+            with pytest.raises(ops.ShapeMismatchError):
+                ops.conv1d_backward(x, w, grad_y, grad_w, grad_b, live=live)
+        with pytest.raises(ops.ShapeMismatchError):
+            ops.conv1d_backward(x, w, grad_y[:, :, :10], grad_w, grad_b, length=16)
+
+    def test_repeat_last(self):
+        x = np.arange(6.0).reshape(2, 3)
+        assert ops.repeat_last(x, 5).tolist() == [[0, 1, 2, 2, 2], [3, 4, 5, 5, 5]]
+        assert ops.repeat_last(x, 3).tolist() == x.tolist()
+        with pytest.raises(ops.ShapeMismatchError):
+            ops.repeat_last(x, 2)
+
+
 class TestDense:
     def test_identity(self):
         x = np.array([[1.0, 2.0]])

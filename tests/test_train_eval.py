@@ -55,6 +55,19 @@ def brute_force_metrics(truths, preds):
     return accuracy, precision, recall
 
 
+def brute_force_f1(truths, preds):
+    """Per-class F1 recounted as 2TP / (2TP + FP + FN), the harmonic mean of
+    precision and recall written without either; 0 for a class that is
+    neither true nor predicted anywhere."""
+    f1 = []
+    for c in range(4):
+        tp = sum(1 for t, p in zip(truths, preds) if t == c and p == c)
+        fp = sum(1 for t, p in zip(truths, preds) if t != c and p == c)
+        fn = sum(1 for t, p in zip(truths, preds) if t == c and p != c)
+        f1.append(2 * tp / (2 * tp + fp + fn) if tp + fp + fn else 0.0)
+    return f1
+
+
 def confusion_of(truths, preds):
     m = np.zeros((4, 4), dtype=np.int64)
     for t, p in zip(truths, preds):
@@ -74,6 +87,27 @@ class TestMetrics:
             assert abs(metrics.accuracy - accuracy) < 1e-12
             np.testing.assert_allclose(metrics.precision, precision, atol=1e-12)
             np.testing.assert_allclose(metrics.recall, recall, atol=1e-12)
+
+    def test_f1_against_brute_force_on_random_pairs(self):
+        gen = np.random.default_rng(19)
+        for _ in range(25):
+            n = int(gen.integers(1, 60))
+            truths = gen.integers(0, 4, size=n).tolist()
+            preds = gen.integers(0, 3, size=n).tolist()  # class 3 is never predicted: its F1 is 0
+            metrics = Metrics(confusion_of(truths, preds))
+            np.testing.assert_allclose(metrics.f1, brute_force_f1(truths, preds), atol=1e-12)
+            assert metrics.f1[3] == 0.0
+            assert metrics.to_json_obj()["f1"] == [float(x) for x in metrics.f1]
+
+    def test_f1_of_an_absent_class_is_zero(self):
+        metrics = Metrics(confusion_of([0, 0, 1], [0, 1, 1]))
+        assert metrics.f1[2] == 0.0 and metrics.f1[3] == 0.0
+        assert metrics.f1[0] == 2 * 1.0 * 0.5 / 1.5 and metrics.f1[1] == 2 * 0.5 * 1.0 / 1.5
+
+    def test_lines_print_f1_beside_precision_and_recall(self):
+        lines = Metrics(confusion_of([0, 0, 1], [0, 1, 1])).lines()[1:5]
+        assert [line.split()[-2:] for line in lines] == [["f1", "0.6667"], ["f1", "0.6667"], ["f1", "0.0000"], ["f1", "0.0000"]]
+        assert all("precision" in line and "recall" in line for line in lines)
 
     def test_perfect_predictor(self):
         truths = [0, 1, 2, 3, 2, 1]
