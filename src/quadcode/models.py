@@ -35,16 +35,15 @@ of the char model over input that ends in PAD, inference or training,
 runs the embedding and the conv stack on the live prefix only and
 repeats their last output column over the PAD tail (Model._live_prefix),
 cut where the windows and tiles that Conv1d, ReLU and MaxPool1d declare
-allow (the GEMM tile rule lives on Conv1d, tensor_nn.layers). A training
-forward then extends those layers' caches to the full walk's
-(Model._extend_caches; each layer's extend, tensor_nn.layers), and the
-backward walks the full length, but for two pieces that read only the
-live positions: conv1's input gradient (its second GEMM and scatter) and
-the embedding's scatter. Every weight gradient reads the full walk.
-Logits, loss and every gradient are bit-identical to the full walk's,
-which a traced forward (PassContext.trace) takes. Shapes named per layer
-(shape_trace, the docs above) are those of one example, without the
-batch axis.
+allow (the GEMM tile rule lives on Conv1d, tensor_nn.layers). Logits and
+loss are then bit-identical to the full walk's, which a traced forward
+(PassContext.trace) takes. A training backward after such a forward runs
+those layers on the prefix too: each layer's output gradient is cut at
+the output's first tail column, which takes the sum of the gradient over
+the tail (ops.tail_sum), so every gradient agrees with the full walk's
+to within 1e-12, the same numbers summed in another order. Shapes named
+per layer (shape_trace, the docs above) are those of one example,
+without the batch axis.
 """
 
 from __future__ import annotations
@@ -263,47 +262,35 @@ class Model:
         the position-local layers that open seq on the live prefix alone
         (_live_prefix), then repeats their last output column out to the
         full input's output length; the rest of seq runs as in the full
-        walk. When a backward follows, the prefix's caches are first
-        extended to the full walk's (_extend_caches).
+        walk. The caches of such a pass end with the prefix walk's tails
+        for the backward.
         """
         caches: list = []
         layers = self._layers()
         if ctx.trace is None and (prefix := self._live_prefix(indices)):
-            local, cut, lengths = prefix
-            x = run_layers(layers[: 1 + local], indices[:, :cut], ctx, caches)
+            cut, tails, length = prefix
+            x = run_layers(layers[: len(tails)], indices[:, :cut], ctx, caches)
+            logits = run_layers(layers[len(tails) :], ops.repeat_last(x, length), ctx, caches)
             if ctx.backward_follows:
-                self._extend_caches(caches, indices, cut, lengths)
-            return run_layers(layers[1 + local :], ops.repeat_last(x, lengths[-1]), ctx, caches), caches
+                caches.append(tails)
+            return logits, caches
         return run_layers(layers, indices, ctx, caches), caches
 
-    def _extend_caches(self, caches: list, indices: np.ndarray, cut: int, lengths: list[int]) -> None:
-        """Turn the caches of a prefix walk of the first len(lengths) layers
-        of seq, cut positions long, into those of the full walk, whose
-        output lengths are lengths: each layer repeats its cache's last
-        column (extend). The embedding drops the PAD row's gradient, so the
-        first layer, a conv, returns the input gradient of the positions its
-        prefix output starts at, which hold every non-PAD one, and the
-        embedding scatters those alone; every weight gradient still reads
-        the full walk."""
-        (name, first), *rest = self.seq[: len(lengths)]
-        live = _window_lengths(cut, [(name, first.window)])[0]
-        caches[0] = indices[:, :live]
-        caches[1] = first.extend(caches[1], indices.shape[1], live)
-        for i, ((_, layer), length) in enumerate(zip(rest, lengths), start=2):
-            caches[i] = layer.extend(caches[i], length)
+    def _live_prefix(self, indices: np.ndarray) -> tuple[int, list[int], int] | None:
+        """(cut, tails, length) for (N, L) indices, or None to walk them whole.
 
-    def _live_prefix(self, indices: np.ndarray) -> tuple[int, int, list[int]] | None:
-        """(local, cut, lengths) for (N, L) indices, or None to walk them whole.
-
-        The first local layers of seq are position-local, and lengths are
-        their output lengths on the full input. From the batch's last non-PAD
-        position on, every position looks up the same PAD row, so every
-        output column whose window lies there repeats one value. cut < L is
-        the shortest prefix whose last output column is such a column and
-        whose layers, like the full input's, have whole tiles of output
-        columns (each layer's declared window and tile, tensor_nn.layers).
-        Input of any length but the config's, which the config was checked
-        against, walks whole, where a stack it is too short for fails on shape.
+        The first layers of seq are position-local, and length is the
+        output length of the last of them on the full input. From the
+        batch's last non-PAD position on, every position looks up the same
+        PAD row, so every output column whose window lies there repeats one
+        value: tails holds the first such column of the embedding's output
+        and of each position-local layer's, a window of stride s taking
+        tail t to ceil(t / s). cut < L is the shortest prefix whose last
+        output column is such a column and whose layers, like the full
+        input's, have whole tiles of output columns (each layer's declared
+        window and tile, tensor_nn.layers). Input of any length but the
+        config's, which the config was checked against, walks whole, where
+        a stack it is too short for fails on shape.
         """
         local = list(takewhile(lambda pair: hasattr(pair[1], "window"), self.seq))
         windows = [(name, layer.window) for name, layer in local]
@@ -317,21 +304,30 @@ class Model:
         if not tiled(full):
             return None
         live = np.flatnonzero(indices.any(axis=0))
-        tail = live[-1] + 1 if live.size else 0  # the first position of the PAD tail
+        tails = [int(live[-1]) + 1 if live.size else 0]  # the first position of the PAD tail
         for _, (_, stride) in windows:
-            tail = -(-tail // stride)
-        cut = tail + 1  # output columns up to and including the first tail column
+            tails.append(-(-tails[-1] // stride))
+        cut = tails[-1] + 1  # output columns up to and including the first tail column
         for _, (width, stride) in reversed(windows):
             cut = (cut - 1) * stride + width
         while cut < full and not tiled(cut):
             cut += 1
-        return (len(windows), cut, _window_lengths(full, windows)) if cut < full else None
+        return (cut, tails, _window_lengths(full, windows)[-1]) if cut < full else None
 
     def backward_from_logits(self, caches: list, grad: np.ndarray) -> None:
         """Write every parameter's gradient from the (N, classes) logit
         gradient. Consumes caches: a layer's cache is freed once its
-        backward has returned."""
-        unwind_layers(self._layers(), caches, grad)
+        backward has returned. After a prefix forward, each of the layers
+        it ran on the prefix is given its output gradient cut at that
+        output's tail, whose gradient is summed into the tail's first
+        column (ops.tail_sum): the embedding's gradient on the PAD row,
+        which it drops, and on each layer's output the gradient of one
+        column standing for every column that repeats its value."""
+        layers = self._layers()
+        tails = caches.pop() if len(caches) > len(layers) else []
+        grad = unwind_layers(layers[len(tails) :], caches, grad)
+        for (_, layer), tail in zip(reversed(layers[: len(tails)]), reversed(tails)):
+            grad = layer.backward(caches.pop(), ops.tail_sum(grad, tail))
 
 
 class WordCnn(Model):
@@ -558,11 +554,13 @@ def _encoder_from_obj(path, version: int, kind: str, config: WordCnnConfig | Cha
     tokens, counts = obj["tokens"], obj["counts"]
     if not isinstance(tokens, list) or not isinstance(counts, list) or len(tokens) != len(counts):
         raise CheckpointError(f"{path}: encoder tokens and counts must be two lists of equal length")
-    for entry_no, (token, count) in enumerate(zip(tokens, counts), start=1):
-        if type(token) is not str or type(count) is not int:  # a JSON true is a bool, not an int
-            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: bad field types")
-        if count < 0:
-            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: negative count {count}")
+    # whole-column checks; only a column that fails one is walked for its first bad entry
+    if not ({*map(type, tokens)} <= {str} and {*map(type, counts)} <= {int} and min(counts, default=0) >= 0):
+        for entry_no, (token, count) in enumerate(zip(tokens, counts), start=1):
+            if type(token) is not str or type(count) is not int:  # a JSON true is a bool, not an int
+                raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: bad field types")
+            if count < 0:
+                raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: negative count {count}")
     try:  # a duplicate token or a multi-codepoint alphabet entry
         encoder = _ENCODER_CLASSES[encoder_kind](Vocabulary(tokens, counts), length)
     except TextEncodingError as exc:

@@ -27,17 +27,12 @@ output columns are a multiple of its declared tile (Conv1d's GEMM tile, 1
 for the others). A window turns L input columns into (L - width) //
 stride + 1; models applies that law in one function, to these
 declarations when an untraced forward runs the conv stack on the
-input's live prefix (logits, loss and gradients bit-identical to the
-full walk's), and to the same windows read from a model config when it
-sizes layers. After a training forward over a prefix, each of these
-layers' extend(cache, length) turns its cache into that of a forward over
-length input positions whose columns past the prefix repeat its last
-one: ReLU repeats its mask's last column, MaxPool1d its last window's
-offset (and takes the longer in_length), and Conv1d keeps its prefix
-input and records length, its backward rebuilding the windows past the
-prefix from that last column (ops.conv1d_backward). Conv1d's extend also
-takes live, for a conv whose input gradient a layer in front of it reads
-at the first live positions only: its backward then returns just those.
+input's live prefix, and to the same windows read from a model config
+when it sizes layers. Each of these layers' backward, and Embedding's,
+reads only the first output columns its gradient covers, so the backward
+of a prefix forward runs only up to the first column of the tail that
+repeats one value, into which the model sums that tail's gradient
+(ops.tail_sum).
 Dropout runs exactly when the forward carries generators (PassContext.rngs).
 
 Parameter.grad belongs to the backward that writes it: nothing else writes
@@ -125,10 +120,19 @@ class PassContext:
 INFER = PassContext(backward_follows=False)
 
 
-def glorot_uniform(gen: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
-    """Glorot/Xavier uniform draw."""
+def uniform_into(gen: np.random.Generator, out: np.ndarray, low: float, high: float) -> np.ndarray:
+    """gen.uniform(low, high, out.shape) drawn straight into out: the same
+    bits, and gen left in the same state, without a temporary."""
+    gen.random(out=out)
+    out *= high - low
+    out += low
+    return out
+
+
+def glorot_uniform(gen: np.random.Generator, out: np.ndarray, fan_in: int, fan_out: int) -> np.ndarray:
+    """Glorot/Xavier uniform draw into out."""
     limit = math.sqrt(6.0 / (fan_in + fan_out))
-    return gen.uniform(-limit, limit, size=shape)
+    return uniform_into(gen, out, -limit, limit)
 
 
 class Embedding:
@@ -149,7 +153,7 @@ class Embedding:
         pinned[0, :] = True
         self.param = storage.take("embedding", (rows, dim), frozen=not trainable, pinned=pinned)
         if gen is not None:
-            self.param.value[...] = gen.uniform(-0.25, 0.25, size=(rows, dim))
+            uniform_into(gen, self.param.value, -0.25, 0.25)
             self.param.value[0, :] = 0.0
         self.params = [self.param]
         self._written = np.zeros(0, dtype=np.int64)  # the rows the last backward wrote, or ... for all
@@ -159,6 +163,7 @@ class Embedding:
 
     def backward(self, cache, grad: np.ndarray) -> None:
         if not self.param.frozen:  # a frozen table's gradient is never read
+            cache = cache[:, : grad.shape[2]]
             self.param.grad[self._written] = 0.0
             ops.embedding_backward(cache, grad, self.param.grad)
             self.param.grad[0, :] = 0.0
@@ -178,27 +183,15 @@ class Conv1d:
         self.w = storage.take(f"{name}.w", (frames, in_channels, kernel))
         self.b = storage.take(f"{name}.b", (frames,))
         if gen is not None:
-            self.w.value[...] = glorot_uniform(gen, self.w.value.shape, in_channels * kernel, frames * kernel)
+            glorot_uniform(gen, self.w.value, in_channels * kernel, frames * kernel)
         self.params = [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
         return ops.conv1d(x, self.w.value, self.b.value), (x if ctx.backward_follows else None)
 
-    def extend(self, cache, length: int, live: int | None = None):
-        """The cache of a forward over length input positions whose columns
-        past the cached input's repeat its last one: that input, length and
-        live. The backward rebuilds the windows past its end from its last
-        column, and given live, returns the input gradient of the first live
-        positions only (ops.conv1d_backward)."""
-        return cache, length, live
-
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
-        # A full walk's cache is the bare input, and its backward the five-argument
-        # call that the gradcheck negative controls swap out.
-        if isinstance(cache, tuple):  # extended (extend)
-            x, length, live = cache
-            return ops.conv1d_backward(x, self.w.value, grad, self.w.grad, self.b.grad, length=length, live=live)
-        return ops.conv1d_backward(cache, self.w.value, grad, self.w.grad, self.b.grad)
+        x = cache[:, :, : grad.shape[2] + self.window[0] - 1]
+        return ops.conv1d_backward(x, self.w.value, grad, self.w.grad, self.b.grad)
 
 
 class Dense:
@@ -206,7 +199,7 @@ class Dense:
         self.w = storage.take(f"{name}.w", (units, in_features))
         self.b = storage.take(f"{name}.b", (units,))
         if gen is not None:
-            self.w.value[...] = glorot_uniform(gen, self.w.value.shape, in_features, units)
+            glorot_uniform(gen, self.w.value, in_features, units)
         self.params = [self.w, self.b]
 
     def forward(self, x: np.ndarray, ctx: PassContext):
@@ -224,13 +217,8 @@ class ReLU:
         y = ops.relu(x, out=x)  # x is the fresh output of the layer in front
         return y, (y > 0.0 if ctx.backward_follows else None)
 
-    def extend(self, cache, length: int):
-        """The mask of a forward over length positions whose columns past the
-        cached ones repeat the last."""
-        return ops.repeat_last(cache, length)
-
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
-        return ops.relu_backward(cache, grad)
+        return ops.relu_backward(cache[..., : grad.shape[-1]], grad)
 
 
 class MaxPool1d:
@@ -247,14 +235,9 @@ class MaxPool1d:
         y, offsets = ops.maxpool1d_with_argmax(x, self.width)
         return y, (offsets, x.shape[2])
 
-    def extend(self, cache, length: int):
-        """The cache of a forward over length input positions whose windows
-        past the cached ones repeat the last window's offset."""
-        return ops.repeat_last(cache[0], length // self.width), length
-
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         offsets, in_length = cache
-        return ops.maxpool1d_backward(grad, offsets, self.width, in_length)
+        return ops.maxpool1d_backward(grad, offsets[..., : grad.shape[-1]], self.width, in_length)
 
 
 class Dropout:

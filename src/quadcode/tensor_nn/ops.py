@@ -15,9 +15,10 @@ gradient summed over the batch for weights and biases into caller-given
 buffers, overwriting them, and return the gradient per example for inputs.
 
 Backward ops read the least state their forward can leave: conv1d_backward
-the input (it rebuilds the windows; a prefix of it may stand for the input
-with its last column repeated out), relu_backward a bool y > 0 mask, so
+the input (it rebuilds the windows), relu_backward a bool y > 0 mask, so
 relu may rectify in place, and maxpool1d_backward narrow in-window offsets.
+tail_sum is the backward of repeat_last: it folds the gradient of columns
+that repeat one value into the first of them.
 """
 
 from __future__ import annotations
@@ -52,24 +53,16 @@ def _trap(name: str, out: np.ndarray) -> np.ndarray:
 # --- convolution --------------------------------------------------------------
 
 
-def _im2col(x: np.ndarray, kernel: int, length: int | None = None) -> np.ndarray:
-    """(N, C, L) -> (C*K, N*T) window matrix, T = length-K+1 (length L
-    unless given).
+def _im2col(x: np.ndarray, kernel: int) -> np.ndarray:
+    """(N, C, L) -> (C*K, N*T) window matrix, T = L-K+1.
 
     Column n*T + t holds x[n, :, t:t+K] flattened channel-major, matching
-    w.reshape(F, C*K). A length past L stands for x with its last column
-    repeated out to length positions: every window from t = L-1 on holds
-    that column alone, so x gains at most K-1 copies of it and the last
-    window is repeated. The windows are a fresh copy, built on demand and
+    w.reshape(F, C*K). The windows are a fresh copy, built on demand and
     never kept between forward and backward.
     """
-    n, channels, have = x.shape
-    length = have if length is None else length
-    if length > have:
-        x = repeat_last(x, min(length, have + kernel - 1))
+    n, channels, length = x.shape
     windows = sliding_window_view(x, kernel, axis=2).transpose(1, 3, 0, 2)  # (C, K, N, T)
-    steps = length - kernel + 1
-    return repeat_last(windows, steps).reshape(channels * kernel, n * steps)
+    return np.ascontiguousarray(windows).reshape(channels * kernel, n * (length - kernel + 1))
 
 
 def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -93,8 +86,7 @@ def conv1d(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def conv1d_backward(
-    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray,
-    *, length: int | None = None, live: int | None = None,
+    x: np.ndarray, w: np.ndarray, grad_y: np.ndarray, grad_w: np.ndarray, grad_b: np.ndarray
 ) -> np.ndarray:
     """grad_x of sum(grad_y * conv1d(x, w, b)), writing grad_w and grad_b.
 
@@ -102,30 +94,19 @@ def conv1d_backward(
     the rebuilt windows, written into grad_w; grad_x comes from a
     second GEMM giving each window's gradient, scattered back onto the
     positions it covered: grad_x[n,c,t+k] += sum_f grad_y[n,f,t] w[f,c,k].
-    Given length, x stands for itself with its last column repeated out to
-    length positions, which is never built (_im2col). Given live, grad_x is
-    (N, C, live): the first live positions only, which read the output
-    columns t < live alone, so the second GEMM and the scatter run over
-    those columns (a caller that drops the gradient of the later positions).
     """
     frames, c_in, kernel = w.shape
-    n = x.shape[0]
-    length = x.shape[2] if length is None else length
+    n, _, length = x.shape
     steps = length - kernel + 1
-    _require(x.shape[2] <= length, f"conv1d input of {x.shape[2]} positions cannot stand for {length}")
     _require(grad_y.shape == (n, frames, steps), f"conv1d grad must be ({n}, {frames}, {steps}), got {grad_y.shape}")
     _require(grad_w.shape == w.shape and grad_w.flags.c_contiguous, "conv1d grad_w must be a contiguous array of w's shape")
     gy = grad_y.transpose(1, 0, 2).reshape(frames, n * steps)
-    np.matmul(gy, _im2col(x, kernel, length).T, out=grad_w.reshape(frames, c_in * kernel))
+    np.matmul(gy, _im2col(x, kernel).T, out=grad_w.reshape(frames, c_in * kernel))
     np.sum(grad_y, axis=(0, 2), out=grad_b)
-    if live is not None:
-        _require(1 <= live <= steps, f"conv1d live positions must be in [1, {steps}], got {live}")
-        gy = gy.reshape(frames, n, steps)[:, :, :live].reshape(frames, n * live)
-        length = steps = live
     grad_cols = (w.reshape(frames, c_in * kernel).T @ gy).reshape(c_in, kernel, n, steps)
     grad_x = np.zeros((n, c_in, length), dtype=grad_cols.dtype)
-    for k in range(min(kernel, length)):  # given live, window t covers only positions t+k < live
-        grad_x[:, :, k : k + steps] += grad_cols[:, k, :, : length - k].transpose(1, 0, 2)
+    for k in range(kernel):
+        grad_x[:, :, k : k + steps] += grad_cols[:, k].transpose(1, 0, 2)
     return grad_x
 
 
@@ -271,6 +252,19 @@ def repeat_last(x: np.ndarray, length: int) -> np.ndarray:
     out = np.empty((*x.shape[:-1], length), dtype=x.dtype)
     out[..., : x.shape[-1]] = x
     out[..., x.shape[-1] :] = x[..., -1:]
+    return out
+
+
+def tail_sum(grad: np.ndarray, tail: int) -> np.ndarray:
+    """The backward of repeat_last(x, grad.shape[-1]) for an x of tail + 1
+    columns (the last axis): grad's first tail + 1 columns, the last
+    holding the sum of grad's columns from tail on, which all read one
+    value. grad itself when it has no more columns."""
+    _require(grad.ndim >= 1 and 0 <= tail < grad.shape[-1], f"no tail column {tail} in a gradient of shape {grad.shape}")
+    if grad.shape[-1] == tail + 1:
+        return grad
+    out = grad[..., : tail + 1].copy()
+    np.sum(grad[..., tail:], axis=-1, out=out[..., tail])
     return out
 
 

@@ -433,13 +433,24 @@ PADDED_BATCHES = {
 }
 
 
+def _with_drawn_biases(model):
+    """model with biases drawn from uniform(-0.1, 0.1): the zero biases of a
+    build leave every conv output over an all-zero PAD tail at zero, where
+    the ReLUs pass no gradient, so the tail would take none."""
+    gen = np.random.default_rng(len(model.values))
+    for p in model.parameters():
+        if p.name.endswith(".b"):
+            p.value[...] = gen.uniform(-0.1, 0.1, size=p.value.shape)
+    return model
+
+
 @pytest.fixture(scope="module")
 def char_models() -> dict:
-    """One tiny and one full-scale char model, and the batch size at which
-    each model's conv GEMMs have whole tiles of columns, so that an
-    inference forward may run on the live prefix."""
-    return {"tiny": (CharCnn(tiny_char_config(), seed=9), 64),
-            "full": (CharCnn(CharCnnConfig(alphabet_size=70), seed=9), 32)}
+    """One tiny and one full-scale char model with drawn biases, and the
+    batch size at which each model's conv GEMMs have whole tiles of
+    columns, so that an inference forward may run on the live prefix."""
+    return {"tiny": (_with_drawn_biases(CharCnn(tiny_char_config(), seed=9)), 64),
+            "full": (_with_drawn_biases(CharCnn(CharCnnConfig(alphabet_size=70), seed=9)), 32)}
 
 
 def _embedding_widths(model, monkeypatch) -> list[int]:
@@ -534,9 +545,9 @@ class TestLivePrefix:
 
 def _training_pass(model, indices, monkeypatch, trace: bool):
     """One training pass with a backward over indices, traced (which walks
-    the full input) or not: the per-example loss bytes, each parameter's
-    gradient bytes, the input width the embedding saw and the gradient its
-    backward was given."""
+    the full input) or not: the per-example loss bytes, a copy of each
+    parameter's gradient, the input width the embedding saw and the
+    gradient its backward was given."""
     n = len(indices)
     labels = np.arange(n) % 4
     seen = {}
@@ -549,41 +560,67 @@ def _training_pass(model, indices, monkeypatch, trace: bool):
     losses, probs = ops.softmax_cross_entropy(logits, labels)
     model.backward_from_logits(caches, ops.softmax_cross_entropy_backward(probs, labels) / n)
     monkeypatch.undo()
-    return losses.tobytes(), {p.name: p.grad.tobytes() for p in model.parameters()}, seen["width"], seen["grad"]
+    assert caches == []
+    return losses.tobytes(), {p.name: p.grad.copy() for p in model.parameters()}, seen["width"], seen["grad"]
+
+
+def _assert_within_1e12(got: np.ndarray, want: np.ndarray, name: str) -> None:
+    """got agrees with want to within 1e-12 of want's largest magnitude."""
+    assert got.shape == want.shape, name
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * np.abs(want).max(initial=0.0), name
 
 
 def _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix: bool) -> None:
-    """The untraced training pass gives the traced full walk's loss and
-    parameter gradients as bytes, and the gradient the embedding is given
-    is the full walk's over the positions it covers, past which every
-    position is PAD; prefix says whether the pass took the live prefix."""
+    """The untraced training pass gives the traced full walk's loss bytes,
+    and the same bytes again when repeated. When it walks the full input,
+    every parameter gradient and the gradient the embedding is given are
+    the full walk's bytes. When it takes the live prefix (prefix), each
+    parameter gradient agrees with the full walk's to within 1e-12 of its
+    largest entry, the same numbers summed in another order, and the
+    embedding is given the gradient of the positions up to the first of the
+    PAD tail, whose column holds the tail's sum."""
     length = model.config.length
     want_loss, want_grads, want_width, want_grad_in = _training_pass(model, indices, monkeypatch, trace=True)
     loss, grads, width, grad_in = _training_pass(model, indices, monkeypatch, trace=False)
+    again = _training_pass(model, indices, monkeypatch, trace=False)
     assert want_width == length and (width < length) == prefix
-    assert loss == want_loss
+    assert loss == want_loss == again[0]
     assert grads.keys() == want_grads.keys()
     for name in want_grads:
-        assert grads[name] == want_grads[name], name
-    live = grad_in.shape[2]
-    assert (live < length) == prefix and not indices[:, live:].any()
-    assert grad_in.tobytes() == np.ascontiguousarray(want_grad_in[:, :, :live]).tobytes()
+        assert grads[name].tobytes() == again[1][name].tobytes(), name
+        if prefix:
+            _assert_within_1e12(grads[name], want_grads[name], name)
+        else:
+            assert grads[name].tobytes() == want_grads[name].tobytes(), name
+    if not prefix:
+        assert grad_in.tobytes() == want_grad_in.tobytes()
+        return
+    tail = grad_in.shape[2] - 1
+    live = np.flatnonzero(indices.any(axis=0))
+    assert tail == (live[-1] + 1 if live.size else 0)
+    _assert_within_1e12(grad_in, ops.tail_sum(want_grad_in, tail), "embedding input")
 
 
 class TestPrefixTraining:
-    """A training forward runs the conv stack on the live prefix and extends
-    the layers' caches to the full walk's; the loss, every parameter gradient
-    and the embedding's input gradient over the live positions must stay
-    bytes-identical to the full walk's."""
+    """A training forward runs the conv stack on the live prefix, and its
+    backward runs those layers on the prefix, each given its output
+    gradient up to the output's first tail column, which holds the tail's
+    sum. The loss stays the full walk's bytes and every gradient agrees
+    with the full walk's to within 1e-12; a batch that walks the full input
+    keeps the full walk's bytes."""
 
-    @pytest.mark.parametrize("case", ["all_pad", "mixed", "pad_inside_the_text", "full_length_record"])
+    @pytest.mark.parametrize("case", ["all_pad", "mixed", "pad_inside_the_text", "full_length_record", "long_record"])
     @pytest.mark.parametrize("scale", ["tiny", "full"])
     def test_padded_batches(self, char_models, monkeypatch, scale, case):
         model, tiled = char_models[scale]
-        _, lengths, pad_inside = PADDED_BATCHES[case]
-        gen = np.random.default_rng(len(case))
         length = model.config.length
-        indices = _padded(gen, model.config.alphabet_size, length, lengths(gen, tiled, length), pad_inside)
+        gen = np.random.default_rng(len(case))
+        if case == "long_record":  # one record of 200 characters at full scale
+            lengths, pad_inside = [200 if scale == "full" else 4, *_mixed(gen, tiled - 1, length)], False
+        else:
+            _, lengths, pad_inside = PADDED_BATCHES[case]
+            lengths = lengths(gen, tiled, length)
+        indices = _padded(gen, model.config.alphabet_size, length, lengths, pad_inside)
         _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix=case != "full_length_record")
 
     @pytest.mark.parametrize("variant", ["one_hot", "non_zero_pad_row"])
@@ -592,7 +629,7 @@ class TestPrefixTraining:
         config, n = (tiny_char_config(), 64) if scale == "tiny" else (CharCnnConfig(alphabet_size=70), 32)
         if variant == "one_hot":
             config = replace(config, embed_dim=config.alphabet_size, one_hot=True)
-        model = CharCnn(config, seed=11)
+        model = _with_drawn_biases(CharCnn(config, seed=11))
         gen = np.random.default_rng(11)
         if variant == "non_zero_pad_row":
             model.embedding.param.value[0] = gen.uniform(-1.0, 1.0, size=config.embed_dim)
@@ -606,6 +643,13 @@ class TestPrefixTraining:
         gen = np.random.default_rng(n)
         length = model.config.length
         indices = _padded(gen, model.config.alphabet_size, length, gen.integers(0, length // 2, size=n))
+        _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix=False)
+
+    def test_unpadded_batch_walks_the_full_input(self, char_models, monkeypatch):
+        model, tiled = char_models["tiny"]
+        gen = np.random.default_rng(4)
+        length = model.config.length
+        indices = _padded(gen, model.config.alphabet_size, length, [length] * tiled)
         _assert_training_pass_is_the_full_walk(model, indices, monkeypatch, prefix=False)
 
 
@@ -829,6 +873,32 @@ class TestBuildDeterminism:
         a = build_word_cnn(tiny_word_config(), seed=9)
         b = build_word_cnn(tiny_word_config(), seed=10)
         assert any((pa.value != pb.value).any() for pa, pb in zip(a.parameters(), b.parameters()))
+
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    @pytest.mark.parametrize("kind", ["word", "char"])
+    def test_init_is_drawn_as_gen_uniform_draws_it(self, monkeypatch, kind, scale):
+        # a build draws each init straight into its Storage view: the bits
+        # gen.uniform(low, high, size) gives, leaving each stream where it would
+        configs = {"word": (tiny_word_config(), WordCnnConfig(vocab_size=20000)),
+                   "char": (tiny_char_config(), CharCnnConfig(alphabet_size=70))}
+        config = configs[kind][scale == "full"]
+        streams, stream = {}, rng.stream
+        monkeypatch.setattr(models.rng, "stream", lambda seed, *path: streams.setdefault(path, stream(seed, *path)))
+        model = (WordCnn if kind == "word" else CharCnn)(config, seed=3)
+        init, embed = stream(3, rng.INIT), stream(3, rng.EMBED)
+        for p in model.parameters():
+            if p.name == "embedding":
+                want = embed.uniform(-0.25, 0.25, size=p.value.shape)
+                want[0] = 0.0
+            elif p.name.endswith(".w"):
+                fan_in, fan_out = (p.value[0].size, p.value.shape[0] * p.value.shape[-1]) if p.value.ndim == 3 else p.value.shape[::-1]
+                limit = np.sqrt(6.0 / (fan_in + fan_out))
+                want = init.uniform(-limit, limit, size=p.value.shape)
+            else:
+                want = np.zeros(p.value.shape)
+            assert p.value.tobytes() == want.tobytes(), p.name
+        assert streams[(rng.INIT,)].random(4).tobytes() == init.random(4).tobytes()
+        assert streams[(rng.EMBED,)].random(4).tobytes() == embed.random(4).tobytes()
 
     def test_pad_row_zero_at_init(self):
         for model in (build_word_cnn(tiny_word_config(), seed=0), CharCnn(tiny_char_config(), seed=0)):

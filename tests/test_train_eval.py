@@ -386,9 +386,11 @@ class TestTrainingLoop:
             TrainConfig(patience=-1)
 
 
-# One dropout training step and one Adam step of a char model whose fc1 input
-# is 3456 wide and whose convs run (N*T, C*K) GEMMs of a few thousand rows,
-# large enough for OpenBLAS to split them across threads.
+# Two dropout training steps, each followed by an Adam step, of a char model
+# whose fc1 input is 3456 wide and whose convs run (N*T, C*K) GEMMs of a few
+# thousand rows, large enough for OpenBLAS to split them across threads: one
+# on 16 unpadded records, then one on 32 right-PADded records, which takes
+# the live prefix.
 _BLAS_STEP = """
 import hashlib, json, sys
 import numpy as np
@@ -397,11 +399,17 @@ from quadcode.tensor_nn.optim import Adam
 config = models.CharCnnConfig(alphabet_size=30, embed_dim=16, length=512, hidden=(256, 256),
                               convs=tuple(models.ConvSpec(64, k, p) for k, p in ((7, 3), (3, None), (3, None), (3, 3))))
 model = models.CharCnn(config, seed=3)
-examples = models.make_gradcheck_examples(model, count=16, seed=3)
-gens = [rng.stream(3, rng.DROPOUT, 0, j) for j in range(len(examples))]
-models.batch_loss(model, examples, training=True, dropout_rngs=gens, accumulate=True)
-grads = hashlib.sha256(b"".join(p.grad.tobytes() for p in model.parameters())).hexdigest()
-Adam(model.parameters()).step()
+adam = Adam(model.parameters())
+examples = models.make_gradcheck_examples(model, count=48, seed=3)
+for j, example in enumerate(examples[16:]):
+    example.indices[20 + j :] = 0
+grads = []
+for step, batch in enumerate((examples[:16], examples[16:])):
+    gens = [rng.stream(3, rng.DROPOUT, step, j) for j in range(len(batch))]
+    models.batch_loss(model, batch, training=True, dropout_rngs=gens, accumulate=True)
+    grads.append(hashlib.sha256(b"".join(p.grad.tobytes() for p in model.parameters())).hexdigest())
+    adam.step()
+assert model._live_prefix(np.stack([e.indices for e in examples[16:]])) is not None
 models.save_checkpoint(model, sys.argv[1])
 with open(sys.argv[1], "rb") as fh:
     print(json.dumps({"grads": grads, "checkpoint": hashlib.sha256(fh.read()).hexdigest()}))
