@@ -470,10 +470,9 @@ def make_gradcheck_examples(model: Model, count: int = 2, seed: int = 0) -> list
 # header | float64-LE parameter block (Model.values) | probe inputs
 # (int64-LE) | probe logits (float64-LE) | sha256 of everything before it.
 # The header carries config, encoder, quad-map digest, and run metadata, so
-# a checkpoint alone suffices to restore and verify the model. Version 2
-# stores the encoder as its Vocabulary's two columns, {"tokens", "counts"};
-# its kind is the model's and its length config.length. Version 1 stored
-# {"kind", "length", "entries": [{"token", "index", "count"}, ...]}.
+# a checkpoint alone suffices to restore and verify the model. The encoder
+# is stored as its Vocabulary's two columns, {"tokens", "counts"}; its kind
+# is the model's and its length config.length.
 
 _MAGIC = b"QCNN"
 _VERSION = 2
@@ -520,35 +519,11 @@ def _check_encoder_fits(path, kind: str, config: WordCnnConfig | CharCnnConfig, 
         )
 
 
-def _v1_encoder_columns(path, obj) -> tuple[str, int, dict]:
-    """A version-1 encoder as (kind, length, the version-2 columns); each
-    entry's index must be its id, so the columns lose nothing."""
-    v1 = obj if isinstance(obj, dict) else {}
-    kind, length, entries = v1.get("kind"), v1.get("length"), v1.get("entries")
-    if kind not in ("word", "char") or type(length) is not int or not isinstance(entries, list):
-        raise CheckpointError(
-            f'{path}: bad version 1 encoder: want a "kind" of "word" or "char", an integer "length" and an "entries" list'
-        )
-    for entry_no, entry in enumerate(entries, start=1):
-        if not isinstance(entry, dict):
-            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: expected a JSON object")
-        if missing := [key for key in ("token", "index", "count") if key not in entry]:
-            raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: missing key {missing[0]!r}")
-        if type(entry["index"]) is not int or entry["index"] != entry_no + 1:
-            raise TextEncodingError(
-                f"{path}: vocabulary entry {entry_no}: index {entry['index']!r} is not dense, expected {entry_no + 1}"
-            )
-    return kind, length, {"tokens": [e["token"] for e in entries], "counts": [e["count"] for e in entries]}
-
-
-def _encoder_from_obj(path, version: int, kind: str, config: WordCnnConfig | CharCnnConfig, obj):
+def _encoder_from_obj(path, kind: str, config: WordCnnConfig | CharCnnConfig, obj):
     """The header's "encoder" back into the encoder it was written from, in
     one validating pass, checked to fit the model."""
     if obj is None:
         return None
-    encoder_kind, length = kind, config.length
-    if version == 1:
-        encoder_kind, length, obj = _v1_encoder_columns(path, obj)
     if not isinstance(obj, dict) or obj.keys() != {"tokens", "counts"}:
         raise CheckpointError(f'{path}: encoder must hold exactly the keys "counts" and "tokens"')
     tokens, counts = obj["tokens"], obj["counts"]
@@ -562,7 +537,7 @@ def _encoder_from_obj(path, version: int, kind: str, config: WordCnnConfig | Cha
             if count < 0:
                 raise TextEncodingError(f"{path}: vocabulary entry {entry_no}: negative count {count}")
     try:  # a duplicate token or a multi-codepoint alphabet entry
-        encoder = _ENCODER_CLASSES[encoder_kind](Vocabulary(tokens, counts), length)
+        encoder = _ENCODER_CLASSES[kind](Vocabulary(tokens, counts), config.length)
     except TextEncodingError as exc:
         raise TextEncodingError(f"{path}: {exc}") from None
     _check_encoder_fits(path, kind, config, encoder)
@@ -651,25 +626,24 @@ def _read_aligned(path: str | Path) -> np.ndarray:
 def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
     """Restore a model and verify digest plus bit-exact probe predictions.
 
-    Checks run in file order: magic, version (1 or 2), the digest before
+    Checks run in file order: magic, version (2 only), the digest before
     the header is parsed, the header (its metadata an object, its quad-map
-    digest a string or null), the encoder's tokens and counts (a
-    version-1 encoder's entries are first turned into those two columns)
-    and that the encoder fits the model, the file size against the
-    header before the model is allocated, then every embedding entry
-    finite and every probe index in range before the probes are replayed
-    (a bad weight anywhere else shows in the replayed logits). The file is
-    read once into one aligned buffer and hashed once; the returned model's
-    values are its parameter block, a writable float64 view, so the load
-    makes no second copy of the parameters and draws no init.
+    digest a string or null), the encoder's tokens and counts and that the
+    encoder fits the model, the file size against the header before the
+    model is allocated, then every embedding entry finite and every probe
+    index in range before the probes are replayed (a bad weight anywhere
+    else shows in the replayed logits). The file is read once into one
+    aligned buffer and hashed once; the returned model's values are its
+    parameter block, a writable float64 view, so the load makes no second
+    copy of the parameters and draws no init.
     """
     buf = _read_aligned(path)
     data = memoryview(buf)
     if len(data) < 16 + 32 or data[:4] != _MAGIC:
         raise CheckpointError(f"{path}: not a checkpoint file (bad or truncated magic)")
     version = struct.unpack_from("<I", data, 4)[0]
-    if version not in (1, _VERSION):
-        raise CheckpointError(f"{path}: checkpoint format version {version}, this build reads versions 1 and {_VERSION}")
+    if version != _VERSION:
+        raise CheckpointError(f"{path}: checkpoint format version {version}, this build reads version {_VERSION}")
     digest = hashlib.sha256(data[:-32])
     if digest.digest() != data[-32:]:
         raise CheckpointError(f"{path}: integrity digest does not match contents")
@@ -694,7 +668,7 @@ def load_checkpoint(path: str | Path) -> LoadedCheckpoint:
 
     kind = header.get("kind")
     config = _config_from_obj(path, kind, header.get("config"))
-    encoder = _encoder_from_obj(path, version, kind, config, header.get("encoder"))
+    encoder = _encoder_from_obj(path, kind, config, header.get("encoder"))
     probe = header.get("probe")
     count = probe.get("count") if isinstance(probe, dict) else None
     if type(count) is not int or count < 1:  # a JSON true is a bool, not an int

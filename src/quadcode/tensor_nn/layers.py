@@ -230,10 +230,8 @@ class MaxPool1d:
         self.window = (width, width)
 
     def forward(self, x: np.ndarray, ctx: PassContext):
-        if not ctx.backward_follows:
-            return ops.maxpool1d(x, self.width), None
-        y, offsets = ops.maxpool1d_with_argmax(x, self.width)
-        return y, (offsets, x.shape[2])
+        y, offsets = ops.maxpool1d(x, self.width, with_offsets=ctx.backward_follows)
+        return y, ((offsets, x.shape[2]) if ctx.backward_follows else None)
 
     def backward(self, cache, grad: np.ndarray) -> np.ndarray:
         offsets, in_length = cache

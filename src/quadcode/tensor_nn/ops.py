@@ -113,9 +113,10 @@ def conv1d_backward(
 # --- pooling ------------------------------------------------------------------
 
 
-def _window_maxima(x: np.ndarray, width: int, with_index: bool) -> tuple[np.ndarray, np.ndarray | None]:
+def maxpool1d(x: np.ndarray, width: int, with_offsets: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """Non-overlapping window maxima, (N, F, L) -> (N, F, floor(L/width)),
-    plus, when with_index, each window's first maximum as an offset into it.
+    plus, when with_offsets, each window's first maximum as an offset into
+    it, in the narrowest unsigned type that holds width - 1 (else None).
 
     Stride equals width; the trailing L mod width positions are dropped.
     One whole-array step per window position rather than an argmax over a
@@ -132,24 +133,13 @@ def _window_maxima(x: np.ndarray, width: int, with_index: bool) -> tuple[np.ndar
     view = x[:, :, : steps * width].reshape(n, frames, steps, width)
     y = view[..., 0].copy()
     # the narrowest index type keeps the per-position temporaries and the training cache small
-    inner = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1)) if with_index else None
+    inner = np.zeros(y.shape, dtype=np.min_scalar_type(width - 1)) if with_offsets else None
     for i in range(1, width):
         candidate = view[..., i]
         if inner is not None:
             np.maximum(inner, (candidate > y) * inner.dtype.type(i), out=inner)  # later positions carry larger i
         np.maximum(candidate, y, out=y)
     return _trap("maxpool1d", y), inner
-
-
-def maxpool1d(x: np.ndarray, width: int) -> np.ndarray:
-    """The window maxima of maxpool1d_with_argmax, without the positions."""
-    return _window_maxima(x, width, with_index=False)[0]
-
-
-def maxpool1d_with_argmax(x: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """maxpool1d plus each window's first maximum as an offset into the
-    window, in the narrowest unsigned type that holds width - 1."""
-    return _window_maxima(x, width, with_index=True)
 
 
 def maxpool1d_backward(grad_y: np.ndarray, offsets: np.ndarray, width: int, in_length: int) -> np.ndarray:

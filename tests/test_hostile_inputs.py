@@ -2,12 +2,12 @@
 
 Each reader gets a valid sample, then derandomised hypothesis mutations of it:
 truncation, flipped and inserted bytes, and JSON nested too deeply to parse.
-Checkpoints, as the writer emits them and as format version 1 wrote them,
-are forged with a correct sha256, so the digest check cannot catch them:
-header values are replaced by booleans, nulls, negatives, strings and lists,
-keys are removed, and the raw header bytes are mutated. Whatever
-a reader does with such input, the only exception that may escape is an
-InputError, which the CLI turns into exit code 2 with a one-line `error:`.
+Checkpoints, as the writer emits them, are forged with a correct sha256,
+so the digest check cannot catch them: header values are replaced by
+booleans, nulls, negatives, strings and lists, keys are removed, and the
+raw header bytes are mutated. Whatever a reader does with such input,
+the only exception that may escape is an InputError, which the CLI turns
+into exit code 2 with a one-line `error:`.
 A few such files also go through the subcommand that reads them, which
 must exit 0 or 2 and never raise.
 """
@@ -200,12 +200,9 @@ def _checkpoint(tmp_path, kind: str) -> bytes:
     return path.read_bytes()
 
 
-# Version-1 checkpoints of a tiny word and char model
+# Checkpoints of a tiny word and char model in format version 1, which this
+# build refuses
 DATA = Path(__file__).parent / "data"
-
-
-def _blob(tmp_path, name: str) -> bytes:
-    return (DATA / f"{name}.ckpt").read_bytes() if name.startswith("v1_") else _checkpoint(tmp_path, name)
 
 
 def sealed(blob: bytes, header: bytes) -> bytes:
@@ -261,9 +258,9 @@ def _load_and_predict(path) -> None:
         predict(loaded.model, np.stack([loaded.encoder.encode(text) for text in texts]))
 
 
-@pytest.mark.parametrize("kind", ["word", "char", "v1_word", "v1_char"])
+@pytest.mark.parametrize("kind", ["word", "char"])
 def test_forged_checkpoint_header_raises_only_input_error(tmp_path, kind):
-    blob = _blob(tmp_path, kind)
+    blob = _checkpoint(tmp_path, kind)
     raw = _header_bytes(blob)
     path = tmp_path / "forged.ckpt"
 
@@ -438,14 +435,22 @@ def test_forged_version_2_encoder_exits_2(tmp_path, capsys, forge):
     _cli_exits_2(tmp_path, capsys, path)
 
 
-@pytest.mark.parametrize("version", [0, 3])
+@pytest.mark.parametrize("version", [0, 1, 3])
 def test_unreadable_format_version_exits_2(tmp_path, capsys, version):
     blob = bytearray(_checkpoint(tmp_path, "word"))
     struct.pack_into("<I", blob, 4, version)
     path = tmp_path / "forged.ckpt"
     path.write_bytes(sealed(bytes(blob), _header_bytes(blob)))
     for err in _cli_exits_2(tmp_path, capsys, path):
-        assert err == f"error: {path}: checkpoint format version {version}, this build reads versions 1 and 2\n"
+        assert err == f"error: {path}: checkpoint format version {version}, this build reads version 2\n"
+
+
+@pytest.mark.parametrize("name", ["v1_word", "v1_char"])
+def test_version_1_file_exits_2_without_writing(tmp_path, capsys, name):
+    path = DATA / f"{name}.ckpt"
+    for err in _cli_exits_2(tmp_path, capsys, path):
+        assert err == f"error: {path}: checkpoint format version 1, this build reads version 2\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["in.jsonl"]  # no output, no manifest
 
 
 

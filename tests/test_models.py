@@ -9,7 +9,6 @@ import struct
 import tracemalloc
 import weakref
 from dataclasses import asdict, replace
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,10 +48,6 @@ from quadcode.corpus import SentenceRecord
 from quadcode.tensor_nn.layers import INFER, Branches, MaxPool1d, PassContext, ReLU
 from quadcode.tensor_nn import ops, optim
 from quadcode.tensor_nn.optim import Adam, NonFiniteGradientError, Sgd
-
-# Version-1 checkpoints, as TestCheckpoints._golden_checkpoint wrote them
-# before format version 2
-DATA = Path(__file__).parent / "data"
 
 # --- oracles ------------------------------------------------------------------
 
@@ -1174,16 +1169,10 @@ class TestCheckpoints:
             load_checkpoint(path)
 
     # sha256 of the files _golden_checkpoint writes in format version 2:
-    # any drift in layout fails here. Their parameter and probe bytes are
-    # those of tests/data/v1_*.ckpt, the same checkpoints as version 1 wrote
-    # them (V1_GOLDEN).
+    # any drift in layout fails here.
     GOLDEN = {
         "word": "a721c86db7757535cd4ec34d744294b28f937dfbdc54244092e555de448bbae6",
         "char": "a94dd08693807413c79929d71f0ad5f904533e5b5f01d1dffde39fda4cd84b8f",
-    }
-    V1_GOLDEN = {
-        "word": "54b1a245394188c5123ec20bee50fe46788821b32e7e48ae4a9bfae4758259fa",
-        "char": "96175c71d79dfe621d8584978d9390f4a5f3bfed2f2ce70dc82d6e131cadf391",
     }
 
     def _golden_checkpoint(self, kind, path):
@@ -1447,22 +1436,17 @@ class TestCheckpoints:
         assert code == 2 and err.startswith("error:") and err.count("\n") == 1 and "config" in err
 
     @pytest.mark.parametrize(
-        "kind, version, forge",
+        "kind, forge",
         [
-            ("word", 2, lambda e: {"tokens": e["tokens"] + [f"extra{i}" for i in range(32)],
-                                   "counts": e["counts"] + [1] * 32}),
-            ("word", 1, lambda e: {**e, "kind": "char", "entries": [
-                {**x, "token": chr(0x41 + i)} for i, x in enumerate(e["entries"])]}),
-            ("word", 1, lambda e: {**e, "length": 17}),
-            ("char", 2, lambda e: {"tokens": e["tokens"][:5], "counts": e["counts"][:5]}),
+            ("word", lambda e: {"tokens": e["tokens"] + [f"extra{i}" for i in range(32)],
+                                "counts": e["counts"] + [1] * 32}),
+            ("char", lambda e: {"tokens": e["tokens"][:5], "counts": e["counts"][:5]}),
         ],
-        ids=["word_vocab_larger", "word_char_encoder", "word_length", "char_alphabet_smaller"],
+        ids=["word_vocab_larger", "char_alphabet_smaller"],
     )
-    def test_encoder_that_does_not_fit_the_model(self, tmp_path, capsys, kind, version, forge):
+    def test_encoder_that_does_not_fit_the_model(self, tmp_path, capsys, kind, forge):
         path = tmp_path / "model.ckpt"
-        if version == 1:  # only a version-1 encoder stores its own kind and length
-            path.write_bytes((DATA / f"v1_{kind}.ckpt").read_bytes())
-        elif kind == "word":
+        if kind == "word":
             encoder = WordEncoder(Vocabulary([f"w{i}" for i in range(2, 50)], [1] * 48), 16)
             save_checkpoint(build_word_cnn(tiny_word_config(), seed=0), path, encoder=encoder)
         else:
@@ -1497,39 +1481,6 @@ class TestCheckpoints:
         with pytest.raises(CheckpointError, match=r"does not fit the word model \(input size 50, length 16\)$"):
             save_checkpoint(model, path, encoder=encoder)
         assert not path.exists()
-
-    def _resaved_v1(self, tmp_path, kind):
-        """(version-1 fixture bytes, its load, the bytes of that load saved again)."""
-        v1 = (DATA / f"v1_{kind}.ckpt").read_bytes()
-        loaded = load_checkpoint(DATA / f"v1_{kind}.ckpt")  # replays the probes bit-exactly
-        assert loaded.model.kind == kind and loaded.sha256 == self.V1_GOLDEN[kind]
-        probe_seed = json.loads(v1[16 : 16 + struct.unpack_from("<Q", v1, 8)[0]])["probe"]["seed"]
-        path = tmp_path / "resaved.ckpt"
-        save_checkpoint(loaded.model, path, encoder=loaded.encoder, quad_map_digest=loaded.quad_map_digest,
-                        metadata=loaded.metadata, probe_seed=probe_seed)
-        return v1, loaded, path.read_bytes()
-
-    @pytest.mark.parametrize("kind", ["word", "char"])
-    def test_version_1_file_predicts_like_its_version_2_resave(self, tmp_path, kind):
-        _, loaded, _ = self._resaved_v1(tmp_path, kind)
-        resaved = load_checkpoint(tmp_path / "resaved.ckpt")
-        assert resaved.model.kind == kind
-        assert type(resaved.encoder) is type(loaded.encoder) and resaved.encoder.length == loaded.encoder.length
-        texts = ["alpha beta gamma", "Delta, ALPHA!", "", "nothing known here"]
-        indices = np.stack([loaded.encoder.encode(t) for t in texts])
-        assert (np.stack([resaved.encoder.encode(t) for t in texts]) == indices).all()
-        (classes_1, probs_1), (classes_2, probs_2) = predict(loaded.model, indices), predict(resaved.model, indices)
-        assert (classes_1 == classes_2).all() and (probs_1 == probs_2).all()
-        assert (resaved.quad_map_digest, resaved.metadata) == (loaded.quad_map_digest, loaded.metadata)
-
-    @pytest.mark.parametrize("kind", ["word", "char"])
-    def test_version_2_resave_keeps_the_bytes_after_the_header(self, tmp_path, kind):
-        v1, _, v2 = self._resaved_v1(tmp_path, kind)
-        assert struct.unpack_from("<I", v1, 4)[0] == 1 and struct.unpack_from("<I", v2, 4)[0] == 2
-        v1_len, v2_len = struct.unpack_from("<Q", v1, 8)[0], struct.unpack_from("<Q", v2, 8)[0]
-        assert v2[16 + v2_len : -32] == v1[16 + v1_len : -32]  # parameter blobs and probe block
-        assert json.loads(v2[16 : 16 + v2_len])["encoder"].keys() == {"tokens", "counts"}
-        assert hashlib.sha256(v2).hexdigest() == self.GOLDEN[kind]  # what _golden_checkpoint writes now
 
 
 class TestGradcheckExamples:

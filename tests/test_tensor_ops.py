@@ -160,7 +160,7 @@ class TestBatchedAgainstPerExample:
         # small integers make ties within windows common
         x = gen.integers(0, 3, size=(n, 4, 13)).astype(np.float64)
         grad_y = gen.normal(size=(n, 4, 4))
-        y, offsets = ops.maxpool1d_with_argmax(x, 3)
+        y, offsets = ops.maxpool1d(x, 3, with_offsets=True)
         grad_x = ops.maxpool1d_backward(grad_y, offsets, 3, 13)
         for j in range(n):
             want_y, want_arg = naive_maxpool(x[j], 3)
@@ -310,20 +310,20 @@ class TestConvBackward:
 
 class TestMaxPool:
     def test_hand_example(self):
-        y = ops.maxpool1d_with_argmax(np.array([[[1.0, 5.0, 2.0, 4.0]]]), 2)[0]
+        y = ops.maxpool1d(np.array([[[1.0, 5.0, 2.0, 4.0]]]), 2, with_offsets=True)[0]
         assert y.tolist() == [[[5.0, 4.0]]]
 
     def test_width_one_identity(self):
         x = np.array([[[3.0, -1.0, 2.0]]])
-        assert ops.maxpool1d_with_argmax(x, 1)[0].tolist() == x.tolist()
+        assert ops.maxpool1d(x, 1, with_offsets=True)[0].tolist() == x.tolist()
 
     def test_trailing_remainder_dropped(self):
-        y = ops.maxpool1d_with_argmax(np.array([[[1.0, 2.0, 9.0]]]), 2)[0]
+        y = ops.maxpool1d(np.array([[[1.0, 2.0, 9.0]]]), 2, with_offsets=True)[0]
         assert y.tolist() == [[[2.0]]]
 
     def test_tie_routes_to_first(self):
         x = np.array([[[7.0, 7.0]]])
-        y, offsets = ops.maxpool1d_with_argmax(x, 2)
+        y, offsets = ops.maxpool1d(x, 2, with_offsets=True)
         assert y.tolist() == [[[7.0]]] and offsets.tolist() == [[[0]]]
         grad_x = ops.maxpool1d_backward(np.array([[[1.0]]]), offsets, 2, 2)
         assert grad_x.tolist() == [[[1.0, 0.0]]]
@@ -335,27 +335,27 @@ class TestMaxPool:
         proj = gen.normal(size=(2, 2, 4))
 
         def loss(x_):
-            return float((ops.maxpool1d_with_argmax(x_, 3)[0] * proj).sum())
+            return float((ops.maxpool1d(x_, 3, with_offsets=True)[0] * proj).sum())
 
-        _, offsets = ops.maxpool1d_with_argmax(x, 3)
+        _, offsets = ops.maxpool1d(x, 3, with_offsets=True)
         grad_x = ops.maxpool1d_backward(proj, offsets, 3, 12)
         assert_close(grad_x, numeric_grad(loss, x), tol=1e-6)
 
     def test_too_narrow_rejected(self):
         with pytest.raises(ops.ShapeMismatchError):
-            ops.maxpool1d_with_argmax(np.zeros((1, 1, 2)), 3)
+            ops.maxpool1d(np.zeros((1, 1, 2)), 3, with_offsets=True)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 31])
     def test_ties_at_every_width_match_oracle(self, width):
         gen = np.random.default_rng(width)
         x = gen.integers(-1, 2, size=(2, 3, 2 * width + 1)).astype(np.float64)
-        y, offsets = ops.maxpool1d_with_argmax(x, width)
+        y, offsets = ops.maxpool1d(x, width, with_offsets=True)
         for j in range(2):
             want_y, want_arg = naive_maxpool(x[j], width)
             assert (y[j] == want_y).all() and (offsets[j] + width * np.arange(y.shape[2]) == want_arg).all()
 
     def test_signed_zero_tie_routes_to_first(self):
-        _, offsets = ops.maxpool1d_with_argmax(np.array([[[-1.0, -0.0, 0.0, -0.0, 0.0, 0.0]]]), 3)
+        _, offsets = ops.maxpool1d(np.array([[[-1.0, -0.0, 0.0, -0.0, 0.0, 0.0]]]), 3, with_offsets=True)
         assert offsets.tolist() == [[[1, 0]]]
 
     @pytest.mark.parametrize("pos", [0, 1, 2])
@@ -363,9 +363,9 @@ class TestMaxPool:
         x = np.zeros((1, 1, 3))
         x[0, 0, pos] = np.nan
         with pytest.raises(ops.NonFiniteTensorError):
-            ops.maxpool1d_with_argmax(x, 3)
+            ops.maxpool1d(x, 3, with_offsets=True)
         with pytest.raises(ops.NonFiniteTensorError):
-            ops.maxpool1d(x, 3)
+            ops.maxpool1d(x, 3, with_offsets=False)
 
     @pytest.mark.parametrize("width", [1, 2, 3, 5, 31])
     def test_max_only_equals_the_argmax_maxima(self, width):
@@ -373,14 +373,15 @@ class TestMaxPool:
         gen = np.random.default_rng(width + 20)
         x = gen.choice([-1.0, -0.0, 0.0, 0.5], size=(3, 4, 3 * width + 2))
         strided = np.ascontiguousarray(x.transpose(1, 0, 2)).transpose(1, 0, 2)  # the layout an inference conv gives
-        want = ops.maxpool1d_with_argmax(x, width)[0].tobytes()
-        assert ops.maxpool1d(x, width).tobytes() == want
-        assert ops.maxpool1d(strided, width).tobytes() == want
+        want = ops.maxpool1d(x, width, with_offsets=True)[0].tobytes()
+        assert ops.maxpool1d(x, width, with_offsets=False)[0].tobytes() == want
+        assert ops.maxpool1d(strided, width, with_offsets=False)[0].tobytes() == want
 
     def test_max_only_signed_zero_windows(self):
         x = np.array([[[-0.0, 0.0, 0.0, -0.0, -0.0, -0.0, 0.0, 0.0]]])
         for width in (2, 4, 8):
-            assert ops.maxpool1d(x, width).tobytes() == ops.maxpool1d_with_argmax(x, width)[0].tobytes()
+            pooled = [ops.maxpool1d(x, width, with_offsets=flag)[0].tobytes() for flag in (False, True)]
+            assert pooled[0] == pooled[1]
 
 
 POSITION_LOCAL = {
@@ -664,7 +665,7 @@ class TestInputDtype:
         assert y.dtype == self.F32
         gw, gb = np.empty_like(w), np.empty_like(b)  # the caller's buffers fix the parameter gradients' dtype
         assert ops.conv1d_backward(x, w, self._rand(gen, *y.shape), gw, gb).dtype == self.F32
-        pooled, offsets = ops.maxpool1d_with_argmax(y, 2)
+        pooled, offsets = ops.maxpool1d(y, 2, with_offsets=True)
         assert pooled.dtype == self.F32
         assert ops.maxpool1d_backward(self._rand(gen, *pooled.shape), offsets, 2, y.shape[2]).dtype == self.F32
         r = ops.relu(pooled)

@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-import re
 import struct
 from dataclasses import replace
 from pathlib import Path
@@ -34,10 +33,6 @@ from quadcode.text_encoding import (
     build_vocab,
     load_embeddings,
 )
-
-# Version-1 checkpoints of a word model (6 vocabulary rows) and a char model
-DATA = Path(__file__).parent / "data"
-
 
 def _recs(*texts):
     return [SentenceRecord(id=f"r{i}", lang="en", text=t) for i, t in enumerate(texts)]
@@ -261,7 +256,7 @@ class TestEmbeddingTables:
 
 
 class TestSerialization:
-    """The encoder inside a checkpoint header: version 2 columns, version 1 entries."""
+    """The encoder inside a checkpoint header: its vocabulary's two columns."""
 
     def test_jsonl_shape(self, tmp_path):
         data = _saved(tmp_path / "m.ckpt", "word", Vocabulary(["a"], [9])).read_bytes()
@@ -272,47 +267,9 @@ class TestSerialization:
         again = load_checkpoint(_saved(tmp_path / "m.ckpt", "char", alphabet)).encoder.alphabet
         assert (again.tokens, again.counts) == (alphabet.tokens, alphabet.counts)
 
-    def test_parse_errors(self, tmp_path):
-        obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 2}]}
-        path = _with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj)
-        with pytest.raises(TextEncodingError, match=rf"^{re.escape(str(path))}: vocabulary entry 1: missing key 'count'$"):
-            load_checkpoint(path)
-
-    def test_non_dense_indices_rejected(self, tmp_path):
-        obj = {"kind": "word", "length": 4, "entries": [{"token": "a", "index": 5, "count": 1}]}
-        path = _with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj)
-        with pytest.raises(TextEncodingError,
-                           match=rf"^{re.escape(str(path))}: vocabulary entry 1: index 5 is not dense, expected 2$"):
-            load_checkpoint(path)
-
     def test_duplicate_token_rejected(self):
         with pytest.raises(TextEncodingError, match=r"^vocabulary entry 2: duplicate token 'a'$"):
             Vocabulary(["a", "a"], [2, 1])
-
-    @pytest.mark.parametrize(
-        "kind, bad, reason",
-        [
-            ("word", ["a"], "expected a JSON object"),
-            ("word", {"token": "a", "count": 1}, "missing key 'index'"),
-            ("word", {"token": "a", "index": 4, "count": "1"}, "bad field types"),
-            ("word", {"token": 7, "index": 4, "count": 1}, "bad field types"),
-            ("word", {"token": "a", "index": 5, "count": 1}, "not dense"),
-            ("word", {"token": "x", "index": 4, "count": 1}, "duplicate token 'x'"),
-            ("char", {"token": "yz", "index": 4, "count": 1}, "single codepoint"),
-            ("word", {"token": "a", "index": 4, "count": True}, "bad field types"),
-            ("word", {"token": "a", "index": 4, "count": -5}, "negative count -5"),
-            ("word", {"token": "a", "index": True, "count": 1}, "index True is not dense"),
-        ],
-        ids=["not_object", "missing_key", "count_str", "token_int", "non_dense", "duplicate", "multi_codepoint",
-             "count_bool", "count_negative", "index_bool"],
-    )
-    def test_rejection_names_its_entry(self, tmp_path, kind, bad, reason):
-        good = [{"token": "x", "index": 2, "count": 3}, {"token": "y", "index": 3, "count": 2}]
-        obj = {"kind": kind, "length": 4, "entries": [*good, bad, {"token": "z", "index": 5, "count": 1}]}
-        path = _with_encoder(DATA / f"v1_{kind}.ckpt", tmp_path / "m.ckpt", obj)
-        with pytest.raises(TextEncodingError, match=reason) as err:
-            load_checkpoint(path)
-        assert str(err.value).startswith(f"{path}: vocabulary entry 3: ")
 
     @pytest.mark.parametrize(
         "kind, token, count, reason",
@@ -366,21 +323,6 @@ class TestEncoderBundles:
         out = WordEncoder(vocab, 4).encode("U.S.  forces")
         assert out[0] == vocab.index_of("u.s")
         assert out[1] == vocab.index_of("forces")
-
-    def test_unknown_kind(self, tmp_path):
-        obj = {"kind": "bytes", "length": 3, "entries": []}
-        with pytest.raises(CheckpointError, match="bad version 1 encoder"):
-            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
-
-    @pytest.mark.parametrize("obj", [
-        ["word"],
-        {"kind": "word", "length": "3", "entries": []},
-        {"kind": "word", "length": True, "entries": []},
-        {"kind": "word", "length": 16},
-    ])
-    def test_malformed_encoder_object(self, tmp_path, obj):
-        with pytest.raises(CheckpointError, match="bad version 1 encoder"):
-            load_checkpoint(_with_encoder(DATA / "v1_word.ckpt", tmp_path / "m.ckpt", obj))
 
     @pytest.mark.parametrize(
         "obj, reason",
